@@ -4,7 +4,8 @@ Every bound has the shape ``cp(p) * plant_factor * entropy_factor``: a
 norm-order prefactor, a plant-side product (unstable poles, or nonminimum
 phase zeros for the output bound), and an exponentiated entropy rate. The
 spectral route rebuilds the entropy factor from a power spectrum and a
-negentropy correction instead of a closed-form entropy rate.
+negentropy correction instead of a closed-form entropy rate. ``ROUTES`` maps
+each route tag to its norm order, its plant needs and its builder.
 """
 
 from __future__ import annotations
@@ -17,13 +18,20 @@ from scipy import special
 from .disturbance import (
     EntropySummary,
     SpectralDensity,
+    entropy_summary,
     szego_log_integral,
 )
-from .errors import InvalidModelError, InvalidNormOrderError, ZeroTransferFunctionError
+from .errors import (
+    InvalidModelError,
+    InvalidNormOrderError,
+    ZeroTransferFunctionError,
+    check_order,
+)
 from .plant import PlantCharacteristics
 
 __all__ = [
     "BoundReport",
+    "ROUTES",
     "cp_constant",
     "error_bound_for_entropy",
     "error_bound_generic",
@@ -43,9 +51,7 @@ def cp_constant(p: float) -> float:
     Evaluates to ``1/sqrt(2 pi e)`` at p = 2 and to the limit 1/2 at
     p = inf. Raises InvalidNormOrderError for p < 1.
     """
-    p = float(p)
-    if math.isnan(p) or p < 1.0:
-        raise InvalidNormOrderError(f"norm order must satisfy p >= 1, got {p}")
+    p = check_order(p)
     if math.isinf(p):
         return 0.5
     return 1.0 / (2.0 * special.gamma((p + 1.0) / p) * (p * math.e) ** (1.0 / p))
@@ -117,40 +123,32 @@ def _entropy_bits(ent: EntropySummary) -> float:
     return bits
 
 
-def error_bound_lti(p: float, chars: PlantCharacteristics, ent: EntropySummary) -> BoundReport:
-    """Error-signal floor for an LTI plant: cp(p) * pole product * 2^entropy rate."""
+def _pole_bound(
+    p: float, tag: str, chars: PlantCharacteristics, ent: EntropySummary
+) -> BoundReport:
     bits = _entropy_bits(ent)
     return _report(
         p,
-        "T1",
+        tag,
         plant_factor=float(chars.unstable_pole_product),
         entropy_factor=2.0**bits,
         entropy_rate_bits=bits,
     )
+
+
+def error_bound_lti(p: float, chars: PlantCharacteristics, ent: EntropySummary) -> BoundReport:
+    """Error-signal floor for an LTI plant: cp(p) * pole product * 2^entropy rate."""
+    return _pole_bound(p, "T1", chars, ent)
 
 
 def error_bound_p2(chars: PlantCharacteristics, ent: EntropySummary) -> BoundReport:
     """p = 2 specialization; its square is a floor on the error variance."""
-    bits = _entropy_bits(ent)
-    return _report(
-        2.0,
-        "C2",
-        plant_factor=float(chars.unstable_pole_product),
-        entropy_factor=2.0**bits,
-        entropy_rate_bits=bits,
-    )
+    return _pole_bound(2.0, "C2", chars, ent)
 
 
 def error_bound_pinf(chars: PlantCharacteristics, ent: EntropySummary) -> BoundReport:
     """p = inf specialization: a floor on the worst-case error deviation."""
-    bits = _entropy_bits(ent)
-    return _report(
-        math.inf,
-        "C3",
-        plant_factor=float(chars.unstable_pole_product),
-        entropy_factor=2.0**bits,
-        entropy_rate_bits=bits,
-    )
+    return _pole_bound(math.inf, "C3", chars, ent)
 
 
 def error_bound_spectral(
@@ -224,3 +222,24 @@ def error_bound_for_entropy(p: float, entropy_bits: float) -> BoundReport:
         entropy_factor=2.0**entropy_bits,
         entropy_rate_bits=float(entropy_bits),
     )
+
+
+def _spectral_route(p, chars, dist, grid) -> BoundReport:
+    return error_bound_spectral(p, chars, dist.power_spectrum(grid), dist.negentropy_rate())
+
+
+# Route tag -> (fixed norm order, or None for any p >= 1; whether the route
+# needs a plant; builder (p, chars, dist, grid) -> BoundReport). The builder
+# gets chars None on the plant-free route, and grid sizes the spectrum of the
+# spectral routes. KS is the p = 2 spectral floor, whose square is the
+# Kolmogorov-Szego one-step prediction floor for a stable plant and Gaussian
+# disturbance.
+ROUTES = {
+    "T1": (None, True, lambda p, c, d, g: error_bound_lti(p, c, entropy_summary(d))),
+    "T2": (None, True, lambda p, c, d, g: output_bound(p, c, entropy_summary(d))),
+    "T3": (None, False, lambda p, c, d, g: error_bound_generic(p, entropy_summary(d))),
+    "C2": (2.0, True, lambda p, c, d, g: error_bound_p2(c, entropy_summary(d))),
+    "C3": (math.inf, True, lambda p, c, d, g: error_bound_pinf(c, entropy_summary(d))),
+    "C4": (None, True, _spectral_route),
+    "KS": (2.0, True, _spectral_route),
+}

@@ -22,14 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import (
-    error_bound_generic,
-    error_bound_lti,
-    error_bound_p2,
-    error_bound_pinf,
-    error_bound_spectral,
-    output_bound,
-)
+from .bounds import ROUTES, error_bound_lti, output_bound
 from .controllers import parse_controller
 from .disturbance import (
     SpectralDensity,
@@ -51,24 +44,29 @@ EXIT_INPUT = 2
 EXIT_UNSATISFIED = 3
 EXIT_UNSTABLE = 4
 
-_THEOREMS = ("T1", "T2", "T3", "C2", "C3", "C4", "KS")
 
-
-def _parse_p_list(text: str) -> tuple:
+def _parse_p_list(value, source: str = "--p") -> tuple:
+    """Norm orders from a comma list such as ``2,inf`` or a JSON list."""
+    if isinstance(value, str):
+        tokens = value.split(",")
+    elif isinstance(value, list):
+        tokens = value
+    else:
+        raise FundlimError(f"{source} must be a comma list or a list of norm orders")
     orders = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
+    for token in tokens:
+        text = str(token).strip()
+        if not text:
             continue
-        if token.lower() in ("inf", "infinity"):
+        if text.lower() in ("inf", "infinity"):
             orders.append(math.inf)
             continue
         try:
-            orders.append(float(token))
+            orders.append(float(text))
         except ValueError:
-            raise FundlimError(f"bad norm order {token!r} in --p") from None
+            raise FundlimError(f"bad norm order {token!r} in {source}") from None
     if not orders:
-        raise FundlimError("--p must name at least one norm order")
+        raise FundlimError(f"{source} must name at least one norm order")
     return tuple(orders)
 
 
@@ -131,9 +129,7 @@ def cmd_bound(args) -> int:
     theorem = args.theorem
     if theorem is None:
         theorem = "T3" if args.plant is None else "T1"
-    if theorem not in _THEOREMS:
-        raise FundlimError(f"unknown theorem {theorem!r}")
-    needs_plant = theorem != "T3"
+    fixed_p, needs_plant, build = ROUTES[theorem]
     if needs_plant and args.plant is None:
         raise FundlimError(f"theorem {theorem} needs --plant (only T3 is plant-free)")
 
@@ -142,34 +138,8 @@ def cmd_bound(args) -> int:
     if args.plant is not None:
         model = load_plant(args.plant)
         chars, notes = _captured_analysis(model)
-    ent = entropy_summary(dist)
-
-    if theorem == "C2":
-        p_list = (2.0,)
-    elif theorem == "C3":
-        p_list = (math.inf,)
-    elif theorem == "KS":
-        p_list = (2.0,)
-    else:
-        p_list = _parse_p_list(args.p)
-
-    reports = []
-    for p in p_list:
-        if theorem == "T1":
-            reports.append(error_bound_lti(p, chars, ent))
-        elif theorem == "T2":
-            reports.append(output_bound(p, chars, ent))
-        elif theorem == "T3":
-            reports.append(error_bound_generic(p, ent))
-        elif theorem == "C2":
-            reports.append(error_bound_p2(chars, ent))
-        elif theorem == "C3":
-            reports.append(error_bound_pinf(chars, ent))
-        else:  # C4, KS: the spectral route
-            spectrum = dist.power_spectrum(args.grid)
-            reports.append(
-                error_bound_spectral(p, chars, spectrum, dist.negentropy_rate())
-            )
+    p_list = _parse_p_list(args.p) if fixed_p is None else (fixed_p,)
+    reports = [build(p, chars, dist, args.grid) for p in p_list]
 
     payload = {
         "reports": [report.to_dict() for report in reports],
@@ -199,28 +169,33 @@ def _resolve_sim_config(args) -> SimulationConfig:
         if not isinstance(file_cfg, dict):
             raise FundlimError("simulation config file must hold a JSON object")
 
-    def pick(flag_value, key, fallback):
-        if flag_value is not None:
-            return flag_value
-        return file_cfg.get(key, fallback)
+    def pick(flag_value, key, fallback, kind):
+        value = flag_value if flag_value is not None else file_cfg.get(key, fallback)
+        if value is None and fallback is None:
+            return None
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            raise FundlimError(
+                f"simulation setting {key} must be a number, got {value!r}"
+            ) from None
 
-    p_raw = pick(args.p, "p_list", "2")
-    if isinstance(p_raw, str):
-        p_list = _parse_p_list(p_raw)
+    if args.p is not None:
+        p_list = _parse_p_list(args.p)
     else:
-        p_list = tuple(math.inf if str(tok).lower() == "inf" else float(tok) for tok in p_raw)
+        p_list = _parse_p_list(file_cfg.get("p_list", "2"), "p_list of --sim-config")
 
     return SimulationConfig(
-        horizon=int(pick(args.horizon, "horizon", 200)),
-        trajectories=int(pick(args.traj, "trajectories", 10000)),
-        seed=int(pick(args.seed, "seed", 0)),
+        horizon=pick(args.horizon, "horizon", 200, int),
+        trajectories=pick(args.traj, "trajectories", 10000, int),
+        seed=pick(args.seed, "seed", 0, int),
         p_list=p_list,
-        burn_in=pick(args.burn_in, "burn_in", None),
-        tail_window=pick(args.tail_window, "tail_window", None),
-        divergence_threshold=float(
-            pick(args.divergence_threshold, "divergence_threshold", 1e12)
+        burn_in=pick(args.burn_in, "burn_in", None, int),
+        tail_window=pick(args.tail_window, "tail_window", None, int),
+        divergence_threshold=pick(
+            args.divergence_threshold, "divergence_threshold", 1e12, float
         ),
-        x0_std=float(pick(args.x0_std, "x0_std", 0.0)),
+        x0_std=pick(args.x0_std, "x0_std", 0.0, float),
     )
 
 
@@ -301,13 +276,18 @@ def cmd_verify(args) -> int:
 def _spectrum_from_csv(path) -> SpectralDensity:
     omegas, values = [], []
     with open(path, "r", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or not row[0].strip():
                 continue
             try:
                 w, s = float(row[0]), float(row[1])
             except (ValueError, IndexError):
-                continue  # header or stray line
+                if reader.line_num == 1:
+                    continue  # header
+                raise FundlimError(
+                    f"spectrum CSV {path} line {reader.line_num} is not a numeric omega,S pair"
+                ) from None
             omegas.append(w)
             values.append(s)
     if len(omegas) < 16:
@@ -364,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     bound = sub.add_parser("bound", help="evaluate a performance floor")
     bound.add_argument("--dist", required=True, help="disturbance JSON file")
     bound.add_argument("--plant", default=None, help="plant JSON file (omit for the plant-free floor)")
-    bound.add_argument("--theorem", default=None, choices=_THEOREMS,
+    bound.add_argument("--theorem", default=None, choices=tuple(ROUTES),
                        help="bound route (default: T1 with a plant, T3 without)")
     bound.add_argument("--p", default="2", help="comma list of norm orders, e.g. 2,inf")
     bound.add_argument("--grid", type=int, default=4096, help="spectrum grid size for C4/KS")

@@ -21,8 +21,8 @@ from scipy import linalg, signal, special
 
 from .errors import (
     InvalidModelError,
-    InvalidNormOrderError,
     NonIntegrableSpectrumError,
+    check_order,
 )
 
 __all__ = [
@@ -47,13 +47,6 @@ GAUSSIAN_ENTROPY_BITS = 0.5 * math.log2(2.0 * math.pi * math.e)
 DEFAULT_GRID = 4096
 
 
-def _check_order(p: float) -> float:
-    p = float(p)
-    if math.isnan(p) or p < 1.0:
-        raise InvalidNormOrderError(f"norm order must satisfy p >= 1, got {p}")
-    return p
-
-
 def _check_positive(value: float, name: str) -> float:
     value = float(value)
     if not math.isfinite(value) or value <= 0.0:
@@ -68,7 +61,7 @@ def max_entropy_value(p: float, lp_norm: float) -> float:
     the p = inf limit (uniform on [-lp_norm, lp_norm]) gives
     ``log2(2 lp_norm)``.
     """
-    p = _check_order(p)
+    p = check_order(p)
     lp_norm = _check_positive(lp_norm, "lp_norm")
     if math.isinf(p):
         return math.log2(2.0 * lp_norm)
@@ -96,7 +89,7 @@ def max_entropy_pdf(p: float, lp_norm: float, x):
     float or ndarray
         Density values, matching the shape of x.
     """
-    p = _check_order(p)
+    p = check_order(p)
     lp_norm = _check_positive(lp_norm, "lp_norm")
     arr = np.asarray(x, dtype=float)
     if math.isinf(p):
@@ -126,7 +119,6 @@ class SpectralDensity:
 
     grid: np.ndarray
     values: np.ndarray
-    evaluate: Callable | None = None
 
     def __post_init__(self) -> None:
         grid = np.asarray(self.grid, dtype=float)
@@ -160,12 +152,12 @@ class SpectralDensity:
         """Tabulate a closed-form density on N uniform points over [-pi, pi)."""
         n_grid = _check_grid(n_grid)
         grid = -math.pi + 2.0 * math.pi * np.arange(n_grid) / n_grid
-        return cls(grid=grid, values=np.asarray(fn(grid), dtype=float), evaluate=fn)
+        return cls(grid=grid, values=np.asarray(fn(grid), dtype=float))
 
     @classmethod
     def from_samples(cls, omega, values) -> "SpectralDensity":
         """Wrap externally tabulated (omega, S) pairs covering one period."""
-        return cls(grid=omega, values=values, evaluate=None)
+        return cls(grid=omega, values=values)
 
     def quadrature_mean(self, integrand: np.ndarray) -> float:
         """(1/2pi) * integral of a tabulated function over one period.
@@ -219,15 +211,11 @@ class EntropySummary:
     """Entropy quantities of a disturbance, all in bits per step."""
 
     conditional_entropy_rate: float
-    entropy_rate: float
     negentropy_rate: float
-    stationary: bool = True
 
 
 class DisturbanceModel(ABC):
     """Zero-mean scalar disturbance with closed-form information quantities."""
-
-    stationary = True
 
     @abstractmethod
     def sample(self, seed: int, length: int) -> np.ndarray:
@@ -473,12 +461,9 @@ class GaussianAR(DisturbanceModel):
 
 def entropy_summary(model: DisturbanceModel) -> EntropySummary:
     """Collect the entropy quantities of a stationary disturbance model."""
-    rate = model.conditional_entropy_rate()
     return EntropySummary(
-        conditional_entropy_rate=rate,
-        entropy_rate=rate,
+        conditional_entropy_rate=model.conditional_entropy_rate(),
         negentropy_rate=model.negentropy_rate(),
-        stationary=True,
     )
 
 

@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit."""
 
+import math
+
 
 class FundlimError(Exception):
     """Base class for every error raised by this package."""
@@ -11,6 +13,14 @@ class InvalidModelError(FundlimError, ValueError):
 
 class InvalidNormOrderError(FundlimError, ValueError):
     """Norm order must satisfy p >= 1 (math.inf is allowed)."""
+
+
+def check_order(p: float) -> float:
+    """Return p as a float, or raise InvalidNormOrderError unless p >= 1."""
+    p = float(p)
+    if math.isnan(p) or p < 1.0:
+        raise InvalidNormOrderError(f"norm order must satisfy p >= 1, got {p}")
+    return p
 
 
 class ZeroTransferFunctionError(FundlimError, ValueError):

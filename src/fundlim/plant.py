@@ -195,14 +195,6 @@ def relative_degree_and_gain(
     )
 
 
-def _markov_all_zero(model: StateSpaceModel, tol: float = TOL_MARKOV) -> bool:
-    try:
-        relative_degree_and_gain(model, tol=tol)
-    except ZeroTransferFunctionError:
-        return True
-    return False
-
-
 def compute_finite_zeros(
     model: StateSpaceModel, tol_inf: float = TOL_INF
 ) -> np.ndarray:
@@ -226,12 +218,18 @@ def compute_finite_zeros(
     ndarray
         Complex zeros sorted by (real, imag); possibly empty.
     """
-    n = model.n
-    if _markov_all_zero(model):
+    try:
+        degree, _ = relative_degree_and_gain(model)
+    except ZeroTransferFunctionError:
         raise DegenerateRealizationError(
             "zero pencil is singular: the transfer function is identically zero"
-        )
-    degree, _ = relative_degree_and_gain(model)
+        ) from None
+    return _zeros_for_degree(model, degree, tol_inf)
+
+
+def _zeros_for_degree(model: StateSpaceModel, degree: int, tol_inf: float) -> np.ndarray:
+    # Body of compute_finite_zeros once the relative degree is known.
+    n = model.n
     n_finite = n - 1 - degree
     if n_finite <= 0:
         return np.zeros(0, dtype=complex)
@@ -276,7 +274,7 @@ def analyze_plant(model: StateSpaceModel) -> PlantCharacteristics:
     """
     poles, pole_product = analyze_poles(model)
     degree, gain = relative_degree_and_gain(model)
-    zeros = compute_finite_zeros(model)
+    zeros = _zeros_for_degree(model, degree, TOL_INF)
     if degree == 0:
         warnings.warn(
             "relative degree is 0: C B is nonzero, so the current disturbance "

@@ -15,10 +15,7 @@ bound with a bootstrap margin.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -30,6 +27,7 @@ from .errors import (
     InvalidModelError,
     InvalidNormOrderError,
     UnstableLoopError,
+    check_order,
 )
 from .plant import StateSpaceModel
 
@@ -51,13 +49,6 @@ _CHUNK = 8192
 SUP_NORM_SLACK = 1e-3
 
 _BOOTSTRAP_TAG = 0xB007
-
-
-def _check_order(p: float) -> float:
-    p = float(p)
-    if math.isnan(p) or p < 1.0:
-        raise InvalidNormOrderError(f"norm order must satisfy p >= 1, got {p}")
-    return p
 
 
 @dataclass(frozen=True)
@@ -86,7 +77,7 @@ class SimulationConfig:
             raise InvalidModelError(f"horizon must be >= 1, got {horizon}")
         if trajectories < 1:
             raise InvalidModelError(f"trajectories must be >= 1, got {trajectories}")
-        p_list = tuple(sorted({_check_order(p) for p in self.p_list}))
+        p_list = tuple(sorted({check_order(p) for p in self.p_list}))
         if not p_list:
             raise InvalidNormOrderError("p_list must name at least one norm order")
         burn_in = horizon // 5 if self.burn_in is None else int(self.burn_in)
@@ -156,22 +147,13 @@ class SimulationResult:
 
 def empirical_lp(samples, p: float) -> float:
     """Empirical L_p norm: (mean |x|^p)^(1/p), or max |x| for p = inf."""
-    p = _check_order(p)
+    p = check_order(p)
     magnitudes = np.abs(np.asarray(samples, dtype=float).ravel())
     if magnitudes.size == 0:
         raise InvalidModelError("empirical norm needs at least one sample")
     if math.isinf(p):
         return float(magnitudes.max())
     return float(np.mean(magnitudes**p) ** (1.0 / p))
-
-
-def _thread_count(n_jobs: int) -> int:
-    raw = os.environ.get("FUNDLIM_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 1
-    return max(1, min(cap, n_jobs))
 
 
 def _simulate_chunk(model, controller, dist, cfg, p_finite, want_max, span):
@@ -267,9 +249,9 @@ def run_closed_loop(
 
     Trajectories are mutually independent (disturbance seeds ``seed + m``)
     and are processed in fixed-size blocks whose partial sums are combined
-    in block order, so results are bit-identical for a given config
-    regardless of the FUNDLIM_THREADS worker count. Raises UnstableLoopError
-    when every trajectory has left float range by the final step.
+    in block order, so results are bit-identical for a given config. Raises
+    UnstableLoopError when every trajectory has left float range by the
+    final step.
     """
     p_finite = [p for p in cfg.p_list if not math.isinf(p)]
     want_max = any(math.isinf(p) for p in cfg.p_list)
@@ -277,13 +259,10 @@ def run_closed_loop(
         (lo, min(lo + _CHUNK, cfg.trajectories))
         for lo in range(0, cfg.trajectories, _CHUNK)
     ]
-    worker = partial(_simulate_chunk, model, controller, dist, cfg, p_finite, want_max)
-    threads = _thread_count(len(spans))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(worker, spans))
-    else:
-        partials = [worker(span) for span in spans]
+    partials = [
+        _simulate_chunk(model, controller, dist, cfg, p_finite, want_max, span)
+        for span in spans
+    ]
 
     horizon, tail = cfg.horizon, cfg.tail_window
     counts = np.zeros(horizon, dtype=np.int64)
@@ -406,10 +385,12 @@ def verify_bound(
     resampling, ``resamples`` draws, deterministic in the simulation seed).
     For p = inf the sample maximum is a one-sided underestimate of the
     essential supremum, so an extra ``sup_slack`` is allowed. Refuses to
-    certify unstable results.
+    certify unstable results; raises InvalidModelError for resamples < 1.
     """
     if which not in ("error", "output"):
         raise ValueError(f"which must be 'error' or 'output', got {which!r}")
+    if resamples < 1:
+        raise InvalidModelError(f"resamples must be >= 1, got {resamples}")
     if not result.stable:
         raise CertificationRefusedError(
             "simulation is flagged unstable; its tail statistics do not "

@@ -1,15 +1,19 @@
 """Command-line interface: subcommands, exit codes, report files."""
 
+import argparse
 import json
 import math
 
 import pytest
 
+import fundlim as fl
+from fundlim.bounds import ROUTES
 from fundlim.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_UNSATISFIED,
     EXIT_UNSTABLE,
+    build_parser,
     main,
 )
 
@@ -39,6 +43,14 @@ def gauss_dist(tmp_path):
 def ar_dist(tmp_path):
     path = tmp_path / "ar.json"
     path.write_text(json.dumps({"type": "gauss_ar", "coeffs": [0.9], "innovation_std": 1.0}))
+    return str(path)
+
+
+@pytest.fixture
+def nmp_unstable_plant(tmp_path):
+    # (z - 2) / (z (z - 1.5)): an unstable pole at 1.5 and an NMP zero at 2.
+    path = tmp_path / "nmp_unstable_plant.json"
+    path.write_text(json.dumps({"A": [[1.5, 0.0], [1.0, 0.0]], "B": [1.0, 0.0], "C": [1.0, -2.0]}))
     return str(path)
 
 
@@ -148,6 +160,45 @@ class TestBound:
             main(["bound", "--dist", gauss_dist, "--theorem", "T9"])
         assert exc.value.code == 2
 
+    def test_theorem_choices_are_the_route_table(self):
+        (commands,) = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        (theorem,) = [a for a in commands.choices["bound"]._actions if a.dest == "theorem"]
+        assert theorem.choices == tuple(ROUTES)
+
+    @pytest.mark.filterwarnings("ignore::fundlim.AnalysisWarning")
+    @pytest.mark.parametrize("tag", tuple(ROUTES))
+    def test_route_rows_match_library(self, capsys, ar_dist, nmp_unstable_plant, tag):
+        code, out, _ = run_cli(
+            capsys, "bound", "--dist", ar_dist, "--plant", nmp_unstable_plant,
+            "--theorem", tag, "--p", "1,2,inf", "--grid", "1024",
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["manifest"]["parameters"]["theorem"] == tag
+
+        chars = fl.analyze_plant(fl.load_plant(nmp_unstable_plant))
+        dist = fl.load_disturbance(ar_dist)
+        ent = fl.entropy_summary(dist)
+
+        def spectral(p):
+            spectrum = dist.power_spectrum(1024)
+            return fl.error_bound_spectral(p, chars, spectrum, dist.negentropy_rate())
+
+        wrappers = {
+            "T1": lambda p: fl.error_bound_lti(p, chars, ent),
+            "T2": lambda p: fl.output_bound(p, chars, ent),
+            "T3": lambda p: fl.error_bound_generic(p, ent),
+            "C2": lambda p: fl.error_bound_p2(chars, ent),
+            "C3": lambda p: fl.error_bound_pinf(chars, ent),
+            "C4": spectral,
+            "KS": spectral,
+        }
+        assert set(wrappers) == set(ROUTES)
+        p_list = {"C2": [2.0], "C3": [math.inf], "KS": [2.0]}.get(tag, [1.0, 2.0, math.inf])
+        assert payload["reports"] == [wrappers[tag](p).to_dict() for p in p_list]
+
 
 class TestVerify:
     def test_satisfied_round_trip(self, capsys, tmp_path, stable_plant, gauss_dist):
@@ -248,6 +299,37 @@ class TestVerify:
         assert code == EXIT_INPUT
         assert "JSON object" in err
 
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"p_list": 2},
+            {"p_list": ["abc"]},
+            {"horizon": "abc", "trajectories": 50},
+            {"horizon": None, "trajectories": 50},
+        ],
+    )
+    def test_malformed_sim_config_value(self, capsys, tmp_path, stable_plant, gauss_dist, settings):
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps(settings))
+        code, out, err = run_cli(
+            capsys, "verify", "--plant", stable_plant, "--dist", gauss_dist,
+            "--sim-config", str(cfg),
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("fundlim: ")
+        assert "p_list" in err or "horizon" in err
+
+    @pytest.mark.parametrize("resamples", ["0", "-1"])
+    def test_resamples_below_one(self, capsys, stable_plant, gauss_dist, resamples):
+        code, out, err = run_cli(
+            capsys, "verify", "--plant", stable_plant, "--dist", gauss_dist,
+            "--horizon", "20", "--traj", "100", "--resamples", resamples,
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "resamples" in err
+
     def test_bad_controller_spec(self, capsys, stable_plant, gauss_dist):
         code, _, err = run_cli(
             capsys, "verify", "--plant", stable_plant, "--dist", gauss_dist,
@@ -311,6 +393,16 @@ class TestSzego:
         code, out, _ = run_cli(capsys, "szego", "--spectrum-csv", str(path))
         assert code == EXIT_OK
         assert json.loads(out)["szego_log_integral_bits"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_malformed_row_after_header_rejected(self, capsys, tmp_path):
+        path = tmp_path / "spec.csv"
+        rows = ["omega,S"] + [f"{-math.pi + 2.0 * math.pi * i / 32},2.0" for i in range(32)]
+        rows[10] = "0.3,oops"
+        path.write_text("\n".join(rows) + "\n")
+        code, out, err = run_cli(capsys, "szego", "--spectrum-csv", str(path))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "line 11" in err
 
     def test_requires_exactly_one_source(self, capsys, ar_dist, tmp_path):
         code, _, err = run_cli(capsys, "szego")

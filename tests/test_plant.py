@@ -230,6 +230,22 @@ class TestAnalyzePlant:
         with pytest.warns(fl.AnalysisWarning, match="cancellation"):
             fl.analyze_plant(model)
 
+    def test_markov_parameters_scanned_once(self, monkeypatch):
+        import fundlim.plant as plant_module
+
+        calls = []
+        scan = plant_module.relative_degree_and_gain
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(plant_module, "relative_degree_and_gain", counted)
+        model = companion_realization(np.poly([2.0]), np.poly([0.5, 0.1, -0.3]))
+        chars = fl.analyze_plant(model)
+        assert len(calls) == 1
+        assert chars.nmp_zero_product == pytest.approx(2.0, rel=1e-9)
+
     def test_to_dict_schema(self):
         import warnings as _warnings
 

@@ -169,27 +169,6 @@ class TestDeterminism:
         np.testing.assert_array_equal(a.tail_abs_error, b.tail_abs_error)
         assert a.error_tail == b.error_tail
 
-    def test_thread_count_does_not_change_bits(self, monkeypatch):
-        cfg = fl.SimulationConfig(horizon=20, trajectories=20000, seed=4, p_list=(2.0, math.inf))
-        args = (scalar_plant(0.8), StaticGain(0.5), fl.GaussianIID(1.0), cfg)
-        monkeypatch.delenv("FUNDLIM_THREADS", raising=False)
-        serial = fl.run_closed_loop(*args)
-        monkeypatch.setenv("FUNDLIM_THREADS", "3")
-        threaded = fl.run_closed_loop(*args)
-        for p in cfg.p_list:
-            np.testing.assert_array_equal(serial.error_norms[p], threaded.error_norms[p])
-            np.testing.assert_array_equal(serial.output_norms[p], threaded.output_norms[p])
-        np.testing.assert_array_equal(serial.tail_abs_error, threaded.tail_abs_error)
-        np.testing.assert_array_equal(serial.mean_square_state, threaded.mean_square_state)
-
-    def test_bad_thread_env_falls_back(self, monkeypatch):
-        cfg = fl.SimulationConfig(horizon=5, trajectories=10, seed=0)
-        monkeypatch.setenv("FUNDLIM_THREADS", "not-a-number")
-        result = fl.run_closed_loop(
-            scalar_plant(0.5), ZeroController(), fl.GaussianIID(1.0), cfg
-        )
-        assert result.stable
-
 
 class TestScaling:
     def test_closed_loop_scales_linearly(self):
@@ -345,6 +324,12 @@ class TestVerifyBound:
         assert cert.satisfied
         with pytest.raises(ValueError):
             fl.verify_bound(stable_run, report, which="state")
+
+    @pytest.mark.parametrize("resamples", [0, -1])
+    def test_resamples_below_one_rejected(self, stable_run, resamples):
+        report = fl.error_bound_for_entropy(2.0, -8.0)
+        with pytest.raises(fl.InvalidModelError, match="resamples"):
+            fl.verify_bound(stable_run, report, resamples=resamples)
 
     def test_missing_norm_order_rejected(self, stable_run):
         report = fl.error_bound_for_entropy(3.0, 1.0)
