@@ -200,6 +200,9 @@ def _resolve_sim_config(args) -> SimulationConfig:
 
 
 def cmd_verify(args) -> int:
+    # verify_bound rejects it too, but only after the whole simulation.
+    if args.resamples < 1:
+        raise FundlimError(f"--resamples must be >= 1, got {args.resamples}")
     model = load_plant(args.plant)
     dist = load_disturbance(args.dist)
     controller = parse_controller(args.controller)

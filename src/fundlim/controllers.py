@@ -27,7 +27,13 @@ __all__ = [
 
 
 class CausalController(ABC):
-    """Control law z_k = K(y_0, ..., y_k)."""
+    """Control law z_k = K(y_0, ..., y_k).
+
+    A subclass with only ``reset``/``step`` costs the simulator one Python
+    call per trajectory per step. Adding ``reset_batch(n_streams)`` and
+    ``step_batch(y)`` (aligned 1-D arrays, one entry per trajectory)
+    vectorizes it across trajectories.
+    """
 
     @abstractmethod
     def reset(self) -> None:

@@ -14,10 +14,11 @@ import json
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy import linalg, signal, special
+from scipy import linalg, special
 
 from .errors import (
     InvalidModelError,
@@ -383,8 +384,8 @@ class GaussianAR(DisturbanceModel):
 
     Innovations w_k are IID N(0, innovation_std^2). Sampling is exact: the
     initial lags are drawn from the stationary law (discrete Lyapunov solve
-    for the companion-form state covariance) before filtering the
-    innovations.
+    for the companion-form state covariance, done once per model) before
+    filtering the innovations.
     """
 
     coeffs: tuple
@@ -409,6 +410,7 @@ class GaussianAR(DisturbanceModel):
     def order(self) -> int:
         return len(self.coeffs)
 
+    @cached_property
     def _unit_lag_covariance(self) -> np.ndarray:
         # Stationary covariance of (d_k, ..., d_{k-m+1}) for unit innovation
         # variance, via the companion-form discrete Lyapunov equation.
@@ -422,12 +424,21 @@ class GaussianAR(DisturbanceModel):
         cov = linalg.solve_discrete_lyapunov(companion, noise)
         return 0.5 * (cov + cov.T)
 
+    @cached_property
+    def _unit_lag_cholesky(self) -> np.ndarray:
+        return np.linalg.cholesky(self._unit_lag_covariance)
+
     def sample(self, seed: int, length: int) -> np.ndarray:
+        # Imported here, its only use: scipy.signal pulls in scipy.stats,
+        # which would more than double the import time of every CLI command.
+        from scipy import signal
+
         length = _sample_length(length)
         rng = np.random.default_rng(seed)
         innovations = self.innovation_std * rng.standard_normal(length)
-        chol = np.linalg.cholesky(self._unit_lag_covariance())
-        initial_lags = self.innovation_std * (chol @ rng.standard_normal(self.order))
+        initial_lags = self.innovation_std * (
+            self._unit_lag_cholesky @ rng.standard_normal(self.order)
+        )
         denominator = np.concatenate(([1.0], -np.asarray(self.coeffs)))
         state = signal.lfiltic([1.0], denominator, y=initial_lags)
         out, _ = signal.lfilter([1.0], denominator, innovations, zi=state)
@@ -437,7 +448,7 @@ class GaussianAR(DisturbanceModel):
         return GAUSSIAN_ENTROPY_BITS + math.log2(self.innovation_std)
 
     def variance(self) -> float:
-        return self.innovation_std**2 * float(self._unit_lag_covariance()[0, 0])
+        return self.innovation_std**2 * float(self._unit_lag_covariance[0, 0])
 
     def spectrum_value(self, omega):
         omega = np.asarray(omega, dtype=float)

@@ -181,11 +181,13 @@ def _simulate_chunk(model, controller, dist, cfg, p_finite, want_max, span):
     law = controller.clone()
     if _has_batch_interface(law):
         law.reset_batch(count_m)
-        laws = None
+        steps = None
     else:
-        laws = [controller.clone() for _ in range(count_m)]
+        # One instance per trajectory, and its bound step fetched once.
+        laws = [law] + [controller.clone() for _ in range(count_m - 1)]
         for each in laws:
             each.reset()
+        steps = [each.step for each in laws]
 
     sums_e = {p: np.zeros(horizon) for p in p_finite}
     sums_y = {p: np.zeros(horizon) for p in p_finite}
@@ -200,26 +202,28 @@ def _simulate_chunk(model, controller, dist, cfg, p_finite, want_max, span):
     with np.errstate(all="ignore"):
         for k in range(horizon):
             y = (C @ x).ravel()
-            if laws is None:
+            if steps is None:
                 z = np.asarray(law.step_batch(y), dtype=float)
             else:
                 z = np.fromiter(
-                    (each.step(float(v)) for each, v in zip(laws, y)),
+                    [step(v) for step, v in zip(steps, y.tolist())],
                     dtype=float,
                     count=count_m,
                 )
             e = z + d[:, k]
             alive &= np.isfinite(e) & np.isfinite(y) & np.isfinite(x).all(axis=0)
-            abs_e = np.abs(e)
-            abs_y = np.abs(y)
+            # Dead entries read 0, which adds 0 = 0**p (p >= 1) to every sum
+            # and cannot exceed a live magnitude in the max.
+            abs_e = np.where(alive, np.abs(e), 0.0)
+            abs_y = np.where(alive, np.abs(y), 0.0)
             counts[k] = int(alive.sum())
             if counts[k]:
                 for p in p_finite:
-                    sums_e[p][k] = np.where(alive, abs_e**p, 0.0).sum()
-                    sums_y[p][k] = np.where(alive, abs_y**p, 0.0).sum()
+                    sums_e[p][k] = (abs_e**p).sum()
+                    sums_y[p][k] = (abs_y**p).sum()
                 if want_max:
-                    max_e[k] = abs_e[alive].max()
-                    max_y[k] = abs_y[alive].max()
+                    max_e[k] = abs_e.max()
+                    max_y[k] = abs_y.max()
                 sum_sq_state[k] = np.where(alive, np.einsum("ij,ij->j", x, x), 0.0).sum()
             if k >= tail_start:
                 tail_e[k - tail_start] = np.where(alive, abs_e, np.nan)

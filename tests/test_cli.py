@@ -3,6 +3,10 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -330,6 +334,20 @@ class TestVerify:
         assert out == ""
         assert "resamples" in err
 
+    @pytest.mark.parametrize("plant", ["stable_plant", "unstable_plant"])
+    def test_resamples_checked_before_simulation(self, capsys, monkeypatch, request, gauss_dist, plant):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("run_closed_loop called with --resamples 0")
+
+        monkeypatch.setattr("fundlim.cli.run_closed_loop", no_simulation)
+        code, out, err = run_cli(
+            capsys, "verify", "--plant", request.getfixturevalue(plant), "--dist", gauss_dist,
+            "--horizon", "20", "--traj", "100", "--resamples", "0",
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "resamples" in err
+
     def test_bad_controller_spec(self, capsys, stable_plant, gauss_dist):
         code, _, err = run_cli(
             capsys, "verify", "--plant", stable_plant, "--dist", gauss_dist,
@@ -433,3 +451,14 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_cli_import_leaves_scipy_signal_unloaded(self):
+        src = str(Path(fl.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = "import sys, fundlim.cli; print('scipy.signal' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert done.stdout.strip() == "False"

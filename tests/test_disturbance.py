@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
@@ -162,6 +163,24 @@ class TestSamplers:
     def test_rejects_bad_length(self):
         with pytest.raises(fl.InvalidModelError):
             fl.GaussianIID(1.0).sample(0, 0)
+
+    def test_ar_lag_covariance_solved_once_per_model(self, monkeypatch):
+        coeffs = (0.5, -0.25)
+        expected = [fl.GaussianAR(coeffs, 1.3).sample(seed, 50) for seed in range(3)]
+        solve = scipy.linalg.solve_discrete_lyapunov
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "solve_discrete_lyapunov", counted)
+        model = fl.GaussianAR(coeffs, 1.3)
+        draws = [model.sample(seed, 50) for seed in range(3)]
+        model.variance()
+        assert len(calls) == 1
+        for got, want in zip(draws, expected):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestModelValidation:

@@ -259,6 +259,39 @@ class TestScalarControllerFallback:
                 x = a * x + e
         np.testing.assert_allclose(result.tail_abs_error, expected, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_scalar_path_is_bit_identical_to_batch(self, monkeypatch):
+        # Positive feedback on A = 3 with a huge Laplace disturbance: about
+        # 60% of the trajectories leave float range in the last steps, so
+        # the masked sums, maxima and tail rows all see dead entries.
+        class ScalarGain(CausalController):
+            def __init__(self, gain):
+                self.gain = gain
+
+            def reset(self):
+                pass
+
+            def step(self, y):
+                return -self.gain * y
+
+        monkeypatch.setattr("fundlim.simulation._CHUNK", 64)
+        gain = -0.01
+        cfg = fl.SimulationConfig(
+            horizon=200, trajectories=300, seed=3, p_list=(1.0, 2.0, 4.0, math.inf), x0_std=1.0
+        )
+        plant = fl.StateSpaceModel([[3.0]], [1.0], [1.0])
+        dist = fl.GeneralizedGaussianIID(1.0, 5e213)
+        scalar = fl.run_closed_loop(plant, ScalarGain(gain), dist, cfg)
+        batch = fl.run_closed_loop(plant, StaticGain(gain), dist, cfg)
+
+        assert 0 < scalar.diverged == batch.diverged < cfg.trajectories
+        for p in cfg.p_list:
+            assert scalar.error_norms[p].tobytes() == batch.error_norms[p].tobytes()
+            assert scalar.output_norms[p].tobytes() == batch.output_norms[p].tobytes()
+        assert scalar.tail_abs_error.tobytes() == batch.tail_abs_error.tobytes()
+        assert scalar.tail_abs_output.tobytes() == batch.tail_abs_output.tobytes()
+        assert scalar.mean_square_state.tobytes() == batch.mean_square_state.tobytes()
+
 
 @pytest.fixture(scope="module")
 def stable_run():
