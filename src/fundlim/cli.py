@@ -399,7 +399,7 @@ def main(argv=None) -> int:
     except FundlimError as exc:
         print(f"fundlim: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"fundlim: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

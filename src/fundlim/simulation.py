@@ -77,6 +77,9 @@ class SimulationConfig:
             raise InvalidModelError(f"horizon must be >= 1, got {horizon}")
         if trajectories < 1:
             raise InvalidModelError(f"trajectories must be >= 1, got {trajectories}")
+        seed = int(self.seed)
+        if seed < 0:
+            raise InvalidModelError(f"seed must be >= 0, got {seed}")
         p_list = tuple(sorted({check_order(p) for p in self.p_list}))
         if not p_list:
             raise InvalidNormOrderError("p_list must name at least one norm order")
@@ -95,7 +98,7 @@ class SimulationConfig:
             raise InvalidModelError("x0_std must be finite and >= 0")
         object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "trajectories", trajectories)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "p_list", p_list)
         object.__setattr__(self, "burn_in", burn_in)
         object.__setattr__(self, "tail_window", tail)
@@ -124,7 +127,9 @@ class SimulationResult:
     ``output_tail`` hold the maxima of those norms over the tail window.
     ``tail_abs_error``/``tail_abs_output`` keep the per-trajectory magnitudes
     inside the tail window, shape (tail_window, trajectories), for bootstrap
-    resampling. ``stable`` is False when the mean-square state estimate ever
+    resampling; they are the two row views of one
+    (2, tail_window, trajectories) array, NaN where a trajectory has
+    diverged. ``stable`` is False when the mean-square state estimate ever
     exceeded the divergence threshold or any trajectory left float range
     (``diverged`` counts the latter).
     """
@@ -156,11 +161,18 @@ def empirical_lp(samples, p: float) -> float:
     return float(np.mean(magnitudes**p) ** (1.0 / p))
 
 
-def _simulate_chunk(model, controller, dist, cfg, p_finite, want_max, span):
+def _simulate_chunk(model, controller, dist, cfg, span, stats):
+    """Add the trajectories ``span`` into the run's ``stats`` in place.
+
+    ``stats`` holds the arrays built by ``run_closed_loop``; each chunk owns
+    the columns ``m_lo:m_hi`` of the tails. Returns how many trajectories
+    of the span diverged.
+    """
+    sums, maxes, counts, sum_sq_state, tails = stats
     m_lo, m_hi = span
     count_m = m_hi - m_lo
-    horizon, tail = cfg.horizon, cfg.tail_window
-    tail_start = horizon - tail
+    horizon = cfg.horizon
+    tail_start = horizon - cfg.tail_window
     A, B, C = model.A, model.B, model.C
 
     d = np.empty((count_m, horizon))
@@ -189,58 +201,34 @@ def _simulate_chunk(model, controller, dist, cfg, p_finite, want_max, span):
             each.reset()
         steps = [each.step for each in laws]
 
-    sums_e = {p: np.zeros(horizon) for p in p_finite}
-    sums_y = {p: np.zeros(horizon) for p in p_finite}
-    max_e = np.full(horizon, -np.inf)
-    max_y = np.full(horizon, -np.inf)
-    counts = np.zeros(horizon, dtype=np.int64)
-    sum_sq_state = np.zeros(horizon)
-    tail_e = np.full((tail, count_m), np.nan)
-    tail_y = np.full((tail, count_m), np.nan)
     alive = np.ones(count_m, dtype=bool)
-
-    with np.errstate(all="ignore"):
-        for k in range(horizon):
-            y = (C @ x).ravel()
-            if steps is None:
-                z = np.asarray(law.step_batch(y), dtype=float)
-            else:
-                z = np.fromiter(
-                    [step(v) for step, v in zip(steps, y.tolist())],
-                    dtype=float,
-                    count=count_m,
-                )
-            e = z + d[:, k]
-            alive &= np.isfinite(e) & np.isfinite(y) & np.isfinite(x).all(axis=0)
-            # Dead entries read 0, which adds 0 = 0**p (p >= 1) to every sum
-            # and cannot exceed a live magnitude in the max.
-            abs_e = np.where(alive, np.abs(e), 0.0)
-            abs_y = np.where(alive, np.abs(y), 0.0)
-            counts[k] = int(alive.sum())
-            if counts[k]:
-                for p in p_finite:
-                    sums_e[p][k] = (abs_e**p).sum()
-                    sums_y[p][k] = (abs_y**p).sum()
-                if want_max:
-                    max_e[k] = abs_e.max()
-                    max_y[k] = abs_y.max()
-                sum_sq_state[k] = np.where(alive, np.einsum("ij,ij->j", x, x), 0.0).sum()
-            if k >= tail_start:
-                tail_e[k - tail_start] = np.where(alive, abs_e, np.nan)
-                tail_y[k - tail_start] = np.where(alive, abs_y, np.nan)
-            x = A @ x + B * e
-
-    return {
-        "sums_e": sums_e,
-        "sums_y": sums_y,
-        "max_e": max_e,
-        "max_y": max_y,
-        "counts": counts,
-        "sum_sq_state": sum_sq_state,
-        "tail_e": tail_e,
-        "tail_y": tail_y,
-        "diverged": int(count_m - alive.sum()),
-    }
+    for k in range(horizon):
+        y = (C @ x).ravel()
+        if steps is None:
+            z = np.asarray(law.step_batch(y), dtype=float)
+        else:
+            z = np.fromiter(
+                [step(v) for step, v in zip(steps, y.tolist())],
+                dtype=float,
+                count=count_m,
+            )
+        e = z + d[:, k]
+        alive &= np.isfinite(e) & np.isfinite(y) & np.isfinite(x).all(axis=0)
+        # Row 0 is |e|, row 1 is |y|. Dead entries read 0, which adds
+        # 0 = 0**p (p >= 1) to every sum and cannot exceed a live magnitude
+        # in the max.
+        mag = np.where(alive, np.abs(np.stack((e, y))), 0.0)
+        live = int(alive.sum())
+        counts[k] += live
+        for p, total in sums.items():
+            total[:, k] += (mag**p).sum(axis=1)
+        if maxes is not None:
+            maxes[:, k] = np.maximum(maxes[:, k], mag.max(axis=1))
+        sum_sq_state[k] += np.where(alive, np.einsum("ij,ij->j", x, x), 0.0).sum()
+        if k >= tail_start:
+            tails[:, k - tail_start, m_lo:m_hi] = np.where(alive, mag, np.nan)
+        x = A @ x + B * e
+    return count_m - live
 
 
 def run_closed_loop(
@@ -252,81 +240,50 @@ def run_closed_loop(
     """Simulate the closed loop over Monte Carlo trajectories.
 
     Trajectories are mutually independent (disturbance seeds ``seed + m``)
-    and are processed in fixed-size blocks whose partial sums are combined
-    in block order, so results are bit-identical for a given config. Raises
-    UnstableLoopError when every trajectory has left float range by the
-    final step.
+    and are processed in fixed-size blocks that accumulate in place into one
+    set of run statistics, in block order, so results are bit-identical for
+    a given config. Raises UnstableLoopError when every trajectory has left
+    float range by the final step.
     """
-    p_finite = [p for p in cfg.p_list if not math.isinf(p)]
-    want_max = any(math.isinf(p) for p in cfg.p_list)
-    spans = [
-        (lo, min(lo + _CHUNK, cfg.trajectories))
-        for lo in range(0, cfg.trajectories, _CHUNK)
-    ]
-    partials = [
-        _simulate_chunk(model, controller, dist, cfg, p_finite, want_max, span)
-        for span in spans
-    ]
-
     horizon, tail = cfg.horizon, cfg.tail_window
+    # Every statistic keeps the error in row 0 and the output in row 1.
+    sums = {p: np.zeros((2, horizon)) for p in cfg.p_list if not math.isinf(p)}
+    maxes = np.zeros((2, horizon)) if math.inf in cfg.p_list else None
     counts = np.zeros(horizon, dtype=np.int64)
     sum_sq_state = np.zeros(horizon)
-    sums_e = {p: np.zeros(horizon) for p in p_finite}
-    sums_y = {p: np.zeros(horizon) for p in p_finite}
-    max_e = np.full(horizon, -np.inf)
-    max_y = np.full(horizon, -np.inf)
+    tails = np.empty((2, tail, cfg.trajectories))
+    stats = (sums, maxes, counts, sum_sq_state, tails)
+
     diverged = 0
-    for part in partials:
-        counts += part["counts"]
-        sum_sq_state += part["sum_sq_state"]
-        for p in p_finite:
-            sums_e[p] += part["sums_e"][p]
-            sums_y[p] += part["sums_y"][p]
-        np.maximum(max_e, part["max_e"], out=max_e)
-        np.maximum(max_y, part["max_y"], out=max_y)
-        diverged += part["diverged"]
-    tail_abs_e = np.concatenate([part["tail_e"] for part in partials], axis=1)
-    tail_abs_y = np.concatenate([part["tail_y"] for part in partials], axis=1)
-
-    if counts[-1] == 0:
-        raise UnstableLoopError(
-            "every trajectory diverged before the end of the horizon"
-        )
-
-    observed = counts > 0
     with np.errstate(all="ignore"):
-        mean_sq = np.where(observed, sum_sq_state / np.maximum(counts, 1), np.nan)
-        error_norms = {}
-        output_norms = {}
-        for p in p_finite:
-            error_norms[p] = np.where(
-                observed, (sums_e[p] / np.maximum(counts, 1)) ** (1.0 / p), np.nan
-            )
-            output_norms[p] = np.where(
-                observed, (sums_y[p] / np.maximum(counts, 1)) ** (1.0 / p), np.nan
-            )
-        if want_max:
-            error_norms[math.inf] = np.where(observed, max_e, np.nan)
-            output_norms[math.inf] = np.where(observed, max_y, np.nan)
+        for lo in range(0, cfg.trajectories, _CHUNK):
+            span = (lo, min(lo + _CHUNK, cfg.trajectories))
+            diverged += _simulate_chunk(model, controller, dist, cfg, span, stats)
 
-    threshold_hit = bool(np.any(np.where(observed, mean_sq, 0.0) > cfg.divergence_threshold))
-    stable = (diverged == 0) and not threshold_hit
-
-    window = slice(horizon - tail, horizon)
-    error_tail = {p: float(np.max(error_norms[p][window])) for p in cfg.p_list}
-    output_tail = {p: float(np.max(output_norms[p][window])) for p in cfg.p_list}
+        # A trajectory never revives, so counts only fall along the horizon:
+        # a live final step means every step has live trajectories.
+        if counts[-1] == 0:
+            raise UnstableLoopError(
+                "every trajectory diverged before the end of the horizon"
+            )
+        mean_sq = sum_sq_state / counts
+        norms = {p: (total / counts) ** (1.0 / p) for p, total in sums.items()}
+        if maxes is not None:
+            norms[math.inf] = maxes
+        tail_max = {p: rows[:, horizon - tail :].max(axis=1) for p, rows in norms.items()}
+        stable = diverged == 0 and not np.any(mean_sq > cfg.divergence_threshold)
 
     return SimulationResult(
         config=cfg,
-        error_norms=error_norms,
-        output_norms=output_norms,
-        error_tail=error_tail,
-        output_tail=output_tail,
+        error_norms={p: rows[0] for p, rows in norms.items()},
+        output_norms={p: rows[1] for p, rows in norms.items()},
+        error_tail={p: float(rows[0]) for p, rows in tail_max.items()},
+        output_tail={p: float(rows[1]) for p, rows in tail_max.items()},
         mean_square_state=mean_sq,
-        stable=stable,
+        stable=bool(stable),
         diverged=diverged,
-        tail_abs_error=tail_abs_e,
-        tail_abs_output=tail_abs_y,
+        tail_abs_error=tails[0],
+        tail_abs_output=tails[1],
     )
 
 

@@ -324,6 +324,18 @@ class TestVerify:
         assert err.startswith("fundlim: ")
         assert "p_list" in err or "horizon" in err
 
+    @pytest.mark.parametrize("source", ["flag", "sim_config"])
+    def test_negative_seed(self, capsys, tmp_path, stable_plant, gauss_dist, source):
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({"horizon": 20, "trajectories": 100, "seed": -1}))
+        seed = ["--seed", "-3"] if source == "flag" else ["--sim-config", str(cfg)]
+        code, out, err = run_cli(
+            capsys, "verify", "--plant", stable_plant, "--dist", gauss_dist, *seed
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("fundlim: ") and "seed" in err
+
     @pytest.mark.parametrize("resamples", ["0", "-1"])
     def test_resamples_below_one(self, capsys, stable_plant, gauss_dist, resamples):
         code, out, err = run_cli(
@@ -441,6 +453,23 @@ class TestSzego:
 
 
 class TestTopLevel:
+    @pytest.mark.parametrize("flag", ["--plant", "--dist", "--sim-config", "--spectrum-csv"])
+    def test_input_file_not_utf8(self, capsys, tmp_path, stable_plant, gauss_dist, flag):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes('{"note": "caf\u00e9"}'.encode("latin-1"))
+        argv = {
+            "--plant": ["analyze", "--plant", str(bad)],
+            "--dist": ["bound", "--dist", str(bad)],
+            "--sim-config": [
+                "verify", "--plant", stable_plant, "--dist", gauss_dist, "--sim-config", str(bad),
+            ],
+            "--spectrum-csv": ["szego", "--spectrum-csv", str(bad)],
+        }[flag]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("fundlim: ") and "decode" in err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

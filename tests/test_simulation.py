@@ -1,6 +1,7 @@
 """Closed-loop Monte Carlo engine: loop semantics, determinism, certification."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,8 @@ class TestSimulationConfig:
             fl.SimulationConfig(horizon=10, trajectories=1, divergence_threshold=0.0)
         with pytest.raises(fl.InvalidModelError):
             fl.SimulationConfig(horizon=10, trajectories=1, x0_std=-1.0)
+        with pytest.raises(fl.InvalidModelError, match="seed"):
+            fl.SimulationConfig(horizon=10, trajectories=1, seed=-1)
 
 
 class TestLoopSemantics:
@@ -237,6 +240,34 @@ class StatefulScalarLaw(CausalController):
         return -0.5 * self.v
 
 
+class ScalarGain(CausalController):
+    """z = -gain * y through reset/step only, to force the scalar path."""
+
+    def __init__(self, gain):
+        self.gain = gain
+
+    def reset(self):
+        pass
+
+    def step(self, y):
+        return -self.gain * y
+
+
+DIVERGING_GAIN = -0.01
+
+
+def diverging_loop():
+    # Positive feedback on A = 3 with a huge Laplace disturbance: about 60%
+    # of the 300 trajectories leave float range in the last steps, so the
+    # masked sums, maxima and tail rows all see dead entries, and the sums
+    # of |e|^p overflow.
+    cfg = fl.SimulationConfig(
+        horizon=200, trajectories=300, seed=3, p_list=(1.0, 2.0, 4.0, math.inf), x0_std=1.0
+    )
+    plant = fl.StateSpaceModel([[3.0]], [1.0], [1.0])
+    return plant, fl.GeneralizedGaussianIID(1.0, 5e213), cfg
+
+
 class TestScalarControllerFallback:
     def test_matches_manual_loop(self):
         a, horizon, trajectories, seed = 0.8, 15, 5, 21
@@ -259,30 +290,11 @@ class TestScalarControllerFallback:
                 x = a * x + e
         np.testing.assert_allclose(result.tail_abs_error, expected, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_scalar_path_is_bit_identical_to_batch(self, monkeypatch):
-        # Positive feedback on A = 3 with a huge Laplace disturbance: about
-        # 60% of the trajectories leave float range in the last steps, so
-        # the masked sums, maxima and tail rows all see dead entries.
-        class ScalarGain(CausalController):
-            def __init__(self, gain):
-                self.gain = gain
-
-            def reset(self):
-                pass
-
-            def step(self, y):
-                return -self.gain * y
-
         monkeypatch.setattr("fundlim.simulation._CHUNK", 64)
-        gain = -0.01
-        cfg = fl.SimulationConfig(
-            horizon=200, trajectories=300, seed=3, p_list=(1.0, 2.0, 4.0, math.inf), x0_std=1.0
-        )
-        plant = fl.StateSpaceModel([[3.0]], [1.0], [1.0])
-        dist = fl.GeneralizedGaussianIID(1.0, 5e213)
-        scalar = fl.run_closed_loop(plant, ScalarGain(gain), dist, cfg)
-        batch = fl.run_closed_loop(plant, StaticGain(gain), dist, cfg)
+        plant, dist, cfg = diverging_loop()
+        scalar = fl.run_closed_loop(plant, ScalarGain(DIVERGING_GAIN), dist, cfg)
+        batch = fl.run_closed_loop(plant, StaticGain(DIVERGING_GAIN), dist, cfg)
 
         assert 0 < scalar.diverged == batch.diverged < cfg.trajectories
         for p in cfg.p_list:
@@ -291,6 +303,31 @@ class TestScalarControllerFallback:
         assert scalar.tail_abs_error.tobytes() == batch.tail_abs_error.tobytes()
         assert scalar.tail_abs_output.tobytes() == batch.tail_abs_output.tobytes()
         assert scalar.mean_square_state.tobytes() == batch.mean_square_state.tobytes()
+
+
+class TestChunkedAccumulation:
+    @pytest.mark.parametrize("controller", [ScalarGain(DIVERGING_GAIN), StaticGain(DIVERGING_GAIN)])
+    def test_overflowing_loop_emits_no_warning(self, monkeypatch, controller):
+        monkeypatch.setattr("fundlim.simulation._CHUNK", 64)
+        plant, dist, cfg = diverging_loop()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = fl.run_closed_loop(plant, controller, dist, cfg)
+        assert 0 < result.diverged < cfg.trajectories
+
+    def test_chunk_columns_land_at_their_offsets(self, monkeypatch):
+        # 300 trajectories in chunks of 64 leave a ragged last chunk of 44;
+        # the default chunk size runs them as one block. Per-trajectory tail
+        # magnitudes do not depend on the blocking.
+        plant, dist, cfg = diverging_loop()
+        controller = StaticGain(DIVERGING_GAIN)
+        whole = fl.run_closed_loop(plant, controller, dist, cfg)
+        monkeypatch.setattr("fundlim.simulation._CHUNK", 64)
+        chunked = fl.run_closed_loop(plant, controller, dist, cfg)
+
+        assert chunked.diverged == whole.diverged > 0
+        assert chunked.tail_abs_error.tobytes() == whole.tail_abs_error.tobytes()
+        assert chunked.tail_abs_output.tobytes() == whole.tail_abs_output.tobytes()
 
 
 @pytest.fixture(scope="module")
