@@ -26,6 +26,7 @@ from .errors import (
     InvalidNormOrderError,
     ZeroTransferFunctionError,
     check_order,
+    finite_power,
 )
 from .plant import PlantCharacteristics
 
@@ -79,7 +80,7 @@ class BoundReport:
         """Squared form of the p = 2 bound: a floor on the error variance."""
         if self.p != 2.0:
             raise InvalidNormOrderError("the variance floor is defined only for p = 2")
-        return self.bound_value**2
+        return finite_power(self.bound_value, 2, "variance floor")
 
     def to_dict(self) -> dict:
         factors = {
@@ -116,6 +117,10 @@ def _report(p: float, tag: str, plant_factor: float, entropy_factor: float, **de
     )
 
 
+def _entropy_factor(bits: float) -> float:
+    return finite_power(2.0, bits, f"entropy factor 2^{bits:g}")
+
+
 def _entropy_bits(ent: EntropySummary) -> float:
     bits = float(ent.conditional_entropy_rate)
     if not math.isfinite(bits):
@@ -131,7 +136,7 @@ def _pole_bound(
         p,
         tag,
         plant_factor=float(chars.unstable_pole_product),
-        entropy_factor=2.0**bits,
+        entropy_factor=_entropy_factor(bits),
         entropy_rate_bits=bits,
     )
 
@@ -169,7 +174,7 @@ def error_bound_spectral(
     if not math.isfinite(negentropy_bits) or negentropy_bits < 0.0:
         raise InvalidModelError("negentropy must be finite and >= 0 bits")
     log_integral = szego_log_integral(spectrum)
-    entropy_factor = _SQRT_2PIE * 2.0 ** (0.5 * log_integral - negentropy_bits)
+    entropy_factor = _SQRT_2PIE * _entropy_factor(0.5 * log_integral - negentropy_bits)
     return _report(
         p,
         "C4",
@@ -195,7 +200,7 @@ def output_bound(p: float, chars: PlantCharacteristics, ent: EntropySummary) -> 
         p,
         "T2",
         plant_factor=float(chars.nmp_zero_product),
-        entropy_factor=gain * 2.0**bits,
+        entropy_factor=gain * _entropy_factor(bits),
         markov_gain=gain,
         nmp_zero_product=float(chars.nmp_zero_product),
         entropy_rate_bits=bits,
@@ -219,7 +224,7 @@ def error_bound_for_entropy(p: float, entropy_bits: float) -> BoundReport:
         p,
         "T3",
         plant_factor=1.0,
-        entropy_factor=2.0**entropy_bits,
+        entropy_factor=_entropy_factor(entropy_bits),
         entropy_rate_bits=float(entropy_bits),
     )
 

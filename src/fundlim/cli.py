@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -35,6 +36,7 @@ from .errors import (
     CertificationRefusedError,
     FundlimError,
     UnstableLoopError,
+    read_utf8,
 )
 from .plant import AnalysisWarning, analyze_plant, load_plant
 from .simulation import SimulationConfig, run_closed_loop, verify_bound
@@ -161,11 +163,10 @@ def cmd_bound(args) -> int:
 def _resolve_sim_config(args) -> SimulationConfig:
     file_cfg = {}
     if args.sim_config is not None:
-        with open(args.sim_config, "r", encoding="utf-8") as fh:
-            try:
-                file_cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise FundlimError(f"simulation config is not valid JSON: {exc}") from exc
+        try:
+            file_cfg = json.loads(read_utf8(args.sim_config))
+        except json.JSONDecodeError as exc:
+            raise FundlimError(f"simulation config is not valid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise FundlimError("simulation config file must hold a JSON object")
 
@@ -278,21 +279,20 @@ def cmd_verify(args) -> int:
 
 def _spectrum_from_csv(path) -> SpectralDensity:
     omegas, values = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row or not row[0].strip():
-                continue
-            try:
-                w, s = float(row[0]), float(row[1])
-            except (ValueError, IndexError):
-                if reader.line_num == 1:
-                    continue  # header
-                raise FundlimError(
-                    f"spectrum CSV {path} line {reader.line_num} is not a numeric omega,S pair"
-                ) from None
-            omegas.append(w)
-            values.append(s)
+    reader = csv.reader(io.StringIO(read_utf8(path)))
+    for row in reader:
+        if not row or not row[0].strip():
+            continue
+        try:
+            w, s = float(row[0]), float(row[1])
+        except (ValueError, IndexError):
+            if reader.line_num == 1:
+                continue  # header
+            raise FundlimError(
+                f"spectrum CSV {path} line {reader.line_num} is not a numeric omega,S pair"
+            ) from None
+        omegas.append(w)
+        values.append(s)
     if len(omegas) < 16:
         raise FundlimError(f"spectrum CSV {path} holds fewer than 16 numeric rows")
     return SpectralDensity.from_samples(np.asarray(omegas), np.asarray(values))
@@ -399,7 +399,7 @@ def main(argv=None) -> int:
     except FundlimError as exc:
         print(f"fundlim: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print(f"fundlim: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

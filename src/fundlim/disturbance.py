@@ -24,6 +24,8 @@ from .errors import (
     InvalidModelError,
     NonIntegrableSpectrumError,
     check_order,
+    finite_power,
+    read_utf8,
 )
 
 __all__ = [
@@ -105,7 +107,7 @@ def _subbotin_variance(p: float, lp_norm: float) -> float:
     # E x^2 = p^{2/p} lp_norm^2 Gamma(3/p) / Gamma(1/p)
     return (
         p ** (2.0 / p)
-        * lp_norm**2
+        * finite_power(lp_norm, 2, "disturbance variance")
         * math.exp(special.gammaln(3.0 / p) - special.gammaln(1.0 / p))
     )
 
@@ -219,8 +221,16 @@ class DisturbanceModel(ABC):
     """Zero-mean scalar disturbance with closed-form information quantities."""
 
     @abstractmethod
-    def sample(self, seed: int, length: int) -> np.ndarray:
-        """Draw one trajectory of the given length, deterministic in seed."""
+    def sample(self, seed: int | np.random.Generator, length: int) -> np.ndarray:
+        """Draw one trajectory of the given length, deterministic in seed.
+
+        ``seed`` is an int or a ``numpy.random.Generator``; draw through
+        ``np.random.default_rng(seed)``, which returns a Generator unchanged,
+        so that successive calls continue its stream. The simulator hands
+        one Generator to every trajectory of a chunk, in trajectory order.
+        The draws are reproducible per numpy version only: numpy does not
+        freeze Generator distribution streams (NEP 19).
+        """
 
     @abstractmethod
     def conditional_entropy_rate(self) -> float:
@@ -273,7 +283,7 @@ class GaussianIID(DisturbanceModel):
     def __post_init__(self) -> None:
         _check_positive(self.sigma, "sigma")
 
-    def sample(self, seed: int, length: int) -> np.ndarray:
+    def sample(self, seed: int | np.random.Generator, length: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
         return self.sigma * rng.standard_normal(_sample_length(length))
 
@@ -281,7 +291,7 @@ class GaussianIID(DisturbanceModel):
         return GAUSSIAN_ENTROPY_BITS + math.log2(self.sigma)
 
     def variance(self) -> float:
-        return self.sigma**2
+        return finite_power(self.sigma, 2, "disturbance variance")
 
     def spectrum_value(self, omega):
         return np.full_like(np.asarray(omega, dtype=float), self.variance())
@@ -305,7 +315,7 @@ class UniformIID(DisturbanceModel):
     def __post_init__(self) -> None:
         _check_positive(self.half_width, "half_width")
 
-    def sample(self, seed: int, length: int) -> np.ndarray:
+    def sample(self, seed: int | np.random.Generator, length: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
         return self.half_width * rng.uniform(-1.0, 1.0, _sample_length(length))
 
@@ -313,7 +323,7 @@ class UniformIID(DisturbanceModel):
         return math.log2(2.0 * self.half_width)
 
     def variance(self) -> float:
-        return self.half_width**2 / 3.0
+        return finite_power(self.half_width, 2, "disturbance variance") / 3.0
 
     def spectrum_value(self, omega):
         return np.full_like(np.asarray(omega, dtype=float), self.variance())
@@ -334,8 +344,10 @@ class GeneralizedGaussianIID(DisturbanceModel):
 
     ``shape`` is the norm order p >= 1 (finite; the p = inf member is
     UniformIID), and ``lp_norm`` fixes E|d|^p = lp_norm^p. The sampler is
-    exact: |d|^p / (p lp_norm^p) is Gamma(1/p) distributed, so a Gamma draw
-    raised to 1/p with a fair random sign reproduces the density.
+    exact: with G ~ Gamma(1 + 1/p) and V ~ U(-1, 1) independent,
+    d = p^(1/p) lp_norm G^(1/p) V is a uniform scale mixture whose density,
+    after integrating over G, is exp(-|x|^p) / (2 Gamma(1 + 1/p)) at unit
+    scale, the max-entropy density. No separate sign draw is needed.
     """
 
     shape: float
@@ -347,13 +359,16 @@ class GeneralizedGaussianIID(DisturbanceModel):
             raise InvalidModelError(f"shape must be finite and >= 1, got {p}")
         _check_positive(self.lp_norm, "lp_norm")
 
-    def sample(self, seed: int, length: int) -> np.ndarray:
+    def sample(self, seed: int | np.random.Generator, length: int) -> np.ndarray:
         length = _sample_length(length)
         p = self.shape
         rng = np.random.default_rng(seed)
-        magnitudes = rng.standard_gamma(1.0 / p, length) ** (1.0 / p)
-        signs = 2.0 * rng.integers(0, 2, length) - 1.0
-        return (p ** (1.0 / p) * self.lp_norm) * signs * magnitudes
+        # In place: one call per trajectory, so each temporary costs time.
+        out = rng.standard_gamma(1.0 + 1.0 / p, length)
+        out **= 1.0 / p
+        out *= rng.uniform(-1.0, 1.0, length)
+        out *= p ** (1.0 / p) * self.lp_norm
+        return out
 
     def conditional_entropy_rate(self) -> float:
         return max_entropy_value(self.shape, self.lp_norm)
@@ -428,7 +443,7 @@ class GaussianAR(DisturbanceModel):
     def _unit_lag_cholesky(self) -> np.ndarray:
         return np.linalg.cholesky(self._unit_lag_covariance)
 
-    def sample(self, seed: int, length: int) -> np.ndarray:
+    def sample(self, seed: int | np.random.Generator, length: int) -> np.ndarray:
         # Imported here, its only use: scipy.signal pulls in scipy.stats,
         # which would more than double the import time of every CLI command.
         from scipy import signal
@@ -448,13 +463,15 @@ class GaussianAR(DisturbanceModel):
         return GAUSSIAN_ENTROPY_BITS + math.log2(self.innovation_std)
 
     def variance(self) -> float:
-        return self.innovation_std**2 * float(self._unit_lag_covariance[0, 0])
+        return finite_power(self.innovation_std, 2, "disturbance variance") * float(
+            self._unit_lag_covariance[0, 0]
+        )
 
     def spectrum_value(self, omega):
         omega = np.asarray(omega, dtype=float)
         lags = np.arange(1, self.order + 1)
         response = 1.0 - np.exp(-1j * np.multiply.outer(omega, lags)) @ np.asarray(self.coeffs)
-        return self.innovation_std**2 / np.abs(response) ** 2
+        return finite_power(self.innovation_std, 2, "disturbance spectrum") / np.abs(response) ** 2
 
     def negentropy_rate(self) -> float:
         return 0.0
@@ -509,9 +526,8 @@ def disturbance_from_dict(payload: dict) -> DisturbanceModel:
 
 def load_disturbance(path) -> DisturbanceModel:
     """Read a disturbance model from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidModelError(f"disturbance file is not valid JSON: {exc}") from exc
+    try:
+        payload = json.loads(read_utf8(path))
+    except json.JSONDecodeError as exc:
+        raise InvalidModelError(f"disturbance file is not valid JSON: {exc}") from exc
     return disturbance_from_dict(payload)

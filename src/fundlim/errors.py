@@ -23,6 +23,27 @@ def check_order(p: float) -> float:
     return p
 
 
+def finite_power(base: float, exponent: float, what: str) -> float:
+    """Return base**exponent, or raise InvalidModelError when it leaves float range.
+
+    The power is taken in Python floats, which raise OverflowError where a
+    numpy scalar would warn and return inf.
+    """
+    try:
+        return float(base) ** exponent
+    except OverflowError:
+        raise InvalidModelError(f"{what} overflows the float range") from None
+
+
+def read_utf8(path) -> str:
+    """Return the text of a UTF-8 file, or raise InvalidModelError naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidModelError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 class ZeroTransferFunctionError(FundlimError, ValueError):
     """Every Markov parameter of the plant vanishes; input-output quantities are undefined."""
 

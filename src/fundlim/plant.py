@@ -19,6 +19,7 @@ from .errors import (
     DegenerateRealizationError,
     InvalidModelError,
     ZeroTransferFunctionError,
+    read_utf8,
 )
 
 __all__ = [
@@ -116,11 +117,10 @@ class StateSpaceModel:
 
 def load_plant(path) -> StateSpaceModel:
     """Read a plant from a JSON file with fields A, B, C."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidModelError(f"plant file is not valid JSON: {exc}") from exc
+    try:
+        payload = json.loads(read_utf8(path))
+    except json.JSONDecodeError as exc:
+        raise InvalidModelError(f"plant file is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise InvalidModelError("plant file must hold a JSON object")
     return StateSpaceModel.from_dict(payload)

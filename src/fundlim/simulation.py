@@ -3,13 +3,21 @@
 The loop semantics per trajectory are
 
     y_k = C x_k,   z_k = controller(y_0..y_k),   e_k = z_k + d_k,
-    x_{k+1} = A x_k + B e_k,   x_0 = 0 (optionally Gaussian),
+    x_{k+1} = A x_k + B e_k,   x_0 = 0 (optionally Gaussian).
 
-with trajectory m drawing its disturbance from seed ``seed + m``. Per-step
-empirical L_p norms are aggregated across trajectories, the limsup is
-operationalized as the maximum of those norms over a tail window at the end
-of the horizon, and certification compares that tail statistic against a
-bound with a bootstrap margin.
+Trajectories run in fixed-size chunks, and each chunk draws from its own
+random streams, one per purpose, keyed by the seed and the chunk index:
+every trajectory of a chunk passes the chunk's disturbance generator, in
+trajectory order, to ``dist.sample``, and the chunk's initial states come
+from a second generator. Trajectory m's draws so depend only on the seed,
+its chunk and its position in the chunk, not on the number of
+trajectories. The draws are bit-reproducible per numpy version, as numpy
+does not freeze Generator distribution streams (NEP 19).
+
+Per-step empirical L_p norms are aggregated across trajectories, the limsup
+is operationalized as the maximum of those norms over a tail window at the
+end of the horizon, and certification compares that tail statistic against
+a bound with a bootstrap margin.
 """
 
 from __future__ import annotations
@@ -49,6 +57,10 @@ _CHUNK = 8192
 SUP_NORM_SLACK = 1e-3
 
 _BOOTSTRAP_TAG = 0xB007
+
+# Purposes of a chunk's random streams (the first word of their spawn key).
+_DISTURBANCE = 0
+_INITIAL_STATE = 1
 
 
 @dataclass(frozen=True)
@@ -161,6 +173,16 @@ def empirical_lp(samples, p: float) -> float:
     return float(np.mean(magnitudes**p) ** (1.0 / p))
 
 
+def _chunk_stream(seed: int, purpose: int, chunk: int) -> np.random.Generator:
+    """Generator of one chunk's stream for one purpose.
+
+    The chunk and purpose go in the spawn key, not the entropy: SeedSequence
+    pads its entropy with zeros, so an entropy tuple (seed, 0) would give the
+    very stream of ``default_rng(seed)``.
+    """
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(purpose, chunk)))
+
+
 def _simulate_chunk(model, controller, dist, cfg, span, stats):
     """Add the trajectories ``span`` into the run's ``stats`` in place.
 
@@ -174,21 +196,24 @@ def _simulate_chunk(model, controller, dist, cfg, span, stats):
     horizon = cfg.horizon
     tail_start = horizon - cfg.tail_window
     A, B, C = model.A, model.B, model.C
+    chunk = m_lo // _CHUNK
 
+    rng = _chunk_stream(cfg.seed, _DISTURBANCE, chunk)
     d = np.empty((count_m, horizon))
     for j in range(count_m):
-        draw = np.asarray(dist.sample(cfg.seed + m_lo + j, horizon), dtype=float)
+        draw = np.asarray(dist.sample(rng, horizon), dtype=float)
         if draw.shape != (horizon,):
             raise InvalidModelError(
                 f"disturbance sample has shape {draw.shape}, expected ({horizon},)"
             )
         d[j] = draw
 
-    x = np.zeros((model.n, count_m))
     if cfg.x0_std > 0.0:
-        for j in range(count_m):
-            rng = np.random.default_rng((cfg.seed + m_lo + j, 1))
-            x[:, j] = cfg.x0_std * rng.standard_normal(model.n)
+        # Row j of the block is trajectory j's initial state.
+        initial = _chunk_stream(cfg.seed, _INITIAL_STATE, chunk)
+        x = (cfg.x0_std * initial.standard_normal((count_m, model.n))).T
+    else:
+        x = np.zeros((model.n, count_m))
 
     law = controller.clone()
     if _has_batch_interface(law):
@@ -239,10 +264,14 @@ def run_closed_loop(
 ) -> SimulationResult:
     """Simulate the closed loop over Monte Carlo trajectories.
 
-    Trajectories are mutually independent (disturbance seeds ``seed + m``)
-    and are processed in fixed-size blocks that accumulate in place into one
-    set of run statistics, in block order, so results are bit-identical for
-    a given config. Raises UnstableLoopError when every trajectory has left
+    Trajectories are mutually independent and are processed in fixed-size
+    chunks. Every trajectory of a chunk draws its disturbance through
+    ``dist.sample(gen, horizon)`` from the chunk's one generator, in
+    trajectory order, and its initial state from a second generator of the
+    chunk; a ragged last chunk draws a prefix of a full chunk's streams.
+    Chunks accumulate in place into one set of run statistics, in block
+    order, so results are bit-identical for a given config and numpy
+    version. Raises UnstableLoopError when every trajectory has left
     float range by the final step.
     """
     horizon, tail = cfg.horizon, cfg.tail_window

@@ -1,8 +1,13 @@
 """Shared oracle helpers for the test suite."""
 
 import numpy as np
+from hypothesis import settings
 
 from fundlim import StateSpaceModel
+
+# Selected with --hypothesis-profile=ci: the same examples on every run, so
+# a failure in CI reproduces locally.
+settings.register_profile("ci", derandomize=True)
 
 
 def companion_realization(num_coeffs, den_coeffs):

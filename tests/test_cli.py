@@ -452,6 +452,31 @@ class TestSzego:
         assert "fewer than 16" in err
 
 
+class TestHugeDisturbanceScale:
+    # 2^entropy rate and sigma^2 both leave the float range at sigma = 1e308.
+    @pytest.mark.parametrize("route", [*ROUTES, "szego"])
+    def test_overflow_is_an_input_error(self, capsys, tmp_path, stable_plant, route):
+        dist = tmp_path / "huge.json"
+        dist.write_text(json.dumps({"type": "iid_gaussian", "sigma": 1e308}))
+        if route == "szego":
+            argv = ["szego", "--dist", str(dist)]
+        else:
+            argv = ["bound", "--dist", str(dist), "--plant", stable_plant, "--theorem", route]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("fundlim: ") and "overflows the float range" in err
+
+    def test_variance_floor_overflow_is_an_input_error(self, capsys, tmp_path):
+        # The p = 2 floor itself is finite here; its square is not.
+        dist = tmp_path / "huge.json"
+        dist.write_text(json.dumps({"type": "iid_gaussian", "sigma": 1e200}))
+        code, out, err = run_cli(capsys, "bound", "--dist", str(dist), "--p", "2")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "variance floor overflows the float range" in err
+
+
 class TestTopLevel:
     @pytest.mark.parametrize("flag", ["--plant", "--dist", "--sim-config", "--spectrum-csv"])
     def test_input_file_not_utf8(self, capsys, tmp_path, stable_plant, gauss_dist, flag):
@@ -469,6 +494,7 @@ class TestTopLevel:
         assert code == EXIT_INPUT
         assert out == ""
         assert err.startswith("fundlim: ") and "decode" in err
+        assert str(bad) in err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, stats
 
 import fundlim as fl
 from fundlim.disturbance import GAUSSIAN_ENTROPY_BITS
@@ -105,6 +105,19 @@ class TestSamplers:
             np.testing.assert_array_equal(a, b)
             assert not np.array_equal(a, c)
 
+    def test_generator_seed_continues_its_stream(self):
+        # The simulator hands one generator to every trajectory of a chunk.
+        for model in (
+            fl.GaussianIID(1.3),
+            fl.UniformIID(0.7),
+            fl.GeneralizedGaussianIID(4.0, 1.0),
+            fl.GaussianAR((0.9, -0.2), 1.0),
+        ):
+            rng = np.random.default_rng(42)
+            first, second = model.sample(rng, 257), model.sample(rng, 257)
+            np.testing.assert_array_equal(first, model.sample(42, 257))
+            assert not np.array_equal(first, second)
+
     def test_gaussian_moments(self):
         x = fl.GaussianIID(1.0).sample(0, 1_000_000)
         assert np.mean(x) == pytest.approx(0.0, abs=0.005)
@@ -127,6 +140,15 @@ class TestSamplers:
         assert np.var(x) == pytest.approx(1.5**2, rel=0.01)
         # Fourth moment of a Gaussian: 3 sigma^4.
         assert np.mean(x**4) == pytest.approx(3.0 * 1.5**4, rel=0.03)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, 7.0])
+    def test_gengauss_matches_scipy_gennorm(self, p):
+        # exp(-|x|^p / (p lp_norm^p)) is gennorm with beta p and scale
+        # p^(1/p) lp_norm.
+        lp_norm = 1.3
+        x = fl.GeneralizedGaussianIID(p, lp_norm).sample(20261018, 200_000)
+        reference = stats.gennorm(beta=p, scale=p ** (1.0 / p) * lp_norm)
+        assert stats.kstest(x, reference.cdf).pvalue > 0.01
 
     def test_ar1_stationary_from_first_sample(self):
         # The sampler starts in the stationary law, so early samples already

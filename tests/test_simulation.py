@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import fundlim as fl
+from fundlim import simulation
 from fundlim.bounds import BoundReport
 from fundlim.controllers import CausalController, StaticGain, ZeroController
+from fundlim.simulation import _BOOTSTRAP_TAG, _DISTURBANCE, _INITIAL_STATE, _chunk_stream
 
 # Scalar test plants have C B != 0; that analysis warning is covered in
 # test_plant and is noise here.
@@ -20,7 +22,23 @@ def scalar_plant(a):
 
 
 def disturbance_matrix(dist, seed, trajectories, horizon):
-    return np.stack([dist.sample(seed + m, horizon) for m in range(trajectories)])
+    """Row m is trajectory m's draw: its chunk's generator, in trajectory order."""
+    rows = []
+    for m in range(trajectories):
+        if m % simulation._CHUNK == 0:
+            rng = _chunk_stream(seed, _DISTURBANCE, m // simulation._CHUNK)
+        rows.append(dist.sample(rng, horizon))
+    return np.stack(rows)
+
+
+def initial_states(x0_std, seed, trajectories, n):
+    """Row m is trajectory m's initial state, drawn as a block per chunk."""
+    blocks = []
+    for lo in range(0, trajectories, simulation._CHUNK):
+        count = min(simulation._CHUNK, trajectories - lo)
+        rng = _chunk_stream(seed, _INITIAL_STATE, lo // simulation._CHUNK)
+        blocks.append(x0_std * rng.standard_normal((count, n)))
+    return np.concatenate(blocks)
 
 
 class TestEmpiricalLp:
@@ -173,6 +191,68 @@ class TestDeterminism:
         assert a.error_tail == b.error_tail
 
 
+class TestDrawContract:
+    def test_streams_are_distinct(self):
+        seed = 5
+        firsts = [
+            _chunk_stream(seed, _DISTURBANCE, 0).random(),
+            _chunk_stream(seed, _INITIAL_STATE, 0).random(),
+            _chunk_stream(seed, _DISTURBANCE, 1).random(),
+            np.random.default_rng(seed).random(),
+            np.random.default_rng((seed, _BOOTSTRAP_TAG)).random(),
+        ]
+        assert len(set(firsts)) == len(firsts)
+        # Why the chunk goes in the spawn key: SeedSequence pads its entropy
+        # with zeros, so an entropy tuple (seed, 0) is the plain seed's stream.
+        assert np.random.default_rng((seed, 0)).random() == firsts[3]
+
+    def test_initial_states_come_from_their_own_stream(self, monkeypatch):
+        # y_0 = C x_0 and, in open loop, e_k = d_k: both against the oracle
+        # draws of their own streams, across three chunks of 64.
+        monkeypatch.setattr("fundlim.simulation._CHUNK", 64)
+        plant = fl.StateSpaceModel([[0.5, 0.2], [1.0, 0.0]], [1.0, 0.0], [1.0, -0.3])
+        dist = fl.GaussianIID(1.0)
+        cfg = fl.SimulationConfig(
+            horizon=3, trajectories=150, seed=8, burn_in=0, tail_window=3, x0_std=0.7
+        )
+        result = fl.run_closed_loop(plant, ZeroController(), dist, cfg)
+
+        x0 = initial_states(cfg.x0_std, cfg.seed, cfg.trajectories, 2)
+        np.testing.assert_allclose(
+            result.tail_abs_output[0], np.abs(x0 @ plant.C.ravel()), rtol=1e-14, atol=0.0
+        )
+        d = disturbance_matrix(dist, cfg.seed, cfg.trajectories, cfg.horizon)
+        assert result.tail_abs_error.tobytes() == np.abs(d).T.tobytes()
+
+    @pytest.mark.parametrize("x0_std", [0.0, 0.7])
+    @pytest.mark.parametrize(
+        "chunk, short, long", [(None, 100, 9000), (64, 280, 300)], ids=["two_chunks", "ragged"]
+    )
+    def test_draws_do_not_depend_on_trajectory_count(
+        self, monkeypatch, chunk, short, long, x0_std
+    ):
+        # Chunks of 64 end 280 trajectories in a chunk of 24 and 300 in one
+        # of 44: the shorter chunk must draw a prefix of the longer one's
+        # disturbance rows and (count, n) initial-state block.
+        if chunk is not None:
+            monkeypatch.setattr("fundlim.simulation._CHUNK", chunk)
+        plant = fl.StateSpaceModel([[0.5, 0.2], [1.0, 0.0]], [1.0, 0.0], [1.0, -0.3])
+        dist = fl.GeneralizedGaussianIID(4.0, 1.0)
+
+        def run(trajectories):
+            cfg = fl.SimulationConfig(
+                horizon=8, trajectories=trajectories, seed=4, burn_in=0, tail_window=8,
+                x0_std=x0_std,
+            )
+            return fl.run_closed_loop(plant, StaticGain(0.3), dist, cfg)
+
+        few, many = run(short), run(long)
+        assert few.tail_abs_error.tobytes() == many.tail_abs_error[:, :short].tobytes()
+        assert few.tail_abs_output.tobytes() == many.tail_abs_output[:, :short].tobytes()
+        # The output's first row is |C x_0|: zero unless initial states are drawn.
+        assert (few.tail_abs_output[0] > 0.0).all() == (x0_std > 0.0)
+
+
 class TestScaling:
     def test_closed_loop_scales_linearly(self):
         cfg = fl.SimulationConfig(horizon=50, trajectories=500, seed=6, p_list=(2.0, math.inf))
@@ -277,9 +357,9 @@ class TestScalarControllerFallback:
         )
         result = fl.run_closed_loop(scalar_plant(a), StatefulScalarLaw(), dist, cfg)
 
+        draws = disturbance_matrix(dist, seed, trajectories, horizon)
         expected = np.zeros((horizon, trajectories))
-        for m in range(trajectories):
-            d = dist.sample(seed + m, horizon)
+        for m, d in enumerate(draws):
             x, v = 0.0, 0.0
             for k in range(horizon):
                 y = x
@@ -316,18 +396,30 @@ class TestChunkedAccumulation:
         assert 0 < result.diverged < cfg.trajectories
 
     def test_chunk_columns_land_at_their_offsets(self, monkeypatch):
-        # 300 trajectories in chunks of 64 leave a ragged last chunk of 44;
-        # the default chunk size runs them as one block. Per-trajectory tail
-        # magnitudes do not depend on the blocking.
-        plant, dist, cfg = diverging_loop()
-        controller = StaticGain(DIVERGING_GAIN)
-        whole = fl.run_closed_loop(plant, controller, dist, cfg)
+        # 300 trajectories in chunks of 64 leave a ragged last chunk of 44.
+        # Every column of the tails must be the trajectory that a manual,
+        # unchunked loop over the same per-trajectory draws gives there.
         monkeypatch.setattr("fundlim.simulation._CHUNK", 64)
-        chunked = fl.run_closed_loop(plant, controller, dist, cfg)
+        plant, dist, cfg = diverging_loop()
+        chunked = fl.run_closed_loop(plant, StaticGain(DIVERGING_GAIN), dist, cfg)
 
-        assert chunked.diverged == whole.diverged > 0
-        assert chunked.tail_abs_error.tobytes() == whole.tail_abs_error.tobytes()
-        assert chunked.tail_abs_output.tobytes() == whole.tail_abs_output.tobytes()
+        d = disturbance_matrix(dist, cfg.seed, cfg.trajectories, cfg.horizon)
+        x = initial_states(cfg.x0_std, cfg.seed, cfg.trajectories, 1)[:, 0]
+        alive = np.ones(cfg.trajectories, dtype=bool)
+        tail_e, tail_y = [], []
+        with np.errstate(all="ignore"):
+            for k in range(cfg.horizon):
+                y = x
+                e = -DIVERGING_GAIN * y + d[:, k]
+                alive &= np.isfinite(e) & np.isfinite(y) & np.isfinite(x)
+                if k >= chunked.tail_start:
+                    tail_e.append(np.where(alive, np.abs(e), np.nan))
+                    tail_y.append(np.where(alive, np.abs(y), np.nan))
+                x = 3.0 * x + e
+
+        assert chunked.diverged == int((~alive).sum()) > 0
+        assert chunked.tail_abs_error.tobytes() == np.array(tail_e).tobytes()
+        assert chunked.tail_abs_output.tobytes() == np.array(tail_y).tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -382,10 +474,21 @@ class TestVerifyBound:
         assert close.ratio == pytest.approx(0.9992, rel=1e-12)
         assert close.satisfied  # inside the one-sided sup-norm allowance
 
-        far = fl.verify_bound(stable_run, shaped(0.97))
+        # The margin is std / bound, so at ratio r it is r * spread. A ratio
+        # 6 spreads below 1 lies outside three margins and the default floor.
+        spread = fl.verify_bound(stable_run, shaped(1.0)).margin_stderr
+        far_ratio = 1.0 - 6.0 * spread
+        gap = 1.0 - far_ratio
+        assert 0.5 < far_ratio and gap > fl.simulation.SUP_NORM_SLACK
+        far = fl.verify_bound(stable_run, shaped(far_ratio))
+        assert far.ratio == pytest.approx(far_ratio, rel=1e-12)
+        assert 3.0 * far.margin_stderr < gap
         assert not far.satisfied
-        # The floor is a parameter: widening it flips the same comparison.
-        assert fl.verify_bound(stable_run, shaped(0.97), sup_slack=0.5).satisfied
+        # The floor is a parameter: widening it flips the same comparison,
+        # once it covers the gap and not before.
+        assert fl.verify_bound(stable_run, shaped(far_ratio), sup_slack=0.5).satisfied
+        assert fl.verify_bound(stable_run, shaped(far_ratio), sup_slack=1.01 * gap).satisfied
+        assert not fl.verify_bound(stable_run, shaped(far_ratio), sup_slack=0.99 * gap).satisfied
 
     def test_output_side_selector(self, stable_run):
         report = fl.error_bound_for_entropy(2.0, -8.0)  # tiny bound, trivially met
