@@ -222,6 +222,11 @@ def cmd_verify(args) -> int:
         },
     )
 
+    # Before the simulation, so a floor that cannot be evaluated is an input
+    # error, not an unstable loop.
+    bound = output_bound if args.which == "output" else error_bound_lti
+    reports = [bound(p, chars, ent) for p in cfg.p_list]
+
     try:
         result = run_closed_loop(model, controller, dist, cfg)
     except UnstableLoopError as exc:
@@ -238,11 +243,7 @@ def cmd_verify(args) -> int:
     results = []
     exit_code = EXIT_OK
     if result.stable:
-        for p in cfg.p_list:
-            if args.which == "output":
-                report = output_bound(p, chars, ent)
-            else:
-                report = error_bound_lti(p, chars, ent)
+        for report in reports:
             cert = verify_bound(result, report, which=args.which, resamples=args.resamples)
             row = cert.to_dict()
             row["factors"] = report.to_dict()["factors"]

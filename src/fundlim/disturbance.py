@@ -99,7 +99,7 @@ def max_entropy_pdf(p: float, lp_norm: float, x):
         out = np.where(np.abs(arr) <= lp_norm, 0.5 / lp_norm, 0.0)
     else:
         height = 2.0 * special.gamma((p + 1.0) / p) * p ** (1.0 / p) * lp_norm
-        out = np.exp(-np.abs(arr) ** p / (p * lp_norm**p)) / height
+        out = np.exp(-((np.abs(arr) / lp_norm) ** p) / p) / height
     return float(out) if np.isscalar(x) else out
 
 

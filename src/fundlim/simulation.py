@@ -58,6 +58,10 @@ SUP_NORM_SLACK = 1e-3
 
 _BOOTSTRAP_TAG = 0xB007
 
+# Trajectories per bootstrap slice. Fixed, like _CHUNK: the bootstrap draws,
+# and so every margin, depend on it. A slice's temporaries take a few MB.
+_BOOTSTRAP_SLICE = 512
+
 # Purposes of a chunk's random streams (the first word of their spawn key).
 _DISTURBANCE = 0
 _INITIAL_STATE = 1
@@ -316,23 +320,53 @@ def run_closed_loop(
     )
 
 
+def _resample_counts(rng: np.random.Generator, n: int, resamples: int):
+    """Yield each slice's first trajectory and its (resamples, size) pick counts.
+
+    Resample r picks n of the n trajectories uniformly with replacement. One
+    multinomial splits its picks across the slices, in proportion to their
+    sizes; a slice's picks then land uniformly inside it. Row r of every
+    slice so makes up one multinomial(n, 1/n) count vector, and no array
+    grows with n but the (resamples, slices) split.
+    """
+    starts = np.arange(0, n, _BOOTSTRAP_SLICE)
+    sizes = np.minimum(_BOOTSTRAP_SLICE, n - starts)
+    totals = rng.multinomial(n, sizes / n, size=resamples)
+    for lo, size, total in zip(starts.tolist(), sizes.tolist(), totals.T):
+        picks = np.repeat(np.arange(resamples) * size, total)
+        picks += rng.integers(0, size, picks.size)
+        yield lo, np.bincount(picks, minlength=resamples * size).reshape(resamples, size)
+
+
+def _bootstrap_stats(tail_abs: np.ndarray, p: float, seed_key, resamples: int):
+    """Tail statistic of each bootstrap resample, and the scale it is in.
+
+    The statistics are those of ``tail_abs / scale``, where scale is the
+    block's largest magnitude (1.0 if that is 0), so no power overflows or
+    underflows for the scale of the data alone.
+    """
+    rng = np.random.default_rng(seed_key)
+    n = tail_abs.shape[1]
+    scale = float(tail_abs.max()) or 1.0
+    if math.isinf(p):
+        stats = np.zeros(resamples)
+        for lo, counts in _resample_counts(rng, n, resamples):
+            peaks = tail_abs[:, lo : lo + counts.shape[1]].max(axis=0) / scale
+            np.maximum(stats, np.where(counts > 0, peaks, 0.0).max(axis=1), out=stats)
+        return stats, scale
+    sums = np.zeros((tail_abs.shape[0], resamples))
+    for lo, counts in _resample_counts(rng, n, resamples):
+        powered = tail_abs[:, lo : lo + counts.shape[1]] / scale
+        powered **= p
+        sums += powered @ counts.T.astype(float)
+    return (sums.max(axis=0) / n) ** (1.0 / p), scale
+
+
 def _bootstrap_std(tail_abs: np.ndarray, p: float, seed_key, resamples: int) -> float:
     """Std of the tail statistic under trajectory-level bootstrap resampling."""
-    rng = np.random.default_rng(seed_key)
-    n_traj = tail_abs.shape[1]
-    stats = np.empty(resamples)
-    if math.isinf(p):
-        per_traj = tail_abs.max(axis=0)
-        for r in range(resamples):
-            counts = np.bincount(rng.integers(0, n_traj, n_traj), minlength=n_traj)
-            stats[r] = per_traj[counts > 0].max()
-    else:
-        powered = tail_abs**p
-        for r in range(resamples):
-            counts = np.bincount(rng.integers(0, n_traj, n_traj), minlength=n_traj)
-            means = powered @ (counts / n_traj)
-            stats[r] = means.max() ** (1.0 / p)
-    return float(np.std(stats))
+    stats, scale = _bootstrap_stats(tail_abs, p, seed_key, resamples)
+    # np.std squares the statistics, so they stay in units of the scale.
+    return float(np.std(stats)) * scale
 
 
 @dataclass(frozen=True)
@@ -371,11 +405,17 @@ def verify_bound(
     """Check a simulated loop against a lower bound.
 
     The ratio is tail norm / bound; the bound counts as satisfied when the
-    ratio is at least 1 minus three bootstrap standard errors (trajectory
-    resampling, ``resamples`` draws, deterministic in the simulation seed).
-    For p = inf the sample maximum is a one-sided underestimate of the
-    essential supremum, so an extra ``sup_slack`` is allowed. Refuses to
-    certify unstable results; raises InvalidModelError for resamples < 1.
+    ratio is at least 1 minus three bootstrap standard errors. The bootstrap
+    is an exact multinomial resampling of trajectories, ``resamples`` draws
+    deterministic in the simulation seed, drawn and summed one fixed slice
+    of trajectories at a time, so it makes no copy of the tail array: its
+    extra memory grows with the number of trajectories only through a
+    (resamples, slices) table. It works in units of the tail block's largest
+    magnitude, so it is scale-free: scaling the magnitudes by a power of
+    two scales the bootstrap std by exactly that factor. For p = inf the
+    sample maximum is a one-sided underestimate of the essential supremum,
+    so an extra ``sup_slack`` is allowed. Refuses to certify unstable
+    results; raises InvalidModelError for resamples < 1.
     """
     if which not in ("error", "output"):
         raise ValueError(f"which must be 'error' or 'output', got {which!r}")

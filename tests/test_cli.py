@@ -467,6 +467,24 @@ class TestHugeDisturbanceScale:
         assert out == ""
         assert err.startswith("fundlim: ") and "overflows the float range" in err
 
+    @pytest.mark.parametrize("which", ["error", "output"])
+    def test_verify_floor_checked_before_simulation(
+        self, capsys, monkeypatch, tmp_path, stable_plant, which
+    ):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("run_closed_loop called with a floor out of float range")
+
+        monkeypatch.setattr("fundlim.cli.run_closed_loop", no_simulation)
+        dist = tmp_path / "huge.json"
+        dist.write_text(json.dumps({"type": "iid_gaussian", "sigma": 1e308}))
+        code, out, err = run_cli(
+            capsys, "verify", "--plant", stable_plant, "--dist", str(dist),
+            "--horizon", "20", "--traj", "50", "--which", which,
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("fundlim: ") and "overflows the float range" in err
+
     def test_variance_floor_overflow_is_an_input_error(self, capsys, tmp_path):
         # The p = 2 floor itself is finite here; its square is not.
         dist = tmp_path / "huge.json"

@@ -47,6 +47,22 @@ class TestMaxEntropyDensity:
         with pytest.raises(fl.InvalidModelError):
             fl.max_entropy_value(2.0, -1.0)
 
+    def test_high_order_far_inside_its_scale(self):
+        # lp_norm**p is 1e600 here; the density itself is about 1 / (2 lp_norm).
+        density = fl.max_entropy_pdf(300.0, 100.0, 1.0)
+        assert math.isfinite(density) and density > 0.0
+        assert density == pytest.approx(1.0 / (2.0 * 100.0), rel=0.05)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
+    def test_matches_unscaled_exponent(self, p):
+        # Out to 2.5 lp_norm, where exp() turns the exponents' last-bit
+        # rounding into less than 1e-14 of the density.
+        lp_norm = 1.7
+        x = np.linspace(-2.5, 2.5, 41) * lp_norm
+        height = 2.0 * math.gamma((p + 1.0) / p) * p ** (1.0 / p) * lp_norm
+        expected = np.exp(-np.abs(x) ** p / (p * lp_norm**p)) / height
+        np.testing.assert_allclose(fl.max_entropy_pdf(p, lp_norm, x), expected, rtol=1e-14)
+
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, 10.0])
     @pytest.mark.parametrize("lp_norm", [0.5, 1.0, 2.5])
     def test_normalization_moment_entropy(self, p, lp_norm):

@@ -1,6 +1,7 @@
 """Closed-loop Monte Carlo engine: loop semantics, determinism, certification."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -521,3 +522,127 @@ class TestVerifyBound:
         assert d["p"] == 2.0
         assert d["which"] == "error"
         assert d["theorem"] == "C2"
+
+
+# Two full bootstrap slices and a ragged third.
+RAGGED = 2 * simulation._BOOTSTRAP_SLICE + 37
+ORDERS = (1.0, 2.0, 7.0, math.inf)
+
+
+def heavy_tail(trajectories, tail_window=5, seed=4):
+    # Cauchy magnitudes, so resamples that miss a large one differ visibly.
+    return np.abs(np.random.default_rng(seed).standard_cauchy((tail_window, trajectories)))
+
+
+def synthetic_result(trajectories, tail_window=5):
+    """A stable SimulationResult around heavy_tail magnitudes."""
+    cfg = fl.SimulationConfig(
+        horizon=tail_window, trajectories=trajectories, burn_in=0,
+        tail_window=tail_window, p_list=ORDERS,
+    )
+    tails = np.stack([heavy_tail(trajectories, tail_window, seed) for seed in (4, 5)])
+    return simulation.SimulationResult(
+        config=cfg,
+        error_norms={},
+        output_norms={},
+        error_tail={p: 1.0 for p in ORDERS},
+        output_tail={p: 1.0 for p in ORDERS},
+        mean_square_state=np.zeros(tail_window),
+        stable=True,
+        diverged=0,
+        tail_abs_error=tails[0],
+        tail_abs_output=tails[1],
+    )
+
+
+def unit_report(p):
+    return BoundReport(
+        p=p, theorem_tag="C2", cp=1.0, plant_factor=1.0, entropy_factor=1.0, bound_value=1.0
+    )
+
+
+def replayed_counts(seed_key, n, resamples):
+    """Row r counts resample r's picks, replaying the draws one pick at a time."""
+    rng = np.random.default_rng(seed_key)
+    width = simulation._BOOTSTRAP_SLICE
+    starts = list(range(0, n, width))
+    sizes = [min(width, n - lo) for lo in starts]
+    totals = rng.multinomial(n, np.array(sizes) / n, size=resamples)
+    counts = np.zeros((resamples, n), dtype=np.int64)
+    for j, (lo, size) in enumerate(zip(starts, sizes)):
+        picks = iter(rng.integers(0, size, totals[:, j].sum()).tolist())
+        for r in range(resamples):
+            for _ in range(totals[r, j]):
+                counts[r, lo + next(picks)] += 1
+    return counts
+
+
+class TestSlicedBootstrap:
+    def test_slices_cover_every_pick(self):
+        rng = np.random.default_rng(0)
+        slices, total = [], np.zeros(50, dtype=np.int64)
+        for lo, counts in simulation._resample_counts(rng, RAGGED, 50):
+            slices.append((lo, counts.shape))
+            total += counts.sum(axis=1)
+        width = simulation._BOOTSTRAP_SLICE
+        assert slices == [(0, (50, width)), (width, (50, width)), (2 * width, (50, 37))]
+        assert (total == RAGGED).all()
+
+    def test_counts_match_replay(self):
+        key = (3, _BOOTSTRAP_TAG)
+        sliced = simulation._resample_counts(np.random.default_rng(key), RAGGED, 40)
+        counts = np.concatenate([block for _, block in sliced], axis=1)
+        np.testing.assert_array_equal(counts, replayed_counts(key, RAGGED, 40))
+
+    @pytest.mark.parametrize("p", ORDERS)
+    def test_statistics_match_replay(self, p):
+        # Each resample built column by column, and its tail statistic taken
+        # as the largest per-step empirical norm.
+        tail = heavy_tail(RAGGED)
+        key = (3, _BOOTSTRAP_TAG)
+        expected = []
+        for row in replayed_counts(key, RAGGED, 40):
+            resample = np.repeat(tail, row, axis=1)
+            expected.append(max(fl.empirical_lp(step, p) for step in resample))
+        stats, scale = simulation._bootstrap_stats(tail, p, key, 40)
+        assert scale == tail.max()
+        np.testing.assert_allclose(stats * scale, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 7.0, 300.0, math.inf])
+    @pytest.mark.parametrize("c", [2.0**-600, 2.0**600], ids=["2^-600", "2^600"])
+    def test_margin_is_scale_free(self, c, p):
+        # A power-of-two scale is exact in every step, so equality is exact.
+        tail = heavy_tail(RAGGED)
+        key = (0, _BOOTSTRAP_TAG)
+        base = simulation._bootstrap_std(tail, p, key, 50)
+        assert base > 0.0
+        assert simulation._bootstrap_std(c * tail, p, key, 50) == c * base
+
+    @pytest.mark.parametrize("p", [2.0, math.inf])
+    def test_zero_block_has_zero_margin(self, p):
+        assert simulation._bootstrap_std(np.zeros((3, RAGGED)), p, (0, _BOOTSTRAP_TAG), 20) == 0.0
+
+    def test_repeat_calls_byte_identical(self):
+        result = synthetic_result(RAGGED)
+        for p in ORDERS:
+            for which in ("error", "output"):
+                a = fl.verify_bound(result, unit_report(p), which=which)
+                b = fl.verify_bound(result, unit_report(p), which=which)
+                assert a.margin_stderr > 0.0
+                assert np.float64(a.margin_stderr).tobytes() == np.float64(b.margin_stderr).tobytes()
+
+    @pytest.mark.parametrize("p", [2.0, math.inf])
+    def test_memory_does_not_grow_with_trajectories(self, p):
+        def peak(trajectories):
+            result = synthetic_result(trajectories, tail_window=20)
+            tracemalloc.start()
+            try:
+                fl.verify_bound(result, unit_report(p))
+                return tracemalloc.get_traced_memory()[1], result.tail_abs_error.nbytes
+            finally:
+                tracemalloc.stop()
+
+        small, _ = peak(20000)
+        large, tail_nbytes = peak(80000)
+        assert large <= 1.25 * small
+        assert large < tail_nbytes
