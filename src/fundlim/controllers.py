@@ -33,6 +33,12 @@ class CausalController(ABC):
     call per trajectory per step. Adding ``reset_batch(n_streams)`` and
     ``step_batch(y)`` (aligned 1-D arrays, one entry per trajectory)
     vectorizes it across trajectories.
+
+    The simulator never steps the instance it is given: each chunk of
+    trajectories works on ``clone()`` copies. Chunks may run in forked
+    worker processes (see ``run_closed_loop``), so these methods can run in
+    a child process, and state they change there does not reach the caller.
+    Nothing needs to be picklable: workers inherit the instance by ``fork``.
     """
 
     @abstractmethod

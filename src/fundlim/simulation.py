@@ -12,7 +12,10 @@ trajectory order, to ``dist.sample``, and the chunk's initial states come
 from a second generator. Trajectory m's draws so depend only on the seed,
 its chunk and its position in the chunk, not on the number of
 trajectories. The draws are bit-reproducible per numpy version, as numpy
-does not freeze Generator distribution streams (NEP 19).
+does not freeze Generator distribution streams (NEP 19). Chunks are
+independent jobs: they run in forked worker processes, one per CPU of the
+affinity mask, and their partial statistics are added in block order, so
+the results do not depend on the number of workers.
 
 Per-step empirical L_p norms are aggregated across trajectories, the limsup
 is operationalized as the maximum of those norms over a tail window at the
@@ -22,7 +25,11 @@ a bound with a bootstrap margin.
 
 from __future__ import annotations
 
+import functools
 import math
+import mmap
+import os
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,9 +152,14 @@ class SimulationResult:
     inside the tail window, shape (tail_window, trajectories), for bootstrap
     resampling; they are the two row views of one
     (2, tail_window, trajectories) array, NaN where a trajectory has
-    diverged. ``stable`` is False when the mean-square state estimate ever
-    exceeded the divergence threshold or any trajectory left float range
-    (``diverged`` counts the latter).
+    diverged. That array lives in an anonymous shared memory mapping, which
+    the chunk workers write into; it is kept as it is, not copied back into
+    private memory. ``stable`` is False when the mean-square state estimate
+    ever exceeded the divergence threshold or any trajectory left float
+    range (``diverged`` counts the latter). ``alive_counts`` (int64, length
+    horizon) is how many trajectories were still finite at each step; it
+    never increases, and its last entry is trajectories - diverged.
+    Every field is the same whatever the number of worker processes.
     """
 
     config: SimulationConfig
@@ -158,6 +170,7 @@ class SimulationResult:
     mean_square_state: np.ndarray
     stable: bool
     diverged: int
+    alive_counts: np.ndarray
     tail_abs_error: np.ndarray
     tail_abs_output: np.ndarray
 
@@ -187,14 +200,29 @@ def _chunk_stream(seed: int, purpose: int, chunk: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(purpose, chunk)))
 
 
-def _simulate_chunk(model, controller, dist, cfg, span, stats):
-    """Add the trajectories ``span`` into the run's ``stats`` in place.
+def _zero_stats(cfg):
+    """A run's or a chunk's per-step statistics, zeroed.
 
-    ``stats`` holds the arrays built by ``run_closed_loop``; each chunk owns
-    the columns ``m_lo:m_hi`` of the tails. Returns how many trajectories
-    of the span diverged.
+    One (2, horizon) sum per finite p, the (2, horizon) maxima (None without
+    p = inf), the alive counts and the sum of the squared state norms.
     """
-    sums, maxes, counts, sum_sq_state, tails = stats
+    horizon = cfg.horizon
+    # Every statistic keeps the error in row 0 and the output in row 1.
+    sums = {p: np.zeros((2, horizon)) for p in cfg.p_list if not math.isinf(p)}
+    maxes = np.zeros((2, horizon)) if math.inf in cfg.p_list else None
+    return sums, maxes, np.zeros(horizon, dtype=np.int64), np.zeros(horizon)
+
+
+def _simulate_chunk(model, controller, dist, cfg, tails, span):
+    """Simulate the trajectories ``span`` and return their partial statistics.
+
+    Returns the chunk's ``_zero_stats`` arrays, filled with its per-step
+    statistics, and how many of its trajectories diverged. The chunk writes
+    its columns ``m_lo:m_hi`` of ``tails`` directly. It runs in a worker
+    process or in the caller's, so it sets its own floating-point error
+    state.
+    """
+    sums, maxes, counts, sum_sq_state = _zero_stats(cfg)
     m_lo, m_hi = span
     count_m = m_hi - m_lo
     horizon = cfg.horizon
@@ -202,62 +230,146 @@ def _simulate_chunk(model, controller, dist, cfg, span, stats):
     A, B, C = model.A, model.B, model.C
     chunk = m_lo // _CHUNK
 
-    rng = _chunk_stream(cfg.seed, _DISTURBANCE, chunk)
-    d = np.empty((count_m, horizon))
-    for j in range(count_m):
-        draw = np.asarray(dist.sample(rng, horizon), dtype=float)
-        if draw.shape != (horizon,):
-            raise InvalidModelError(
-                f"disturbance sample has shape {draw.shape}, expected ({horizon},)"
-            )
-        d[j] = draw
+    with np.errstate(all="ignore"):
+        rng = _chunk_stream(cfg.seed, _DISTURBANCE, chunk)
+        d = np.empty((count_m, horizon))
+        for j in range(count_m):
+            draw = np.asarray(dist.sample(rng, horizon), dtype=float)
+            if draw.shape != (horizon,):
+                raise InvalidModelError(
+                    f"disturbance sample has shape {draw.shape}, expected ({horizon},)"
+                )
+            d[j] = draw
 
-    if cfg.x0_std > 0.0:
-        # Row j of the block is trajectory j's initial state.
-        initial = _chunk_stream(cfg.seed, _INITIAL_STATE, chunk)
-        x = (cfg.x0_std * initial.standard_normal((count_m, model.n))).T
-    else:
-        x = np.zeros((model.n, count_m))
-
-    law = controller.clone()
-    if _has_batch_interface(law):
-        law.reset_batch(count_m)
-        steps = None
-    else:
-        # One instance per trajectory, and its bound step fetched once.
-        laws = [law] + [controller.clone() for _ in range(count_m - 1)]
-        for each in laws:
-            each.reset()
-        steps = [each.step for each in laws]
-
-    alive = np.ones(count_m, dtype=bool)
-    for k in range(horizon):
-        y = (C @ x).ravel()
-        if steps is None:
-            z = np.asarray(law.step_batch(y), dtype=float)
+        if cfg.x0_std > 0.0:
+            # Row j of the block is trajectory j's initial state.
+            initial = _chunk_stream(cfg.seed, _INITIAL_STATE, chunk)
+            x = (cfg.x0_std * initial.standard_normal((count_m, model.n))).T
         else:
-            z = np.fromiter(
-                [step(v) for step, v in zip(steps, y.tolist())],
-                dtype=float,
-                count=count_m,
-            )
-        e = z + d[:, k]
-        alive &= np.isfinite(e) & np.isfinite(y) & np.isfinite(x).all(axis=0)
-        # Row 0 is |e|, row 1 is |y|. Dead entries read 0, which adds
-        # 0 = 0**p (p >= 1) to every sum and cannot exceed a live magnitude
-        # in the max.
-        mag = np.where(alive, np.abs(np.stack((e, y))), 0.0)
-        live = int(alive.sum())
-        counts[k] += live
-        for p, total in sums.items():
-            total[:, k] += (mag**p).sum(axis=1)
-        if maxes is not None:
-            maxes[:, k] = np.maximum(maxes[:, k], mag.max(axis=1))
-        sum_sq_state[k] += np.where(alive, np.einsum("ij,ij->j", x, x), 0.0).sum()
-        if k >= tail_start:
-            tails[:, k - tail_start, m_lo:m_hi] = np.where(alive, mag, np.nan)
-        x = A @ x + B * e
-    return count_m - live
+            x = np.zeros((model.n, count_m))
+
+        law = controller.clone()
+        if _has_batch_interface(law):
+            law.reset_batch(count_m)
+            steps = None
+        else:
+            # One instance per trajectory, and its bound step fetched once.
+            laws = [law] + [controller.clone() for _ in range(count_m - 1)]
+            for each in laws:
+                each.reset()
+            steps = [each.step for each in laws]
+
+        alive = np.ones(count_m, dtype=bool)
+        for k in range(horizon):
+            y = (C @ x).ravel()
+            if steps is None:
+                z = np.asarray(law.step_batch(y), dtype=float)
+            else:
+                z = np.fromiter(
+                    [step(v) for step, v in zip(steps, y.tolist())],
+                    dtype=float,
+                    count=count_m,
+                )
+            e = z + d[:, k]
+            alive &= np.isfinite(e) & np.isfinite(y) & np.isfinite(x).all(axis=0)
+            # Row 0 is |e|, row 1 is |y|. Dead entries read 0, which adds
+            # 0 = 0**p (p >= 1) to every sum and cannot exceed a live
+            # magnitude in the max.
+            mag = np.where(alive, np.abs(np.stack((e, y))), 0.0)
+            live = int(alive.sum())
+            counts[k] = live
+            for p, total in sums.items():
+                total[:, k] = (mag**p).sum(axis=1)
+            if maxes is not None:
+                maxes[:, k] = mag.max(axis=1)
+            sum_sq_state[k] = np.where(alive, np.einsum("ij,ij->j", x, x), 0.0).sum()
+            if k >= tail_start:
+                tails[:, k - tail_start, m_lo:m_hi] = np.where(alive, mag, np.nan)
+            x = A @ x + B * e
+        return sums, maxes, counts, sum_sq_state, count_m - live
+
+
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask where there is one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _map_chunks(job, spans):
+    """Yield ``job(span)`` for every span, in order.
+
+    One worker process per CPU, capped at the number of spans, runs the jobs
+    when the host can fork; else, or with one worker, they run here.
+    """
+    workers = min(_cpus(), len(spans))
+    if workers > 1:
+        import multiprocessing
+
+        # A daemonic process (a Pool worker, say) may not start children.
+        if (
+            "fork" in multiprocessing.get_all_start_methods()
+            and not multiprocessing.current_process().daemon
+        ):
+            return _forked_map(multiprocessing.get_context("fork"), job, spans, workers)
+    return map(job, spans)
+
+
+def _serve(job, spans, conn):
+    """Worker body: send the outcome of ``job`` on each span, in order.
+
+    A failure is sent as the exception and its traceback text, and ends the
+    worker.
+    """
+    try:
+        for span in spans:
+            conn.send((job(span), None))
+    except Exception as exc:
+        conn.send((exc, "".join(traceback.format_exception(exc))))
+    finally:
+        conn.close()
+
+
+def _forked_map(ctx, job, spans, workers):
+    """``_map_chunks`` over forked workers: worker w runs spans w, w + workers, ...
+
+    Forked workers inherit ``job`` with everything it holds, so nothing of it
+    is pickled; only the results come back through pipes. A failed job is
+    raised again here with its type and message; an exception that cannot
+    be pickled ends its worker, which prints the traceback, and surfaces as
+    a RuntimeError. Every worker is stopped before this generator ends.
+    """
+    pipes, procs = [], []
+    try:
+        for w in range(workers):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_serve, args=(job, spans[w::workers], send), daemon=True)
+            proc.start()
+            send.close()
+            pipes.append(recv)
+            procs.append(proc)
+        for i in range(len(spans)):
+            try:
+                value, remote = pipes[i % workers].recv()
+            except EOFError:
+                proc = procs[i % workers]
+                proc.join()
+                raise RuntimeError(
+                    f"chunk worker exited with code {proc.exitcode} before sending chunk {i}"
+                ) from None
+            if remote is not None:
+                raise value from RuntimeError(f"in the chunk worker:\n{remote}")
+            yield value
+        for proc in procs:
+            proc.join()
+    finally:
+        for proc in procs:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+        for conn in pipes:
+            conn.close()
 
 
 def run_closed_loop(
@@ -273,25 +385,43 @@ def run_closed_loop(
     ``dist.sample(gen, horizon)`` from the chunk's one generator, in
     trajectory order, and its initial state from a second generator of the
     chunk; a ragged last chunk draws a prefix of a full chunk's streams.
-    Chunks accumulate in place into one set of run statistics, in block
-    order, so results are bit-identical for a given config and numpy
-    version. Raises UnstableLoopError when every trajectory has left
-    float range by the final step.
+
+    Chunks run in worker processes, one per CPU in the affinity mask
+    (``os.sched_getaffinity``; ``os.cpu_count()`` where that does not
+    exist), capped at the number of chunks. Workers start only with the
+    ``fork`` method; where it is missing, with one worker, or inside a
+    daemonic process, the chunks run in this process instead. ``taskset -c
+    0`` so forces a serial run. Forked workers run ``dist.sample`` and the
+    controller's methods in child processes, so a side effect of that code
+    does not reach the caller; each chunk already works on clones of the
+    controller. A worker holds one chunk's disturbance block, 8192 x
+    horizon x 8 bytes (26 MB at horizon 400); the caller holds none.
+
+    Each chunk returns its partial per-step statistics, and they are added
+    in block order, so results are bit-identical for a given config and
+    numpy version, whatever the number of workers. Raises
+    UnstableLoopError when every trajectory has left float range by the
+    final step.
     """
-    horizon, tail = cfg.horizon, cfg.tail_window
-    # Every statistic keeps the error in row 0 and the output in row 1.
-    sums = {p: np.zeros((2, horizon)) for p in cfg.p_list if not math.isinf(p)}
-    maxes = np.zeros((2, horizon)) if math.inf in cfg.p_list else None
-    counts = np.zeros(horizon, dtype=np.int64)
-    sum_sq_state = np.zeros(horizon)
-    tails = np.empty((2, tail, cfg.trajectories))
-    stats = (sums, maxes, counts, sum_sq_state, tails)
+    horizon, tail, n = cfg.horizon, cfg.tail_window, cfg.trajectories
+    sums, maxes, counts, sum_sq_state = _zero_stats(cfg)
+    # Shared with forked workers, which write their columns into it.
+    tails = np.ndarray((2, tail, n), buffer=mmap.mmap(-1, 2 * tail * n * 8))
+    spans = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+    job = functools.partial(_simulate_chunk, model, controller, dist, cfg, tails)
 
     diverged = 0
     with np.errstate(all="ignore"):
-        for lo in range(0, cfg.trajectories, _CHUNK):
-            span = (lo, min(lo + _CHUNK, cfg.trajectories))
-            diverged += _simulate_chunk(model, controller, dist, cfg, span, stats)
+        for part_sums, part_maxes, part_counts, part_sq, part_diverged in _map_chunks(
+            job, spans
+        ):
+            for p, total in sums.items():
+                total += part_sums[p]
+            if maxes is not None:
+                np.maximum(maxes, part_maxes, out=maxes)
+            counts += part_counts
+            sum_sq_state += part_sq
+            diverged += part_diverged
 
         # A trajectory never revives, so counts only fall along the horizon:
         # a live final step means every step has live trajectories.
@@ -315,6 +445,7 @@ def run_closed_loop(
         mean_square_state=mean_sq,
         stable=bool(stable),
         diverged=diverged,
+        alive_counts=counts,
         tail_abs_error=tails[0],
         tail_abs_output=tails[1],
     )

@@ -1,6 +1,9 @@
 """Closed-loop Monte Carlo engine: loop semantics, determinism, certification."""
 
 import math
+import multiprocessing
+import os
+import pickle
 import tracemalloc
 import warnings
 
@@ -396,10 +399,22 @@ class TestChunkedAccumulation:
             result = fl.run_closed_loop(plant, controller, dist, cfg)
         assert 0 < result.diverged < cfg.trajectories
 
+    def test_alive_counts_fall_to_the_survivors(self, monkeypatch):
+        monkeypatch.setattr("fundlim.simulation._CHUNK", 64)
+        plant, dist, cfg = diverging_loop()
+        result = fl.run_closed_loop(plant, StaticGain(DIVERGING_GAIN), dist, cfg)
+        counts = result.alive_counts
+        assert counts.dtype == np.int64 and counts.shape == (cfg.horizon,)
+        assert counts[0] == cfg.trajectories
+        assert (np.diff(counts) <= 0).all()
+        assert counts[-1] == cfg.trajectories - result.diverged < cfg.trajectories
+
     def test_chunk_columns_land_at_their_offsets(self, monkeypatch):
         # 300 trajectories in chunks of 64 leave a ragged last chunk of 44.
         # Every column of the tails must be the trajectory that a manual,
-        # unchunked loop over the same per-trajectory draws gives there.
+        # unchunked loop over the same per-trajectory draws gives there, and
+        # the p = 1 sums must add the chunks' sums in block order (the p = 2 sums
+        # overflow).
         monkeypatch.setattr("fundlim.simulation._CHUNK", 64)
         plant, dist, cfg = diverging_loop()
         chunked = fl.run_closed_loop(plant, StaticGain(DIVERGING_GAIN), dist, cfg)
@@ -408,11 +423,15 @@ class TestChunkedAccumulation:
         x = initial_states(cfg.x0_std, cfg.seed, cfg.trajectories, 1)[:, 0]
         alive = np.ones(cfg.trajectories, dtype=bool)
         tail_e, tail_y = [], []
+        sums = np.zeros(cfg.horizon)
         with np.errstate(all="ignore"):
             for k in range(cfg.horizon):
                 y = x
                 e = -DIVERGING_GAIN * y + d[:, k]
                 alive &= np.isfinite(e) & np.isfinite(y) & np.isfinite(x)
+                magnitudes = np.where(alive, np.abs(e), 0.0)
+                for lo in range(0, cfg.trajectories, 64):
+                    sums[k] += magnitudes[lo : lo + 64].sum()
                 if k >= chunked.tail_start:
                     tail_e.append(np.where(alive, np.abs(e), np.nan))
                     tail_y.append(np.where(alive, np.abs(y), np.nan))
@@ -421,6 +440,164 @@ class TestChunkedAccumulation:
         assert chunked.diverged == int((~alive).sum()) > 0
         assert chunked.tail_abs_error.tobytes() == np.array(tail_e).tobytes()
         assert chunked.tail_abs_output.tobytes() == np.array(tail_y).tobytes()
+        assert chunked.error_norms[1.0].tobytes() == (sums / chunked.alive_counts).tobytes()
+
+
+def use_cpus(monkeypatch, cpus):
+    """Make the simulator see an affinity mask of ``cpus`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+class PidLoggingDisturbance:
+    """Delegates to ``dist`` and appends the drawing process's pid to ``path``."""
+
+    def __init__(self, dist, path):
+        self.dist, self.path = dist, path
+
+    def sample(self, rng, length):
+        with open(self.path, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return self.dist.sample(rng, length)
+
+
+def result_bytes(result):
+    """Every array of a SimulationResult as bytes, with its scalar fields."""
+    arrays = [result.mean_square_state, result.alive_counts,
+              result.tail_abs_error, result.tail_abs_output]
+    for p in result.config.p_list:
+        arrays += [result.error_norms[p], result.output_norms[p]]
+    return ([a.tobytes() for a in arrays],
+            result.error_tail, result.output_tail, result.stable, result.diverged)
+
+
+class WrongShapeInChunk3:
+    """Gaussian draws, one sample too long for the trajectories of chunk 3."""
+
+    def sample(self, rng, length):
+        extra = rng.bit_generator.seed_seq.spawn_key == (_DISTURBANCE, 3)
+        return rng.standard_normal(length + extra)
+
+
+class FailsOnRaggedChunk(StaticGain):
+    """Batch gain that raises on the ragged last chunk of 300 in chunks of 64."""
+
+    def step_batch(self, y):
+        if y.size != 64:
+            raise ArithmeticError(f"no command for a block of {y.size}")
+        return super().step_batch(y)
+
+
+def run_in_pool_worker():
+    plant, dist, cfg = diverging_loop()
+    return result_bytes(fl.run_closed_loop(plant, StaticGain(DIVERGING_GAIN), dist, cfg))
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="workers need fork"
+)
+class TestChunkWorkers:
+    def test_results_do_not_depend_on_worker_count(self, monkeypatch, tmp_path):
+        monkeypatch.setattr("fundlim.simulation._CHUNK", 64)
+        plant, dist, cfg = diverging_loop()
+        stable_cfg = fl.SimulationConfig(
+            horizon=50, trajectories=300, seed=3, p_list=(1.0, 2.0, math.inf)
+        )
+        stable_dist = fl.GaussianIID(1.0)
+        reports = [fl.error_bound_lti(p, fl.analyze_plant(scalar_plant(0.5)),
+                                      fl.entropy_summary(stable_dist))
+                   for p in stable_cfg.p_list]
+
+        def run(cpus):
+            use_cpus(monkeypatch, cpus)
+            log = tmp_path / f"pids{cpus}"
+            diverging = fl.run_closed_loop(
+                plant, StaticGain(DIVERGING_GAIN), PidLoggingDisturbance(dist, log), cfg
+            )
+            stable = fl.run_closed_loop(
+                scalar_plant(0.5), StaticGain(0.2), stable_dist, stable_cfg
+            )
+            certs = [fl.verify_bound(stable, report) for report in reports]
+            pids = set(log.read_text(encoding="utf-8").split())
+            return result_bytes(diverging), result_bytes(stable), certs, pids
+
+        serial, forked = run(1), run(2)
+        assert 0 < serial[0][4] < cfg.trajectories
+        assert serial[:3] == forked[:3]
+        assert serial[3] == {str(os.getpid())}
+        assert len(forked[3]) == 2 and str(os.getpid()) not in forked[3]
+
+    @pytest.mark.parametrize(
+        "dist, controller, error",
+        [
+            (WrongShapeInChunk3(), StaticGain(0.5), fl.InvalidModelError),
+            (fl.GaussianIID(1.0), FailsOnRaggedChunk(0.5), ArithmeticError),
+        ],
+        ids=["wrong_shape_sample", "raising_controller"],
+    )
+    def test_chunk_errors_surface_as_in_process(
+        self, monkeypatch, dist, controller, error
+    ):
+        monkeypatch.setattr("fundlim.simulation._CHUNK", 64)
+        cfg = fl.SimulationConfig(horizon=10, trajectories=300, seed=2)
+        messages = []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            with pytest.raises(error) as caught:
+                fl.run_closed_loop(scalar_plant(0.5), controller, dist, cfg)
+            messages.append((type(caught.value), str(caught.value)))
+        assert messages[0] == messages[1]
+        assert multiprocessing.active_children() == []
+
+    def test_unpicklable_controller_runs_across_workers(self, monkeypatch):
+        class LocalGain(CausalController):
+            def reset(self):
+                pass
+
+            def step(self, y):
+                return -DIVERGING_GAIN * y
+
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            pickle.dumps(LocalGain())
+        monkeypatch.setattr("fundlim.simulation._CHUNK", 64)
+        use_cpus(monkeypatch, 2)
+        plant, dist, cfg = diverging_loop()
+        local = fl.run_closed_loop(plant, LocalGain(), dist, cfg)
+        batch = fl.run_closed_loop(plant, StaticGain(DIVERGING_GAIN), dist, cfg)
+        assert result_bytes(local) == result_bytes(batch)
+
+    def test_huge_disturbance_stays_silent_in_workers(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        cfg = fl.SimulationConfig(horizon=20, trajectories=10_000, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = fl.run_closed_loop(
+                scalar_plant(0.5), ZeroController(), fl.GeneralizedGaussianIID(4.0, 1e308), cfg
+            )
+        assert 0 < result.diverged < cfg.trajectories
+
+    def test_caller_holds_no_disturbance_block(self, monkeypatch):
+        # Two full chunks: in-process, the caller allocates a chunk's
+        # (8192, horizon) block; with workers, only the small statistics.
+        cfg = fl.SimulationConfig(horizon=50, trajectories=2 * simulation._CHUNK, seed=1)
+        block = simulation._CHUNK * cfg.horizon * 8
+        peaks = []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            tracemalloc.start()
+            try:
+                fl.run_closed_loop(scalar_plant(0.5), StaticGain(0.2), fl.GaussianIID(1.0), cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] > block > 4 * peaks[1]
+
+    def test_runs_inside_a_daemonic_pool_worker(self, monkeypatch):
+        monkeypatch.setattr("fundlim.simulation._CHUNK", 64)
+        use_cpus(monkeypatch, 2)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            in_worker = pool.apply_async(run_in_pool_worker).get(timeout=120)
+        assert in_worker == run_in_pool_worker()
+
 
 
 @pytest.fixture(scope="module")
@@ -550,6 +727,7 @@ def synthetic_result(trajectories, tail_window=5):
         mean_square_state=np.zeros(tail_window),
         stable=True,
         diverged=0,
+        alive_counts=np.full(tail_window, trajectories, dtype=np.int64),
         tail_abs_error=tails[0],
         tail_abs_output=tails[1],
     )
