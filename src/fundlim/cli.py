@@ -226,6 +226,8 @@ def cmd_verify(args) -> int:
     # error, not an unstable loop.
     bound = output_bound if args.which == "output" else error_bound_lti
     reports = [bound(p, chars, ent) for p in cfg.p_list]
+    # An unstable report names the floors it could not certify.
+    floors = [report.to_dict() for report in reports]
 
     try:
         result = run_closed_loop(model, controller, dist, cfg)
@@ -234,6 +236,7 @@ def cmd_verify(args) -> int:
             "stable": False,
             "error": str(exc),
             "results": [],
+            "floors": floors,
             "warnings": notes,
             "manifest": manifest,
         }
@@ -261,6 +264,10 @@ def cmd_verify(args) -> int:
         "warnings": notes,
         "manifest": manifest,
     }
+    if not result.stable:
+        payload["floors"] = floors
+        short = np.flatnonzero(result.alive_counts < cfg.trajectories)
+        payload["first_divergence_step"] = int(short[0]) if short.size else None
     _emit(payload, args.out, "verify_report.json")
 
     if args.out is not None:

@@ -29,8 +29,9 @@ import functools
 import math
 import mmap
 import os
+import pickle
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,6 +69,11 @@ _BOOTSTRAP_TAG = 0xB007
 # Trajectories per bootstrap slice. Fixed, like _CHUNK: the bootstrap draws,
 # and so every margin, depend on it. A slice's temporaries take a few MB.
 _BOOTSTRAP_SLICE = 512
+
+# The p = inf bootstrap reads a resample's maximum off the first of a slice's
+# this many largest peaks that it picked; a resample that picked none of
+# them (probability about e**-8) takes the maximum over the whole slice.
+_TOP_PEAKS = 8
 
 # Purposes of a chunk's random streams (the first word of their spawn key).
 _DISTURBANCE = 0
@@ -160,6 +166,8 @@ class SimulationResult:
     horizon) is how many trajectories were still finite at each step; it
     never increases, and its last entry is trajectories - diverged.
     Every field is the same whatever the number of worker processes.
+    ``verify_bound`` memoizes the bootstrap stds of every norm order here,
+    per signal and number of resamples.
     """
 
     config: SimulationConfig
@@ -173,6 +181,7 @@ class SimulationResult:
     alive_counts: np.ndarray
     tail_abs_error: np.ndarray
     tail_abs_output: np.ndarray
+    _margins: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def tail_start(self) -> int:
@@ -180,14 +189,19 @@ class SimulationResult:
 
 
 def empirical_lp(samples, p: float) -> float:
-    """Empirical L_p norm: (mean |x|^p)^(1/p), or max |x| for p = inf."""
+    """Empirical L_p norm: (mean |x|^p)^(1/p), or max |x| for p = inf.
+
+    Taken as m (mean (|x|/m)^p)^(1/p), with m the largest magnitude, so no
+    power overflows or underflows for the scale of the samples alone.
+    """
     p = check_order(p)
     magnitudes = np.abs(np.asarray(samples, dtype=float).ravel())
     if magnitudes.size == 0:
         raise InvalidModelError("empirical norm needs at least one sample")
-    if math.isinf(p):
-        return float(magnitudes.max())
-    return float(np.mean(magnitudes**p) ** (1.0 / p))
+    peak = float(magnitudes.max())
+    if math.isinf(p) or peak == 0.0:
+        return peak
+    return peak * float(np.mean((magnitudes / peak) ** p) ** (1.0 / p))
 
 
 def _chunk_stream(seed: int, purpose: int, chunk: int) -> np.random.Generator:
@@ -320,13 +334,19 @@ def _serve(job, spans, conn):
     """Worker body: send the outcome of ``job`` on each span, in order.
 
     A failure is sent as the exception and its traceback text, and ends the
-    worker.
+    worker. An exception that does not survive pickling goes as a
+    RuntimeError that names its class and message.
     """
     try:
         for span in spans:
             conn.send((job(span), None))
     except Exception as exc:
-        conn.send((exc, "".join(traceback.format_exception(exc))))
+        remote = "".join(traceback.format_exception(exc))
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            exc = RuntimeError(f"{type(exc).__qualname__}: {exc}")
+        conn.send((exc, remote))
     finally:
         conn.close()
 
@@ -336,9 +356,9 @@ def _forked_map(ctx, job, spans, workers):
 
     Forked workers inherit ``job`` with everything it holds, so nothing of it
     is pickled; only the results come back through pipes. A failed job is
-    raised again here with its type and message; an exception that cannot
-    be pickled ends its worker, which prints the traceback, and surfaces as
-    a RuntimeError. Every worker is stopped before this generator ends.
+    raised again here with its type and message, or, when its exception
+    cannot be pickled, as a RuntimeError naming them; the worker's traceback
+    is its cause. Every worker is stopped before this generator ends.
     """
     pipes, procs = [], []
     try:
@@ -469,35 +489,74 @@ def _resample_counts(rng: np.random.Generator, n: int, resamples: int):
         yield lo, np.bincount(picks, minlength=resamples * size).reshape(resamples, size)
 
 
-def _bootstrap_stats(tail_abs: np.ndarray, p: float, seed_key, resamples: int):
-    """Tail statistic of each bootstrap resample, and the scale it is in.
+def _resample_peaks(counts: np.ndarray, peaks: np.ndarray) -> np.ndarray:
+    """Each resample's largest picked peak, 0.0 if it picked none.
 
-    The statistics are those of ``tail_abs / scale``, where scale is the
-    block's largest magnitude (1.0 if that is 0), so no power overflows or
-    underflows for the scale of the data alone.
+    Exactly ``np.where(counts > 0, peaks, 0.0).max(axis=1)`` for peaks >= 0:
+    a resample's maximum is the first of the slice's largest peaks, taken in
+    descending order, that it picked, and only the rare resample that picked
+    none of them takes the maximum over the whole slice.
+    """
+    top = np.argsort(peaks)[: -_TOP_PEAKS - 1 : -1]
+    picked = counts[:, top] > 0
+    best = peaks[top][picked.argmax(axis=1)]
+    missed = ~picked.any(axis=1)
+    if missed.any():
+        best[missed] = np.where(counts[missed] > 0, peaks, 0.0).max(axis=1)
+    return best
+
+
+def _bootstrap_pass(tail_abs: np.ndarray, orders, seed_key, resamples: int):
+    """Tail statistic of each bootstrap resample for every order, and the scale.
+
+    Returns a dict from each order in ``orders`` to its (resamples,)
+    statistics, those of ``tail_abs / scale``, where scale is the block's
+    largest magnitude (1.0 if that is 0), so no power overflows or
+    underflows for the scale of the data alone. One set of count draws
+    serves every order, and each order's arithmetic is the same whatever
+    other orders share the pass.
     """
     rng = np.random.default_rng(seed_key)
     n = tail_abs.shape[1]
     scale = float(tail_abs.max()) or 1.0
-    if math.isinf(p):
-        stats = np.zeros(resamples)
-        for lo, counts in _resample_counts(rng, n, resamples):
-            peaks = tail_abs[:, lo : lo + counts.shape[1]].max(axis=0) / scale
-            np.maximum(stats, np.where(counts > 0, peaks, 0.0).max(axis=1), out=stats)
-        return stats, scale
-    sums = np.zeros((tail_abs.shape[0], resamples))
+    sums = {p: np.zeros((tail_abs.shape[0], resamples)) for p in orders if not math.isinf(p)}
+    sup = np.zeros(resamples) if math.inf in orders else None
     for lo, counts in _resample_counts(rng, n, resamples):
-        powered = tail_abs[:, lo : lo + counts.shape[1]] / scale
-        powered **= p
-        sums += powered @ counts.T.astype(float)
-    return (sums.max(axis=0) / n) ** (1.0 / p), scale
+        block = tail_abs[:, lo : lo + counts.shape[1]]
+        if sup is not None:
+            np.maximum(sup, _resample_peaks(counts, block.max(axis=0) / scale), out=sup)
+        if sums:
+            weights = counts.T.astype(float)
+            for p, total in sums.items():
+                powered = block / scale
+                powered **= p
+                total += powered @ weights
+            # Freed before the next slice's counts are drawn. Freeing more
+            # here (counts, powered) lowers the peak but makes the allocator
+            # hand pages back and fault them in again, slice after slice.
+            del weights
+    stats = {p: (total.max(axis=0) / n) ** (1.0 / p) for p, total in sums.items()}
+    if sup is not None:
+        stats[math.inf] = sup
+    return stats, scale
+
+
+def _bootstrap_stds(tail_abs: np.ndarray, orders, seed_key, resamples: int) -> dict:
+    """Std of the tail statistic of every order under trajectory-level bootstrap."""
+    stats, scale = _bootstrap_pass(tail_abs, orders, seed_key, resamples)
+    # np.std squares the statistics, so they stay in units of the scale.
+    return {p: float(np.std(values)) * scale for p, values in stats.items()}
+
+
+def _bootstrap_stats(tail_abs: np.ndarray, p: float, seed_key, resamples: int):
+    """Tail statistic of each bootstrap resample at one order, and its scale."""
+    stats, scale = _bootstrap_pass(tail_abs, (p,), seed_key, resamples)
+    return stats[p], scale
 
 
 def _bootstrap_std(tail_abs: np.ndarray, p: float, seed_key, resamples: int) -> float:
-    """Std of the tail statistic under trajectory-level bootstrap resampling."""
-    stats, scale = _bootstrap_stats(tail_abs, p, seed_key, resamples)
-    # np.std squares the statistics, so they stay in units of the scale.
-    return float(np.std(stats)) * scale
+    """Std of the tail statistic at one order under trajectory-level bootstrap."""
+    return _bootstrap_stds(tail_abs, (p,), seed_key, resamples)[p]
 
 
 @dataclass(frozen=True)
@@ -541,12 +600,17 @@ def verify_bound(
     deterministic in the simulation seed, drawn and summed one fixed slice
     of trajectories at a time, so it makes no copy of the tail array: its
     extra memory grows with the number of trajectories only through a
-    (resamples, slices) table. It works in units of the tail block's largest
-    magnitude, so it is scale-free: scaling the magnitudes by a power of
-    two scales the bootstrap std by exactly that factor. For p = inf the
-    sample maximum is a one-sided underestimate of the essential supremum,
-    so an extra ``sup_slack`` is allowed. Refuses to certify unstable
-    results; raises InvalidModelError for resamples < 1.
+    (resamples, slices) table. One set of count draws per signal and
+    ``resamples`` serves every norm order of ``result.config.p_list``: the
+    first call computes the std of each order in one pass and memoizes them
+    on ``result``, and later calls look theirs up. Each order's margin is
+    the one a pass of its own would give, bit for bit. The bootstrap works
+    in units of the tail block's largest magnitude, so it is scale-free:
+    scaling the magnitudes by a power of two scales the bootstrap std by
+    exactly that factor. For p = inf the sample maximum is a one-sided
+    underestimate of the essential supremum, so an extra ``sup_slack`` is
+    allowed. Refuses to certify unstable results; raises InvalidModelError
+    for resamples < 1.
     """
     if which not in ("error", "output"):
         raise ValueError(f"which must be 'error' or 'output', got {which!r}")
@@ -563,11 +627,16 @@ def verify_bound(
         raise InvalidNormOrderError(
             f"simulation did not record norms for p = {p}; extend p_list"
         )
-    block = result.tail_abs_error if which == "error" else result.tail_abs_output
+    stds = result._margins.get((which, resamples))
+    if stds is None:
+        block = result.tail_abs_error if which == "error" else result.tail_abs_output
+        stds = _bootstrap_stds(
+            block, result.config.p_list, (result.config.seed, _BOOTSTRAP_TAG), resamples
+        )
+        result._margins[(which, resamples)] = stds
     tail_norm = tails[p]
     ratio = tail_norm / report.bound_value
-    std = _bootstrap_std(block, p, (result.config.seed, _BOOTSTRAP_TAG), resamples)
-    margin = std / report.bound_value
+    margin = stds[p] / report.bound_value
     slack = 3.0 * margin
     if math.isinf(p):
         slack = max(slack, sup_slack)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fundlim as fl
@@ -261,6 +262,70 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["stable"] is False
         assert "error" in payload
+
+    @pytest.mark.filterwarnings("ignore::fundlim.AnalysisWarning")
+    def test_unstable_reports_name_their_floors(self, capsys, tmp_path, unstable_plant, gauss_dist):
+        # A = 2 crosses the mean-square threshold; A = 4 leaves float range
+        # on every trajectory, which ends the run early.
+        wild = tmp_path / "wild.json"
+        wild.write_text(json.dumps({"A": [[4.0]], "B": [1.0], "C": [1.0]}))
+        ent = fl.entropy_summary(fl.load_disturbance(gauss_dist))
+        for plant, horizon in ((unstable_plant, "100"), (str(wild), "700")):
+            chars = fl.analyze_plant(fl.load_plant(plant))
+            floors = [fl.error_bound_lti(p, chars, ent).to_dict() for p in (2.0, math.inf)]
+            code, out, _ = run_cli(
+                capsys, "verify", "--plant", plant, "--dist", gauss_dist,
+                "--controller", "zero", "--horizon", horizon, "--traj", "8", "--p", "2,inf",
+            )
+            assert code == EXIT_UNSTABLE
+            payload = json.loads(out)
+            assert payload["results"] == []
+            assert payload["floors"] == json.loads(json.dumps(floors))
+            assert [row["theorem"] for row in payload["floors"]] == ["T1", "T1"]
+
+    def test_first_divergence_step(self, capsys, tmp_path, unstable_plant, gauss_dist):
+        # A = 4 leaves float range near step 513: with 50 trajectories and a
+        # horizon of 516 most, but not all, have diverged by the end.
+        wild = tmp_path / "wild.json"
+        wild.write_text(json.dumps({"A": [[4.0]], "B": [1.0], "C": [1.0]}))
+        cfg = fl.SimulationConfig(horizon=516, trajectories=50, seed=0)
+        result = fl.run_closed_loop(
+            fl.load_plant(str(wild)), fl.ZeroController(), fl.GaussianIID(1.0), cfg
+        )
+        assert 0 < result.diverged < cfg.trajectories
+        alive = result.alive_counts
+        expected = int(np.argmax(alive < cfg.trajectories))
+        assert alive[expected - 1] == cfg.trajectories > alive[expected]
+
+        code, out, _ = run_cli(
+            capsys, "verify", "--plant", str(wild), "--dist", gauss_dist,
+            "--controller", "zero", "--horizon", "516", "--traj", "50", "--seed", "0",
+        )
+        assert code == EXIT_UNSTABLE
+        payload = json.loads(out)
+        assert payload["diverged"] == result.diverged
+        assert payload["first_divergence_step"] == expected
+        assert payload["floors"][0]["theorem"] == "T1"
+
+        # Past the mean-square threshold, but every trajectory stays finite.
+        code, out, _ = run_cli(
+            capsys, "verify", "--plant", unstable_plant, "--dist", gauss_dist,
+            "--controller", "zero", "--horizon", "100", "--traj", "20",
+        )
+        assert code == EXIT_UNSTABLE
+        payload = json.loads(out)
+        assert payload["diverged"] == 0
+        assert payload["first_divergence_step"] is None
+
+    def test_stable_report_keys_unchanged(self, capsys, stable_plant, gauss_dist):
+        code, out, _ = run_cli(
+            capsys, "verify", "--plant", stable_plant, "--dist", gauss_dist,
+            "--controller", "zero", "--horizon", "40", "--traj", "500",
+        )
+        assert code in (EXIT_OK, EXIT_UNSATISFIED)
+        assert set(json.loads(out)) == {
+            "stable", "diverged", "which", "results", "warnings", "manifest"
+        }
 
     def test_output_certification(self, capsys, tmp_path, gauss_dist):
         # Minimum-phase two-lag plant; certify the measurement floor under

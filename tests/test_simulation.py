@@ -62,6 +62,23 @@ class TestEmpiricalLp:
         with pytest.raises(fl.InvalidNormOrderError):
             fl.empirical_lp([1.0], 0.5)
 
+    @pytest.mark.parametrize("value", [20.0, 1e-3])
+    def test_high_order_of_a_constant(self, value):
+        # Unscaled, 20**300 overflows and 1e-3**300 underflows to 0.
+        assert fl.empirical_lp(np.full(10, value), 300.0) == pytest.approx(value, rel=1e-14)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 7.0, 300.0])
+    @pytest.mark.parametrize("c", [2.0**-600, 2.0**600], ids=["2^-600", "2^600"])
+    def test_scale_free(self, c, p):
+        # A power-of-two scale is exact in every step, so equality is exact.
+        x = np.random.default_rng(7).standard_cauchy(1000)
+        assert fl.empirical_lp(x, p) > 0.0
+        assert fl.empirical_lp(c * x, p) == c * fl.empirical_lp(x, p)
+
+    def test_zero_signal(self):
+        for p in (1.0, 300.0, math.inf):
+            assert fl.empirical_lp(np.zeros(4), p) == 0.0
+
 
 class TestSimulationConfig:
     def test_defaults(self):
@@ -548,6 +565,28 @@ class TestChunkWorkers:
         assert messages[0] == messages[1]
         assert multiprocessing.active_children() == []
 
+    def test_unpicklable_chunk_error_names_its_class(self, monkeypatch):
+        class LocalError(Exception):
+            pass
+
+        class LocalFailure(StaticGain):
+            def step_batch(self, y):
+                if y.size != 64:
+                    raise LocalError(f"no command for a block of {y.size}")
+                return super().step_batch(y)
+
+        monkeypatch.setattr("fundlim.simulation._CHUNK", 64)
+        cfg = fl.SimulationConfig(horizon=10, trajectories=300, seed=2)
+        use_cpus(monkeypatch, 1)
+        with pytest.raises(LocalError, match="^no command for a block of 44$"):
+            fl.run_closed_loop(scalar_plant(0.5), LocalFailure(0.5), fl.GaussianIID(1.0), cfg)
+        use_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError) as caught:
+            fl.run_closed_loop(scalar_plant(0.5), LocalFailure(0.5), fl.GaussianIID(1.0), cfg)
+        assert str(caught.value) == f"{LocalError.__qualname__}: no command for a block of 44"
+        assert "LocalError: no command for a block of 44" in str(caught.value.__cause__)
+        assert multiprocessing.active_children() == []
+
     def test_unpicklable_controller_runs_across_workers(self, monkeypatch):
         class LocalGain(CausalController):
             def reset(self):
@@ -808,6 +847,66 @@ class TestSlicedBootstrap:
                 b = fl.verify_bound(result, unit_report(p), which=which)
                 assert a.margin_stderr > 0.0
                 assert np.float64(a.margin_stderr).tobytes() == np.float64(b.margin_stderr).tobytes()
+
+    def test_memoized_margins_match_one_order_passes(self):
+        result = synthetic_result(RAGGED)
+        key = (result.config.seed, _BOOTSTRAP_TAG)
+        for which, block in (("error", result.tail_abs_error), ("output", result.tail_abs_output)):
+            for p in ORDERS:
+                memo = fl.verify_bound(result, unit_report(p), which=which).margin_stderr
+                alone = simulation._bootstrap_std(block, p, key, 200)
+                assert np.float64(memo).tobytes() == np.float64(alone).tobytes()
+
+    def test_one_draw_per_signal_and_resamples(self, monkeypatch):
+        draws = []
+        counts = simulation._resample_counts
+
+        def counted(rng, n, resamples):
+            draws.append(resamples)
+            return counts(rng, n, resamples)
+
+        monkeypatch.setattr(simulation, "_resample_counts", counted)
+        result = synthetic_result(RAGGED)
+        for p in ORDERS:
+            fl.verify_bound(result, unit_report(p))
+        assert draws == [200]
+        fl.verify_bound(result, unit_report(2.0), resamples=50)
+        fl.verify_bound(result, unit_report(math.inf), resamples=50)
+        assert draws == [200, 50]
+        for p in ORDERS:
+            fl.verify_bound(result, unit_report(p), which="output")
+        assert draws == [200, 50, 200]
+
+    def test_top_peaks_equal_the_full_maximum(self):
+        # Three tied largest peaks, six tied 7s across the edge of the top 8
+        # (one 7 falls outside it), then smaller peaks and zeros, shuffled.
+        values = np.array([9.0] * 3 + [7.0] * 6 + [5.0] * 10 + [0.0] * 5 + [1.0, 2.0, 3.0])
+        rng = np.random.default_rng(0)
+        peaks = rng.permutation(values)
+        top = np.argsort(peaks)[-simulation._TOP_PEAKS :]
+        outside = np.setdiff1d(np.flatnonzero(peaks == 7.0), top)
+        assert outside.size == 1
+        counts = rng.integers(0, 2, (40, peaks.size))
+        counts[0] = 0  # picked nothing in this slice
+        counts[1:10, top] = 0  # missed every one of the top peaks
+        counts[1, outside] = 2  # ... but picked the 7 outside them
+        counts[2] = 0
+        counts[2, peaks == 0.0] = 3  # picked only zero peaks
+        counts[3] = 0
+        counts[3, outside] = 1
+        counts[4:10, outside] = 0
+        assert (counts[4:10] > 0).any(axis=1).all()
+        full = np.where(counts > 0, peaks, 0.0).max(axis=1)
+        assert set(full[:4]) == {0.0, 7.0} and set(full[4:10]) <= {1.0, 2.0, 3.0, 5.0}
+        assert simulation._resample_peaks(counts, peaks).tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("size", [1, 5, 8, 9])
+    def test_top_peaks_of_a_small_slice(self, size):
+        rng = np.random.default_rng(size)
+        peaks = np.abs(rng.standard_normal(size))
+        counts = rng.integers(0, 3, (50, size))
+        full = np.where(counts > 0, peaks, 0.0).max(axis=1)
+        assert simulation._resample_peaks(counts, peaks).tobytes() == full.tobytes()
 
     @pytest.mark.parametrize("p", [2.0, math.inf])
     def test_memory_does_not_grow_with_trajectories(self, p):
