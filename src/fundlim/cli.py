@@ -39,7 +39,7 @@ from .errors import (
     read_utf8,
 )
 from .plant import AnalysisWarning, analyze_plant, load_plant
-from .simulation import SimulationConfig, run_closed_loop, verify_bound
+from .simulation import SimulationConfig, check_resamples, run_closed_loop, verify_bound
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -201,9 +201,8 @@ def _resolve_sim_config(args) -> SimulationConfig:
 
 
 def cmd_verify(args) -> int:
-    # verify_bound rejects it too, but only after the whole simulation.
-    if args.resamples < 1:
-        raise FundlimError(f"--resamples must be >= 1, got {args.resamples}")
+    # verify_bound checks it too, but only after the whole simulation.
+    check_resamples(args.resamples)
     model = load_plant(args.plant)
     dist = load_disturbance(args.dist)
     controller = parse_controller(args.controller)

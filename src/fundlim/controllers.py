@@ -121,16 +121,20 @@ class LinearFilter(CausalController):
     def reset_batch(self, n_streams: int) -> None:
         self._y_hist = np.zeros((self.b.size, n_streams))
         self._v_hist = np.zeros((self.a.size, n_streams))
+        # Work buffers for v and a @ v_hist, reused by every step.
+        self._v = np.empty(n_streams)
+        self._av = np.empty(n_streams)
 
     def step(self, y: float) -> float:
         return float(self.step_batch(np.array([float(y)]))[0])
 
     def step_batch(self, y: np.ndarray) -> np.ndarray:
+        """Command for each stream, as a fresh array the caller may keep."""
         self._y_hist[1:] = self._y_hist[:-1]
         self._y_hist[0] = y
-        v = self.b @ self._y_hist
+        v = np.matmul(self.b, self._y_hist, out=self._v)
         if self.a.size:
-            v = v - self.a @ self._v_hist
+            np.subtract(v, np.matmul(self.a, self._v_hist, out=self._av), out=v)
             self._v_hist[1:] = self._v_hist[:-1]
             self._v_hist[0] = v
         return -v

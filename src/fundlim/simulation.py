@@ -30,6 +30,7 @@ import math
 import mmap
 import os
 import pickle
+import sys
 import traceback
 from dataclasses import dataclass, field
 
@@ -65,6 +66,9 @@ _CHUNK = 8192
 SUP_NORM_SLACK = 1e-3
 
 _BOOTSTRAP_TAG = 0xB007
+
+# Disturbance draws staged per transpose into the chunk's step-major block.
+_STAGING = 64
 
 # Trajectories per bootstrap slice. Fixed, like _CHUNK: the bootstrap draws,
 # and so every margin, depend on it. A slice's temporaries take a few MB.
@@ -118,6 +122,19 @@ class SimulationConfig:
             raise InvalidModelError(
                 f"need burn_in >= 0, tail_window >= 1, burn_in + tail_window <= horizon; "
                 f"got burn_in={burn_in}, tail_window={tail}, horizon={horizon}"
+            )
+        # No array or mapping can hold more than sys.maxsize bytes: reject
+        # such sizes here instead of failing inside numpy or mmap.
+        rows = max(2, min(_CHUNK, trajectories))
+        if horizon * rows * 8 > sys.maxsize:
+            raise InvalidModelError(
+                f"horizon {horizon} is too large: a chunk's (horizon, {rows}) arrays "
+                f"would exceed {sys.maxsize} bytes"
+            )
+        if 2 * tail * trajectories * 8 > sys.maxsize:
+            raise InvalidModelError(
+                f"trajectories {trajectories} with tail_window {tail} is too large: "
+                f"the tail array would exceed {sys.maxsize} bytes"
             )
         threshold = float(self.divergence_threshold)
         if not (math.isfinite(threshold) and threshold > 0.0):
@@ -227,6 +244,45 @@ def _zero_stats(cfg):
     return sums, maxes, np.zeros(horizon, dtype=np.int64), np.zeros(horizon)
 
 
+def _disturbance_block(dist, rng, horizon: int, count: int) -> np.ndarray:
+    """The chunk's (horizon, count) disturbance block: column j is trajectory j's draw.
+
+    Trajectories draw in order, one ``dist.sample(rng, horizon)`` call each,
+    into a (_STAGING, horizon) block that is transposed into place once
+    full, so step k reads the contiguous row k.
+    """
+    d = np.empty((horizon, count))
+    staging = np.empty((min(_STAGING, count), horizon))
+    for lo in range(0, count, _STAGING):
+        rows = staging[: min(_STAGING, count - lo)]
+        for row in rows:
+            draw = np.asarray(dist.sample(rng, horizon), dtype=float)
+            if draw.shape != (horizon,):
+                raise InvalidModelError(
+                    f"disturbance sample has shape {draw.shape}, expected ({horizon},)"
+                )
+            row[...] = draw
+        d[:, lo : lo + len(rows)] = rows.T
+    return d
+
+
+def _add_power_sums(sums, mag, powered, k):
+    """Set column k of every finite p's sums to the row sums of ``mag**p``.
+
+    Each power is the one ``mag**p`` takes, written into ``powered``:
+    ``mag**1.0`` is a copy, so p = 1 sums ``mag`` itself, and ``mag**2.0`` a
+    square. Any other p is a ``pow`` per entry, which rounds once, so p = 4
+    is not the square of a square.
+    """
+    for p, total in sums.items():
+        if p == 1.0:
+            total[:, k] = mag.sum(axis=1)
+        elif p == 2.0:
+            total[:, k] = np.square(mag, out=powered).sum(axis=1)
+        else:
+            total[:, k] = np.power(mag, p, out=powered).sum(axis=1)
+
+
 def _simulate_chunk(model, controller, dist, cfg, tails, span):
     """Simulate the trajectories ``span`` and return their partial statistics.
 
@@ -235,6 +291,13 @@ def _simulate_chunk(model, controller, dist, cfg, tails, span):
     its columns ``m_lo:m_hi`` of ``tails`` directly. It runs in a worker
     process or in the caller's, so it sets its own floating-point error
     state.
+
+    Every work array of the step loop is allocated once per chunk: the
+    disturbance block (step-major, so step k reads the contiguous row k),
+    the state and its successor, which swap each step, and the magnitude,
+    power and mask buffers, which each ufunc writes through ``out=``. Only
+    the measurement ``y`` is a fresh array each step, since the control law
+    may keep it.
     """
     sums, maxes, counts, sum_sq_state = _zero_stats(cfg)
     m_lo, m_hi = span
@@ -245,22 +308,15 @@ def _simulate_chunk(model, controller, dist, cfg, tails, span):
     chunk = m_lo // _CHUNK
 
     with np.errstate(all="ignore"):
-        rng = _chunk_stream(cfg.seed, _DISTURBANCE, chunk)
-        d = np.empty((count_m, horizon))
-        for j in range(count_m):
-            draw = np.asarray(dist.sample(rng, horizon), dtype=float)
-            if draw.shape != (horizon,):
-                raise InvalidModelError(
-                    f"disturbance sample has shape {draw.shape}, expected ({horizon},)"
-                )
-            d[j] = draw
+        d = _disturbance_block(
+            dist, _chunk_stream(cfg.seed, _DISTURBANCE, chunk), horizon, count_m
+        )
 
+        x = np.zeros((model.n, count_m))
         if cfg.x0_std > 0.0:
             # Row j of the block is trajectory j's initial state.
             initial = _chunk_stream(cfg.seed, _INITIAL_STATE, chunk)
-            x = (cfg.x0_std * initial.standard_normal((count_m, model.n))).T
-        else:
-            x = np.zeros((model.n, count_m))
+            x[...] = (cfg.x0_std * initial.standard_normal((count_m, model.n))).T
 
         law = controller.clone()
         if _has_batch_interface(law):
@@ -273,7 +329,17 @@ def _simulate_chunk(model, controller, dist, cfg, tails, span):
                 each.reset()
             steps = [each.step for each in laws]
 
+        x_next = np.empty_like(x)
+        be = np.empty_like(x)
+        e = np.empty(count_m)
+        # Row 0 is |e|, row 1 is |y|.
+        mag = np.empty((2, count_m))
+        powered = np.empty_like(mag)
+        xsq = np.empty(count_m)
+        x_finite = np.empty(x.shape, dtype=bool)
+        finite = np.empty(count_m, dtype=bool)
         alive = np.ones(count_m, dtype=bool)
+        dead = np.empty(count_m, dtype=bool)
         for k in range(horizon):
             y = (C @ x).ravel()
             if steps is None:
@@ -284,22 +350,36 @@ def _simulate_chunk(model, controller, dist, cfg, tails, span):
                     dtype=float,
                     count=count_m,
                 )
-            e = z + d[:, k]
-            alive &= np.isfinite(e) & np.isfinite(y) & np.isfinite(x).all(axis=0)
-            # Row 0 is |e|, row 1 is |y|. Dead entries read 0, which adds
-            # 0 = 0**p (p >= 1) to every sum and cannot exceed a live
-            # magnitude in the max.
-            mag = np.where(alive, np.abs(np.stack((e, y))), 0.0)
-            live = int(alive.sum())
+            np.add(z, d[k], out=e)
+            np.isfinite(e, out=finite)
+            alive &= finite
+            np.isfinite(y, out=finite)
+            alive &= finite
+            np.isfinite(x, out=x_finite)
+            np.logical_and.reduce(x_finite, axis=0, out=finite)
+            alive &= finite
+            np.logical_not(alive, out=dead)
+            # Dead entries read 0, which adds 0 = 0**p (p >= 1) to every sum
+            # and cannot exceed a live magnitude in the max.
+            np.abs(e, out=mag[0])
+            np.abs(y, out=mag[1])
+            np.copyto(mag, 0.0, where=dead)
+            live = int(np.count_nonzero(alive))
             counts[k] = live
-            for p, total in sums.items():
-                total[:, k] = (mag**p).sum(axis=1)
+            _add_power_sums(sums, mag, powered, k)
             if maxes is not None:
                 maxes[:, k] = mag.max(axis=1)
-            sum_sq_state[k] = np.where(alive, np.einsum("ij,ij->j", x, x), 0.0).sum()
+            np.einsum("ij,ij->j", x, x, out=xsq)
+            np.copyto(xsq, 0.0, where=dead)
+            sum_sq_state[k] = xsq.sum()
             if k >= tail_start:
-                tails[:, k - tail_start, m_lo:m_hi] = np.where(alive, mag, np.nan)
-            x = A @ x + B * e
+                row = tails[:, k - tail_start, m_lo:m_hi]
+                np.copyto(row, mag)
+                np.copyto(row, np.nan, where=dead)
+            np.matmul(A, x, out=x_next)
+            np.multiply(B, e, out=be)
+            np.add(x_next, be, out=x_next)
+            x, x_next = x_next, x
         return sums, maxes, counts, sum_sq_state, count_m - live
 
 
@@ -415,7 +495,10 @@ def run_closed_loop(
     controller's methods in child processes, so a side effect of that code
     does not reach the caller; each chunk already works on clones of the
     controller. A worker holds one chunk's disturbance block, 8192 x
-    horizon x 8 bytes (26 MB at horizon 400); the caller holds none.
+    horizon x 8 bytes (26 MB at horizon 400), stored step-major, and the
+    chunk's step-loop work buffers, allocated once per chunk; the caller
+    holds none. A batch controller's ``step_batch`` receives a fresh ``y``
+    each step, which it may keep.
 
     Each chunk returns its partial per-step statistics, and they are added
     in block order, so results are bit-identical for a given config and
@@ -559,6 +642,17 @@ def _bootstrap_std(tail_abs: np.ndarray, p: float, seed_key, resamples: int) -> 
     return _bootstrap_stds(tail_abs, (p,), seed_key, resamples)[p]
 
 
+def check_resamples(resamples: int) -> None:
+    """Raise InvalidModelError unless 1 <= resamples and a slice's counts fit an array."""
+    if resamples < 1:
+        raise InvalidModelError(f"resamples must be >= 1, got {resamples}")
+    if resamples * _BOOTSTRAP_SLICE * 8 > sys.maxsize:
+        raise InvalidModelError(
+            f"resamples {resamples} is too large: a slice's (resamples, "
+            f"{_BOOTSTRAP_SLICE}) counts would exceed {sys.maxsize} bytes"
+        )
+
+
 @dataclass(frozen=True)
 class Certification:
     """Outcome of comparing a simulated tail norm against a bound."""
@@ -610,12 +704,11 @@ def verify_bound(
     exactly that factor. For p = inf the sample maximum is a one-sided
     underestimate of the essential supremum, so an extra ``sup_slack`` is
     allowed. Refuses to certify unstable results; raises InvalidModelError
-    for resamples < 1.
+    for resamples < 1 or too many to count in one array.
     """
     if which not in ("error", "output"):
         raise ValueError(f"which must be 'error' or 'output', got {which!r}")
-    if resamples < 1:
-        raise InvalidModelError(f"resamples must be >= 1, got {resamples}")
+    check_resamples(resamples)
     if not result.stable:
         raise CertificationRefusedError(
             "simulation is flagged unstable; its tail statistics do not "

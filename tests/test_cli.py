@@ -425,6 +425,26 @@ class TestVerify:
         assert out == ""
         assert "resamples" in err
 
+    @pytest.mark.parametrize("flag", ["--traj", "--horizon", "--resamples"])
+    @pytest.mark.parametrize("size", [2**63, 99999999999999999999])
+    def test_oversize_sizes_are_input_errors(
+        self, capsys, monkeypatch, stable_plant, gauss_dist, flag, size
+    ):
+        # Sizes no array can hold: rejected before anything is simulated.
+        def no_simulation(*args, **kwargs):
+            raise AssertionError(f"run_closed_loop called with {flag} {size}")
+
+        monkeypatch.setattr("fundlim.cli.run_closed_loop", no_simulation)
+        sizes = {"--traj": "100", "--horizon": "20", "--resamples": "200"}
+        sizes[flag] = str(size)
+        code, out, err = run_cli(
+            capsys, "verify", "--plant", stable_plant, "--dist", gauss_dist,
+            *[token for pair in sizes.items() for token in pair],
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("fundlim: ") and "too large" in err
+
     def test_bad_controller_spec(self, capsys, stable_plant, gauss_dist):
         code, _, err = run_cli(
             capsys, "verify", "--plant", stable_plant, "--dist", gauss_dist,
@@ -450,6 +470,39 @@ class TestVerify:
         second_payload, second_csv = one_run("b")
         assert first_payload == second_payload
         assert first_csv == second_csv
+
+    def test_reports_do_not_depend_on_blas_threads(self, tmp_path):
+        # The loop's matrix products write into preallocated buffers; one
+        # BLAS thread and the default pool must give the same reports.
+        plant = tmp_path / "nmp_plant.json"
+        plant.write_text(json.dumps({
+            "A": [[0.4, 0.11, -0.03], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+            "B": [1.0, 0.0, 0.0],
+            "C": [0.0, 1.0, -2.0],
+        }))
+        dist = tmp_path / "gengauss.json"
+        dist.write_text(json.dumps({"type": "iid_gengauss", "shape": 4.0, "lp_norm": 1.0}))
+        src = str(Path(fl.__file__).resolve().parents[1])
+        base = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+        base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+        def run(tag, env):
+            out_dir = tmp_path / tag
+            done = subprocess.run(
+                [sys.executable, "-m", "fundlim.cli", "verify", "--plant", str(plant),
+                 "--dist", str(dist), "--controller", "arma:0.1;-0.2", "--which", "output",
+                 "--horizon", "100", "--traj", "4096", "--seed", "5", "--p", "1,2,4,inf",
+                 "--out", str(out_dir)],
+                capture_output=True, text=True, env=env,
+            )
+            assert done.returncode == EXIT_OK, done.stderr
+            results = json.loads(done.stdout)["results"]
+            return results, (out_dir / "verify_norms.csv").read_bytes()
+
+        one = run("one", {**base, "OPENBLAS_NUM_THREADS": "1"})
+        default = run("default", base)
+        assert len(one[0]) == 4
+        assert one == default
 
 
 class TestSzego:

@@ -80,6 +80,32 @@ class TestLinearFilter:
             scalar_out = drive(LinearFilter(b, a), streams[:, m])
             np.testing.assert_allclose(batch_out[:, m], scalar_out, rtol=1e-12)
 
+    @pytest.mark.parametrize("streams", [1, 8192])
+    @pytest.mark.parametrize(
+        "b, a", [([0.9, -0.3, 0.05], [0.25, -0.1]), ([0.5, -0.2, 0.1], [])], ids=["arma", "fir"]
+    )
+    def test_batch_outputs_are_fresh_and_replay_the_recursion(self, streams, b, a):
+        # Each output must be a fresh array: stacking the kept outputs gives
+        # what copying them one by one gave. Each must also equal, bit for
+        # bit, the recursion written as plain array expressions.
+        ys = np.random.default_rng(3).normal(size=(25, streams))
+        law = LinearFilter(b, a)
+        law.reset_batch(streams)
+        kept, copies, expected = [], [], []
+        y_hist, v_hist = np.zeros((len(b), streams)), np.zeros((len(a), streams))
+        for y in ys:
+            out = law.step_batch(y)
+            kept.append(out)
+            copies.append(out.copy())
+            y_hist = np.concatenate(([y], y_hist[:-1]))
+            v = np.asarray(b) @ y_hist
+            if a:
+                v = v - np.asarray(a) @ v_hist
+                v_hist = np.concatenate(([v], v_hist[:-1]))
+            expected.append(-v)
+        assert np.stack(kept).tobytes() == np.stack(copies).tobytes()
+        assert np.stack(kept).tobytes() == np.stack(expected).tobytes()
+
     def test_rejects_bad_coefficients(self):
         with pytest.raises(fl.InvalidModelError):
             LinearFilter([])

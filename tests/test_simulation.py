@@ -117,6 +117,19 @@ class TestSimulationConfig:
         with pytest.raises(fl.InvalidModelError, match="seed"):
             fl.SimulationConfig(horizon=10, trajectories=1, seed=-1)
 
+    @pytest.mark.parametrize(
+        "horizon, trajectories, what",
+        [
+            (2**63, 1, "horizon"),
+            (10**20, 100, "horizon"),
+            (20, 2**63, "tail array"),
+            (20, 10**20, "tail array"),
+        ],
+    )
+    def test_sizes_past_an_array_rejected(self, horizon, trajectories, what):
+        with pytest.raises(fl.InvalidModelError, match=what):
+            fl.SimulationConfig(horizon=horizon, trajectories=trajectories)
+
 
 class TestLoopSemantics:
     def test_open_loop_error_equals_disturbance(self):
@@ -367,6 +380,34 @@ def diverging_loop():
     )
     plant = fl.StateSpaceModel([[3.0]], [1.0], [1.0])
     return plant, fl.GeneralizedGaussianIID(1.0, 5e213), cfg
+
+
+KEPT_MEASUREMENTS = []
+
+
+class KeepingGain(StaticGain):
+    """Batch gain that keeps every measurement it is handed, with a copy."""
+
+    def step_batch(self, y):
+        KEPT_MEASUREMENTS.append((y, y.copy()))
+        return super().step_batch(y)
+
+
+class TestControllerBoundary:
+    def test_kept_measurements_keep_their_values(self, monkeypatch):
+        # In-process, so the law's clone appends here. Every y it kept must
+        # still hold what it was handed, which is the loop's |y| tail.
+        use_cpus(monkeypatch, 1)
+        KEPT_MEASUREMENTS.clear()
+        plant = fl.StateSpaceModel([[0.5, 0.2], [1.0, 0.0]], [1.0, 0.0], [1.0, -0.3])
+        cfg = fl.SimulationConfig(
+            horizon=30, trajectories=500, seed=9, burn_in=0, tail_window=30, x0_std=1.0
+        )
+        result = fl.run_closed_loop(plant, KeepingGain(0.2), fl.GaussianIID(1.0), cfg)
+        assert result.diverged == 0 and len(KEPT_MEASUREMENTS) == cfg.horizon
+        kept = np.stack([y for y, _ in KEPT_MEASUREMENTS])
+        assert kept.tobytes() == np.stack([c for _, c in KEPT_MEASUREMENTS]).tobytes()
+        assert np.abs(kept).tobytes() == result.tail_abs_output.tobytes()
 
 
 class TestScalarControllerFallback:
@@ -639,6 +680,135 @@ class TestChunkWorkers:
 
 
 
+def pin_loop():
+    # A 3-state plant with an unstable mode at 3 under a multi-lag ARMA law
+    # and a huge Laplace disturbance: most trajectories leave float range,
+    # at different steps, inside the tail window. Every p > 1 power of the
+    # error overflows, so the sums at p > 1 are checked by stable_pin_loop.
+    plant = fl.StateSpaceModel(
+        [[3.0, 0.1, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [1.0, 0.0, 0.0], [0.0, 1.0, -2.0]
+    )
+    cfg = fl.SimulationConfig(
+        horizon=200, trajectories=300, seed=7, p_list=(1.0, 2.0, 3.5, math.inf), x0_std=1.0
+    )
+    spec, arma = "arma:-0.01,0.005,-0.002;0.1,-0.05", ((-0.01, 0.005, -0.002), (0.1, -0.05))
+    return plant, spec, arma, fl.GeneralizedGaussianIID(1.0, 5e213), cfg
+
+
+def stable_pin_loop():
+    # The plant and law of the benchmark's CLI workload, where every sum is finite.
+    plant = fl.StateSpaceModel(
+        [[0.4, 0.11, -0.03], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [1.0, 0.0, 0.0], [0.0, 1.0, -2.0]
+    )
+    cfg = fl.SimulationConfig(
+        horizon=60, trajectories=300, seed=7, p_list=(1.0, 2.0, 3.5, 4.0, math.inf), x0_std=1.0
+    )
+    return plant, "arma:0.1;-0.2", ((0.1,), (-0.2,)), fl.GeneralizedGaussianIID(4.0, 1.0), cfg
+
+
+def replay_loop(plant, b, a, dist, cfg):
+    """The loop as plain expressions: masks by ``np.where``, powers by ``**``.
+
+    Each chunk of ``simulation._CHUNK`` trajectories runs the ARMA law
+    ``v_k = b @ y_hist - a @ v_hist``, ``z_k = -v_k`` on its own histories,
+    and its per-step statistics are added in block order. Returns a
+    SimulationResult's arrays and scalars in ``result_bytes`` form.
+    """
+    horizon, n = cfg.horizon, cfg.trajectories
+    tail_start = horizon - cfg.tail_window
+    b, a = np.asarray(b), np.asarray(a)
+    d_all = disturbance_matrix(dist, cfg.seed, n, horizon)
+    x0_all = initial_states(cfg.x0_std, cfg.seed, n, plant.n)
+    sums = {p: np.zeros((2, horizon)) for p in cfg.p_list if not math.isinf(p)}
+    maxes = np.zeros((2, horizon))
+    counts = np.zeros(horizon, dtype=np.int64)
+    sum_sq = np.zeros(horizon)
+    tails = np.empty((2, cfg.tail_window, n))
+    diverged = 0
+    with np.errstate(all="ignore"):
+        for lo in range(0, n, simulation._CHUNK):
+            hi = min(lo + simulation._CHUNK, n)
+            d, x = d_all[lo:hi], x0_all[lo:hi].T
+            y_hist, v_hist = np.zeros((b.size, hi - lo)), np.zeros((a.size, hi - lo))
+            alive = np.ones(hi - lo, dtype=bool)
+            part = {p: np.zeros((2, horizon)) for p in sums}
+            part_max = np.zeros((2, horizon))
+            part_counts = np.zeros(horizon, dtype=np.int64)
+            part_sq = np.zeros(horizon)
+            for k in range(horizon):
+                y = (plant.C @ x).ravel()
+                y_hist[1:] = y_hist[:-1]
+                y_hist[0] = y
+                v = b @ y_hist
+                v = v - a @ v_hist
+                v_hist[1:] = v_hist[:-1]
+                v_hist[0] = v
+                e = -v + d[:, k]
+                alive &= np.isfinite(e) & np.isfinite(y) & np.isfinite(x).all(axis=0)
+                mag = np.where(alive, np.abs(np.stack((e, y))), 0.0)
+                part_counts[k] = alive.sum()
+                for p in part:
+                    part[p][:, k] = (mag**p).sum(axis=1)
+                part_max[:, k] = mag.max(axis=1)
+                part_sq[k] = np.where(alive, np.einsum("ij,ij->j", x, x), 0.0).sum()
+                if k >= tail_start:
+                    tails[:, k - tail_start, lo:hi] = np.where(alive, mag, np.nan)
+                x = plant.A @ x + plant.B * e
+            for p in sums:
+                sums[p] += part[p]
+            np.maximum(maxes, part_max, out=maxes)
+            counts += part_counts
+            sum_sq += part_sq
+            diverged += int((~alive).sum())
+        norms = {p: (total / counts) ** (1.0 / p) for p, total in sums.items()}
+        norms[math.inf] = maxes
+        tail_max = {p: rows[:, tail_start:].max(axis=1) for p, rows in norms.items()}
+        mean_sq = sum_sq / counts
+    arrays = [mean_sq, counts, tails[0], tails[1]]
+    for p in cfg.p_list:
+        arrays += [norms[p][0], norms[p][1]]
+    stable = diverged == 0 and not np.any(mean_sq > cfg.divergence_threshold)
+    return (
+        [arr.tobytes() for arr in arrays],
+        {p: float(rows[0]) for p, rows in tail_max.items()},
+        {p: float(rows[1]) for p, rows in tail_max.items()},
+        bool(stable),
+        diverged,
+    )
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("loop", [pin_loop, stable_pin_loop], ids=["diverging", "stable"])
+    def test_loop_matches_replay(self, monkeypatch, loop, cpus):
+        monkeypatch.setattr("fundlim.simulation._CHUNK", 64)
+        use_cpus(monkeypatch, cpus)
+        plant, spec, (b, a), dist, cfg = loop()
+        result = fl.run_closed_loop(plant, fl.parse_controller(spec), dist, cfg)
+        if loop is pin_loop:
+            assert 0 < result.diverged < cfg.trajectories
+            assert result.alive_counts[cfg.horizon - cfg.tail_window] > result.alive_counts[-1]
+        else:
+            assert result.stable
+        got, want = result_bytes(result), replay_loop(plant, b, a, dist, cfg)
+        assert got[0] == want[0]
+        # Tail maxima compared as bytes: some are inf.
+        for got_tail, want_tail in zip(got[1:3], want[1:3]):
+            assert got_tail.keys() == want_tail.keys()
+            for p in got_tail:
+                assert np.float64(got_tail[p]).tobytes() == np.float64(want_tail[p]).tobytes()
+        assert got[3:] == want[3:]
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.5, 4.0, 7.0])
+    def test_power_sums_are_those_of_the_power_operator(self, p):
+        rng = np.random.default_rng(int(p * 10))
+        mag = np.abs(rng.standard_normal((2, 1000))) * 10.0 ** rng.integers(-40, 40, (2, 1000))
+        mag[:, ::7] = 0.0
+        sums = {p: np.zeros((2, 3))}
+        simulation._add_power_sums(sums, mag, np.empty_like(mag), 1)
+        assert sums[p][:, 1].tobytes() == (mag**p).sum(axis=1).tobytes()
+
+
 @pytest.fixture(scope="module")
 def stable_run():
     cfg = fl.SimulationConfig(
@@ -719,6 +889,14 @@ class TestVerifyBound:
     def test_resamples_below_one_rejected(self, stable_run, resamples):
         report = fl.error_bound_for_entropy(2.0, -8.0)
         with pytest.raises(fl.InvalidModelError, match="resamples"):
+            fl.verify_bound(stable_run, report, resamples=resamples)
+
+    @pytest.mark.parametrize("resamples", [2**63, 10**20])
+    def test_resamples_past_an_array_rejected(self, stable_run, resamples):
+        report = fl.error_bound_p2(
+            fl.analyze_plant(scalar_plant(0.5)), fl.entropy_summary(fl.GaussianIID(1.0))
+        )
+        with pytest.raises(fl.InvalidModelError, match="resamples .* too large"):
             fl.verify_bound(stable_run, report, resamples=resamples)
 
     def test_missing_norm_order_rejected(self, stable_run):
