@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -36,6 +37,7 @@ from .errors import (
     CertificationRefusedError,
     FundlimError,
     UnstableLoopError,
+    read_json,
     read_utf8,
 )
 from .plant import AnalysisWarning, analyze_plant, load_plant
@@ -163,12 +165,13 @@ def cmd_bound(args) -> int:
 def _resolve_sim_config(args) -> SimulationConfig:
     file_cfg = {}
     if args.sim_config is not None:
-        try:
-            file_cfg = json.loads(read_utf8(args.sim_config))
-        except json.JSONDecodeError as exc:
-            raise FundlimError(f"simulation config is not valid JSON: {exc}") from exc
+        file_cfg = read_json(args.sim_config, "simulation config")
         if not isinstance(file_cfg, dict):
             raise FundlimError("simulation config file must hold a JSON object")
+        # Its keys are the field names of SimulationConfig.
+        unknown = sorted(set(file_cfg) - {f.name for f in dataclasses.fields(SimulationConfig)})
+        if unknown:
+            raise FundlimError(f"simulation config has unknown keys: {', '.join(unknown)}")
 
     def pick(flag_value, key, fallback, kind):
         value = flag_value if flag_value is not None else file_cfg.get(key, fallback)
@@ -193,9 +196,6 @@ def _resolve_sim_config(args) -> SimulationConfig:
         p_list=p_list,
         burn_in=pick(args.burn_in, "burn_in", None, int),
         tail_window=pick(args.tail_window, "tail_window", None, int),
-        divergence_threshold=pick(
-            args.divergence_threshold, "divergence_threshold", 1e12, float
-        ),
         x0_std=pick(args.x0_std, "x0_std", 0.0, float),
     )
 
@@ -374,8 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--p", default=None, help="comma list of norm orders")
     verify.add_argument("--burn-in", dest="burn_in", type=int, default=None)
     verify.add_argument("--tail-window", dest="tail_window", type=int, default=None)
-    verify.add_argument("--divergence-threshold", dest="divergence_threshold",
-                        type=float, default=None)
     verify.add_argument("--x0-std", dest="x0_std", type=float, default=None)
     verify.add_argument("--resamples", type=int, default=200,
                         help="bootstrap resamples for the certification margin")

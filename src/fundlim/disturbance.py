@@ -10,7 +10,6 @@ spectral route.
 
 from __future__ import annotations
 
-import json
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from .errors import (
     NonIntegrableSpectrumError,
     check_order,
     finite_power,
-    read_utf8,
+    read_json,
 )
 
 __all__ = [
@@ -526,8 +525,4 @@ def disturbance_from_dict(payload: dict) -> DisturbanceModel:
 
 def load_disturbance(path) -> DisturbanceModel:
     """Read a disturbance model from a JSON file."""
-    try:
-        payload = json.loads(read_utf8(path))
-    except json.JSONDecodeError as exc:
-        raise InvalidModelError(f"disturbance file is not valid JSON: {exc}") from exc
-    return disturbance_from_dict(payload)
+    return disturbance_from_dict(read_json(path, "disturbance file"))

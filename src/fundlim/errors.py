@@ -1,5 +1,6 @@
 """Exception types shared across the toolkit."""
 
+import json
 import math
 
 
@@ -42,6 +43,14 @@ def read_utf8(path) -> str:
             return fh.read()
         except UnicodeDecodeError as exc:
             raise InvalidModelError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def read_json(path, what: str):
+    """Return the JSON value of a UTF-8 file, or raise InvalidModelError naming ``what``."""
+    try:
+        return json.loads(read_utf8(path))
+    except json.JSONDecodeError as exc:
+        raise InvalidModelError(f"{what} is not valid JSON: {exc}") from exc
 
 
 class ZeroTransferFunctionError(FundlimError, ValueError):

@@ -8,7 +8,6 @@ Markov gain.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ from .errors import (
     DegenerateRealizationError,
     InvalidModelError,
     ZeroTransferFunctionError,
-    read_utf8,
+    read_json,
 )
 
 __all__ = [
@@ -117,10 +116,7 @@ class StateSpaceModel:
 
 def load_plant(path) -> StateSpaceModel:
     """Read a plant from a JSON file with fields A, B, C."""
-    try:
-        payload = json.loads(read_utf8(path))
-    except json.JSONDecodeError as exc:
-        raise InvalidModelError(f"plant file is not valid JSON: {exc}") from exc
+    payload = read_json(path, "plant file")
     if not isinstance(payload, dict):
         raise InvalidModelError("plant file must hold a JSON object")
     return StateSpaceModel.from_dict(payload)

@@ -83,15 +83,23 @@ _TOP_PEAKS = 8
 _DISTURBANCE = 0
 _INITIAL_STATE = 1
 
+# A loop whose mean-square state over the tail window averages more than this
+# many times its baseline average is growing, so unstable. A ratio of the
+# run's own statistics, it does not depend on the disturbance's units.
+_GROWTH = 4.0
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
     """Closed-loop Monte Carlo settings.
 
     ``tail_window`` is the number of final steps whose per-step norms feed
-    the tail statistic (default horizon // 5); ``burn_in`` must leave the
-    tail window inside the horizon. ``p_list`` is normalized to a sorted
-    tuple with math.inf last.
+    the tail statistic (default horizon // 5). ``burn_in`` (default
+    horizon // 5) is the start-up transient kept out of the stability
+    baseline: the mean-square state on steps [burn_in, horizon -
+    tail_window) is the level the tail window must not outgrow. It must
+    leave the tail window inside the horizon. ``p_list`` is normalized to a
+    sorted tuple with math.inf last.
     """
 
     horizon: int
@@ -100,7 +108,6 @@ class SimulationConfig:
     p_list: tuple = (2.0,)
     burn_in: int | None = None
     tail_window: int | None = None
-    divergence_threshold: float = 1e12
     x0_std: float = 0.0
 
     def __post_init__(self) -> None:
@@ -136,9 +143,6 @@ class SimulationConfig:
                 f"trajectories {trajectories} with tail_window {tail} is too large: "
                 f"the tail array would exceed {sys.maxsize} bytes"
             )
-        threshold = float(self.divergence_threshold)
-        if not (math.isfinite(threshold) and threshold > 0.0):
-            raise InvalidModelError("divergence_threshold must be finite and positive")
         x0_std = float(self.x0_std)
         if not (math.isfinite(x0_std) and x0_std >= 0.0):
             raise InvalidModelError("x0_std must be finite and >= 0")
@@ -148,7 +152,6 @@ class SimulationConfig:
         object.__setattr__(self, "p_list", p_list)
         object.__setattr__(self, "burn_in", burn_in)
         object.__setattr__(self, "tail_window", tail)
-        object.__setattr__(self, "divergence_threshold", threshold)
         object.__setattr__(self, "x0_std", x0_std)
 
     def to_dict(self) -> dict:
@@ -159,7 +162,6 @@ class SimulationConfig:
             "p_list": ["inf" if math.isinf(p) else p for p in self.p_list],
             "burn_in": self.burn_in,
             "tail_window": self.tail_window,
-            "divergence_threshold": self.divergence_threshold,
             "x0_std": self.x0_std,
         }
 
@@ -177,11 +179,13 @@ class SimulationResult:
     (2, tail_window, trajectories) array, NaN where a trajectory has
     diverged. That array lives in an anonymous shared memory mapping, which
     the chunk workers write into; it is kept as it is, not copied back into
-    private memory. ``stable`` is False when the mean-square state estimate
-    ever exceeded the divergence threshold or any trajectory left float
-    range (``diverged`` counts the latter). ``alive_counts`` (int64, length
-    horizon) is how many trajectories were still finite at each step; it
-    never increases, and its last entry is trajectories - diverged.
+    private memory. ``stable`` is False when any trajectory left float range
+    (``diverged`` counts them), when the mean-square state did, or when the
+    mean-square state over the tail window averages more than 4 times its
+    average over the baseline steps [burn_in, tail_start). ``alive_counts``
+    (int64, length horizon) is how many trajectories were still finite at
+    each step; it never increases, and its last entry is trajectories -
+    diverged.
     Every field is the same whatever the number of worker processes.
     ``verify_bound`` memoizes the bootstrap stds of every norm order here,
     per signal and number of resamples.
@@ -537,7 +541,10 @@ def run_closed_loop(
         if maxes is not None:
             norms[math.inf] = maxes
         tail_max = {p: rows[:, horizon - tail :].max(axis=1) for p, rows in norms.items()}
-        stable = diverged == 0 and not np.any(mean_sq > cfg.divergence_threshold)
+        # No baseline steps, or an all-zero baseline, leaves nothing to grow from.
+        base = mean_sq[cfg.burn_in : horizon - tail]
+        grew = base.size > 0 and mean_sq[horizon - tail :].mean() > _GROWTH * base.mean() > 0.0
+        stable = diverged == 0 and bool(np.isfinite(mean_sq).all()) and not grew
 
     return SimulationResult(
         config=cfg,
@@ -629,17 +636,6 @@ def _bootstrap_stds(tail_abs: np.ndarray, orders, seed_key, resamples: int) -> d
     stats, scale = _bootstrap_pass(tail_abs, orders, seed_key, resamples)
     # np.std squares the statistics, so they stay in units of the scale.
     return {p: float(np.std(values)) * scale for p, values in stats.items()}
-
-
-def _bootstrap_stats(tail_abs: np.ndarray, p: float, seed_key, resamples: int):
-    """Tail statistic of each bootstrap resample at one order, and its scale."""
-    stats, scale = _bootstrap_pass(tail_abs, (p,), seed_key, resamples)
-    return stats[p], scale
-
-
-def _bootstrap_std(tail_abs: np.ndarray, p: float, seed_key, resamples: int) -> float:
-    """Std of the tail statistic at one order under trajectory-level bootstrap."""
-    return _bootstrap_stds(tail_abs, (p,), seed_key, resamples)[p]
 
 
 def check_resamples(resamples: int) -> None:

@@ -241,7 +241,7 @@ class TestVerify:
         assert row["satisfied"] is False
         assert row["ratio"] == pytest.approx(math.sqrt(3.25) / 2.0, abs=0.02)
 
-    def test_divergence_threshold_exits_four(self, capsys, unstable_plant, gauss_dist):
+    def test_growth_exits_four(self, capsys, unstable_plant, gauss_dist):
         code, out, _ = run_cli(
             capsys, "verify", "--plant", unstable_plant, "--dist", gauss_dist,
             "--controller", "zero", "--horizon", "100", "--traj", "200",
@@ -249,7 +249,26 @@ class TestVerify:
         assert code == EXIT_UNSTABLE
         payload = json.loads(out)
         assert payload["stable"] is False
+        assert payload["diverged"] == 0
         assert payload["results"] == []
+
+    def test_large_disturbance_on_stable_plant_exits_zero(
+        self, capsys, tmp_path, stable_plant, gauss_dist
+    ):
+        # The verdict and the ratio do not change with the disturbance's units.
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"type": "iid_gaussian", "sigma": 1e6}))
+        ratios = []
+        for dist in (gauss_dist, str(big)):
+            code, out, _ = run_cli(
+                capsys, "verify", "--plant", stable_plant, "--dist", dist,
+                "--horizon", "60", "--traj", "5000", "--seed", "1", "--p", "2",
+            )
+            assert code == EXIT_OK
+            payload = json.loads(out)
+            assert payload["stable"] is True
+            ratios.append(payload["results"][0]["ratio"])
+        assert ratios[1] == pytest.approx(ratios[0], rel=1e-9)
 
     def test_total_divergence_exits_four(self, capsys, tmp_path, gauss_dist):
         plant = tmp_path / "wild.json"
@@ -265,8 +284,8 @@ class TestVerify:
 
     @pytest.mark.filterwarnings("ignore::fundlim.AnalysisWarning")
     def test_unstable_reports_name_their_floors(self, capsys, tmp_path, unstable_plant, gauss_dist):
-        # A = 2 crosses the mean-square threshold; A = 4 leaves float range
-        # on every trajectory, which ends the run early.
+        # A = 2 grows over the tail window; A = 4 leaves float range on
+        # every trajectory, which ends the run early.
         wild = tmp_path / "wild.json"
         wild.write_text(json.dumps({"A": [[4.0]], "B": [1.0], "C": [1.0]}))
         ent = fl.entropy_summary(fl.load_disturbance(gauss_dist))
@@ -307,7 +326,7 @@ class TestVerify:
         assert payload["first_divergence_step"] == expected
         assert payload["floors"][0]["theorem"] == "T1"
 
-        # Past the mean-square threshold, but every trajectory stays finite.
+        # Grows over the tail window, but every trajectory stays finite.
         code, out, _ = run_cli(
             capsys, "verify", "--plant", unstable_plant, "--dist", gauss_dist,
             "--controller", "zero", "--horizon", "100", "--traj", "20",
@@ -367,6 +386,19 @@ class TestVerify:
         )
         assert code == EXIT_INPUT
         assert "JSON object" in err
+
+    @pytest.mark.parametrize("settings", [{"divergence_threshold": 1e12}, {"horizn": 30}])
+    def test_unknown_sim_config_key(self, capsys, tmp_path, stable_plant, gauss_dist, settings):
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps(settings))
+        code, out, err = run_cli(
+            capsys, "verify", "--plant", stable_plant, "--dist", gauss_dist,
+            "--sim-config", str(cfg),
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        (key,) = settings
+        assert err.startswith("fundlim: ") and key in err
 
     @pytest.mark.parametrize(
         "settings",

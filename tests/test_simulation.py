@@ -111,8 +111,6 @@ class TestSimulationConfig:
         with pytest.raises(fl.InvalidNormOrderError):
             fl.SimulationConfig(horizon=10, trajectories=1, p_list=())
         with pytest.raises(fl.InvalidModelError):
-            fl.SimulationConfig(horizon=10, trajectories=1, divergence_threshold=0.0)
-        with pytest.raises(fl.InvalidModelError):
             fl.SimulationConfig(horizon=10, trajectories=1, x0_std=-1.0)
         with pytest.raises(fl.InvalidModelError, match="seed"):
             fl.SimulationConfig(horizon=10, trajectories=1, seed=-1)
@@ -313,15 +311,62 @@ class TestScaling:
 
 
 class TestInstability:
-    def test_divergence_threshold_flags_unstable(self):
+    def test_growth_flags_unstable(self):
         cfg = fl.SimulationConfig(horizon=100, trajectories=200, seed=2)
         result = fl.run_closed_loop(
             scalar_plant(2.0), ZeroController(), fl.GaussianIID(1.0), cfg
         )
         assert not result.stable
-        assert result.diverged == 0  # grew past the threshold but stayed finite
-        assert result.mean_square_state[-1] > cfg.divergence_threshold
+        assert result.diverged == 0  # grew over the tail window but stayed finite
+        mean_sq = result.mean_square_state
+        baseline = mean_sq[cfg.burn_in : result.tail_start].mean()
+        assert mean_sq[result.tail_start :].mean() > 4.0 * baseline
+        assert np.isfinite(mean_sq).all()
         assert np.isfinite(result.error_norms[2.0]).all()
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6, 1e100])
+    @pytest.mark.parametrize(
+        "a, gain, stable",
+        [
+            (0.5, 0.0, True),
+            (2.0, 1.5, True),
+            (0.999, 0.0, True),
+            (2.0, 0.0, False),
+            (1.01, 0.0, False),
+        ],
+        ids=["A=0.5-zero", "A=2-gain1.5", "A=0.999-zero", "A=2-zero", "A=1.01-zero"],
+    )
+    def test_verdict_does_not_depend_on_units(self, a, gain, stable, scale):
+        # A = 0.999 is still settling (the tail's mean square is 1.7 times
+        # the baseline's) but stable; A = 1.01 grows slowly (4.4 times) but
+        # without end, so is unstable at every scale.
+        cfg = fl.SimulationConfig(horizon=200, trajectories=2000, seed=5)
+        result = fl.run_closed_loop(
+            scalar_plant(a), StaticGain(gain), fl.GaussianIID(1.0).scaled(scale), cfg
+        )
+        assert result.stable is stable
+
+    @pytest.mark.parametrize("burn_in, tail_window", [(0, 30), (10, 20)])
+    def test_empty_baseline_skips_the_growth_test(self, burn_in, tail_window):
+        # Nothing before the tail window to grow from: only float range counts.
+        cfg = fl.SimulationConfig(
+            horizon=30, trajectories=50, seed=2, burn_in=burn_in, tail_window=tail_window
+        )
+        result = fl.run_closed_loop(
+            scalar_plant(2.0), ZeroController(), fl.GaussianIID(1.0), cfg
+        )
+        assert result.diverged == 0
+        assert result.stable
+
+    def test_overflowing_mean_square_is_unstable(self):
+        # x stays finite but x**2 overflows: every trajectory is alive.
+        cfg = fl.SimulationConfig(horizon=40, trajectories=50, seed=2, burn_in=0, tail_window=40)
+        result = fl.run_closed_loop(
+            scalar_plant(0.5), ZeroController(), fl.GaussianIID(1e200), cfg
+        )
+        assert result.diverged == 0
+        assert not np.isfinite(result.mean_square_state).all()
+        assert not result.stable
 
     def test_float_overflow_raises(self):
         cfg = fl.SimulationConfig(horizon=700, trajectories=8, seed=2)
@@ -767,7 +812,15 @@ def replay_loop(plant, b, a, dist, cfg):
     arrays = [mean_sq, counts, tails[0], tails[1]]
     for p in cfg.p_list:
         arrays += [norms[p][0], norms[p][1]]
-    stable = diverged == 0 and not np.any(mean_sq > cfg.divergence_threshold)
+    # Growth: the tail window's average mean square against 4 times the
+    # average over [burn_in, tail_start), when that baseline is nonempty and
+    # positive.
+    baseline = mean_sq[cfg.burn_in : tail_start]
+    grew = False
+    if baseline.size and np.sum(baseline) > 0.0:
+        tail_level = np.sum(mean_sq[tail_start:]) / cfg.tail_window
+        grew = tail_level > 4.0 * np.sum(baseline) / baseline.size
+    stable = diverged == 0 and np.all(np.isfinite(mean_sq)) and not grew
     return (
         [arr.tobytes() for arr in arrays],
         {p: float(rows[0]) for p, rows in tail_max.items()},
@@ -999,9 +1052,9 @@ class TestSlicedBootstrap:
         for row in replayed_counts(key, RAGGED, 40):
             resample = np.repeat(tail, row, axis=1)
             expected.append(max(fl.empirical_lp(step, p) for step in resample))
-        stats, scale = simulation._bootstrap_stats(tail, p, key, 40)
+        stats, scale = simulation._bootstrap_pass(tail, (p,), key, 40)
         assert scale == tail.max()
-        np.testing.assert_allclose(stats * scale, expected, rtol=1e-12)
+        np.testing.assert_allclose(stats[p] * scale, expected, rtol=1e-12)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 7.0, 300.0, math.inf])
     @pytest.mark.parametrize("c", [2.0**-600, 2.0**600], ids=["2^-600", "2^600"])
@@ -1009,13 +1062,14 @@ class TestSlicedBootstrap:
         # A power-of-two scale is exact in every step, so equality is exact.
         tail = heavy_tail(RAGGED)
         key = (0, _BOOTSTRAP_TAG)
-        base = simulation._bootstrap_std(tail, p, key, 50)
+        base = simulation._bootstrap_stds(tail, (p,), key, 50)[p]
         assert base > 0.0
-        assert simulation._bootstrap_std(c * tail, p, key, 50) == c * base
+        assert simulation._bootstrap_stds(c * tail, (p,), key, 50)[p] == c * base
 
     @pytest.mark.parametrize("p", [2.0, math.inf])
     def test_zero_block_has_zero_margin(self, p):
-        assert simulation._bootstrap_std(np.zeros((3, RAGGED)), p, (0, _BOOTSTRAP_TAG), 20) == 0.0
+        zero = np.zeros((3, RAGGED))
+        assert simulation._bootstrap_stds(zero, (p,), (0, _BOOTSTRAP_TAG), 20)[p] == 0.0
 
     def test_repeat_calls_byte_identical(self):
         result = synthetic_result(RAGGED)
@@ -1032,7 +1086,7 @@ class TestSlicedBootstrap:
         for which, block in (("error", result.tail_abs_error), ("output", result.tail_abs_output)):
             for p in ORDERS:
                 memo = fl.verify_bound(result, unit_report(p), which=which).margin_stderr
-                alone = simulation._bootstrap_std(block, p, key, 200)
+                alone = simulation._bootstrap_stds(block, (p,), key, 200)[p]
                 assert np.float64(memo).tobytes() == np.float64(alone).tobytes()
 
     def test_one_draw_per_signal_and_resamples(self, monkeypatch):
