@@ -83,9 +83,8 @@ _TOP_PEAKS = 8
 _DISTURBANCE = 0
 _INITIAL_STATE = 1
 
-# A loop whose mean-square state over the tail window averages more than this
-# many times its baseline average is growing, so unstable. A ratio of the
-# run's own statistics, it does not depend on the disturbance's units.
+# A loop whose tail mean-square state averages more than this many times its
+# baseline's is growing, so unstable: a ratio free of the disturbance's units.
 _GROWTH = 4.0
 
 
@@ -96,7 +95,7 @@ class SimulationConfig:
     ``tail_window`` is the number of final steps whose per-step norms feed
     the tail statistic (default horizon // 5). ``burn_in`` (default
     horizon // 5) is the start-up transient kept out of the stability
-    baseline: the mean-square state on steps [burn_in, horizon -
+    baseline: the mean-square state on steps [max(burn_in, 1), horizon -
     tail_window) is the level the tail window must not outgrow. It must
     leave the tail window inside the horizon. ``p_list`` is normalized to a
     sorted tuple with math.inf last.
@@ -182,10 +181,11 @@ class SimulationResult:
     private memory. ``stable`` is False when any trajectory left float range
     (``diverged`` counts them), when the mean-square state did, or when the
     mean-square state over the tail window averages more than 4 times its
-    average over the baseline steps [burn_in, tail_start). ``alive_counts``
-    (int64, length horizon) is how many trajectories were still finite at
-    each step; it never increases, and its last entry is trajectories -
-    diverged.
+    average over the baseline steps [max(burn_in, 1), tail_start); with no
+    baseline steps, the later half of [max(burn_in, 1), horizon) is held
+    against the earlier half. ``alive_counts`` (int64, length horizon) is
+    how many trajectories were still finite at each step; it never
+    increases, and its last entry is trajectories - diverged.
     Every field is the same whatever the number of worker processes.
     ``verify_bound`` memoizes the bootstrap stds of every norm order here,
     per signal and number of resamples.
@@ -541,9 +541,14 @@ def run_closed_loop(
         if maxes is not None:
             norms[math.inf] = maxes
         tail_max = {p: rows[:, horizon - tail :].max(axis=1) for p, rows in norms.items()}
-        # No baseline steps, or an all-zero baseline, leaves nothing to grow from.
-        base = mean_sq[cfg.burn_in : horizon - tail]
-        grew = base.size > 0 and mean_sq[horizon - tail :].mean() > _GROWTH * base.mean() > 0.0
+        # Step 0 is x0, not the loop's response. With no baseline steps before
+        # the tail window, the later half of [start, horizon) faces the earlier.
+        start = max(cfg.burn_in, 1)
+        split = horizon - tail if horizon - tail > start else (start + horizon) // 2
+        base, late = mean_sq[start:split], mean_sq[split:]
+        # An empty or all-zero baseline has nothing to grow from. Entries over
+        # late's largest keep either average from overflowing.
+        grew = base.any() and np.mean(late / late.max()) > _GROWTH * np.mean(base / late.max())
         stable = diverged == 0 and bool(np.isfinite(mean_sq).all()) and not grew
 
     return SimulationResult(

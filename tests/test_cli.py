@@ -241,6 +241,33 @@ class TestVerify:
         assert row["satisfied"] is False
         assert row["ratio"] == pytest.approx(math.sqrt(3.25) / 2.0, abs=0.02)
 
+    @pytest.mark.parametrize("x0_std", ["1e-3", "0.1"])
+    def test_unsatisfied_transient_with_initial_state_exits_three(
+        self, capsys, unstable_plant, gauss_dist, x0_std
+    ):
+        # Step 0 holds x0, which is not the loop's response: its spread,
+        # large or small, leaves the two-step run stable.
+        code, out, _ = run_cli(
+            capsys, "verify", "--plant", unstable_plant, "--dist", gauss_dist,
+            "--controller", "gain:1.5", "--horizon", "2", "--tail-window", "1",
+            "--traj", "30000", "--seed", "3", "--p", "2", "--x0-std", x0_std,
+        )
+        assert code == EXIT_UNSATISFIED
+        assert json.loads(out)["stable"] is True
+
+    def test_growth_over_the_whole_run_exits_four(self, capsys, unstable_plant, gauss_dist):
+        # The tail window covers every step after burn_in: its later half is
+        # held against its earlier half.
+        code, out, _ = run_cli(
+            capsys, "verify", "--plant", unstable_plant, "--dist", gauss_dist,
+            "--controller", "zero", "--horizon", "100", "--tail-window", "80",
+            "--traj", "200",
+        )
+        assert code == EXIT_UNSTABLE
+        payload = json.loads(out)
+        assert payload["diverged"] == 0
+        assert payload["results"] == []
+
     def test_growth_exits_four(self, capsys, unstable_plant, gauss_dist):
         code, out, _ = run_cli(
             capsys, "verify", "--plant", unstable_plant, "--dist", gauss_dist,

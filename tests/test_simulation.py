@@ -347,16 +347,53 @@ class TestInstability:
         assert result.stable is stable
 
     @pytest.mark.parametrize("burn_in, tail_window", [(0, 30), (10, 20)])
-    def test_empty_baseline_skips_the_growth_test(self, burn_in, tail_window):
-        # Nothing before the tail window to grow from: only float range counts.
+    def test_no_baseline_compares_halves(self, burn_in, tail_window):
+        # Nothing before the tail window: the later half of [burn_in, horizon)
+        # is held against the earlier half, so a growing loop is still caught.
         cfg = fl.SimulationConfig(
             horizon=30, trajectories=50, seed=2, burn_in=burn_in, tail_window=tail_window
         )
-        result = fl.run_closed_loop(
+        grows = fl.run_closed_loop(
             scalar_plant(2.0), ZeroController(), fl.GaussianIID(1.0), cfg
         )
+        assert grows.diverged == 0
+        assert np.isfinite(grows.mean_square_state).all()
+        assert not grows.stable
+        settles = fl.run_closed_loop(
+            scalar_plant(0.5), ZeroController(), fl.GaussianIID(1.0), cfg
+        )
+        assert settles.stable
+
+    @pytest.mark.parametrize("x0_std", [0.0, 1e-3, 1e3])
+    def test_initial_state_is_not_the_baseline(self, x0_std):
+        # Step 0 holds x0, not the loop's response: however small or large
+        # x0_std is, a stable loop stays stable, even with a one-step baseline.
+        for horizon, tail in [(2, 1), (3, 1), (40, 20)]:
+            cfg = fl.SimulationConfig(
+                horizon=horizon, trajectories=2000, seed=4, burn_in=0,
+                tail_window=tail, x0_std=x0_std,
+            )
+            result = fl.run_closed_loop(
+                scalar_plant(2.0), StaticGain(1.5), fl.GaussianIID(1.0), cfg
+            )
+            assert result.stable, (horizon, tail)
+
+    def test_growth_near_float_range_is_unstable(self):
+        # A slow climb to ~1e307: every mean-square entry stays finite, but
+        # a plain sum over the baseline or the tail window would overflow.
+        cfg = fl.SimulationConfig(
+            horizon=2000, trajectories=1, seed=0, burn_in=100, tail_window=100
+        )
+        result = fl.run_closed_loop(
+            scalar_plant(1.003), ZeroController(), fl.GaussianIID(4.5e149), cfg
+        )
         assert result.diverged == 0
-        assert result.stable
+        mean_sq = result.mean_square_state
+        assert np.isfinite(mean_sq).all()
+        with np.errstate(over="ignore"):
+            assert np.sum(mean_sq[100 : result.tail_start]) == np.inf
+            assert np.sum(mean_sq[result.tail_start :]) == np.inf
+        assert not result.stable
 
     def test_overflowing_mean_square_is_unstable(self):
         # x stays finite but x**2 overflows: every trajectory is alive.
@@ -813,13 +850,22 @@ def replay_loop(plant, b, a, dist, cfg):
     for p in cfg.p_list:
         arrays += [norms[p][0], norms[p][1]]
     # Growth: the tail window's average mean square against 4 times the
-    # average over [burn_in, tail_start), when that baseline is nonempty and
-    # positive.
-    baseline = mean_sq[cfg.burn_in : tail_start]
+    # average over [max(burn_in, 1), tail_start); with no steps there, the
+    # later half of [max(burn_in, 1), horizon) against the earlier half. An
+    # empty or all-zero baseline never grows. Both averages are taken in
+    # log space so that they stay finite wherever the entries are.
+    first = max(cfg.burn_in, 1)
+    if tail_start > first:
+        baseline, later = mean_sq[first:tail_start], mean_sq[tail_start:]
+    else:
+        half = (first + horizon) // 2
+        baseline, later = mean_sq[first:half], mean_sq[half:]
     grew = False
-    if baseline.size and np.sum(baseline) > 0.0:
-        tail_level = np.sum(mean_sq[tail_start:]) / cfg.tail_window
-        grew = tail_level > 4.0 * np.sum(baseline) / baseline.size
+    if baseline.size and np.all(np.isfinite(mean_sq)) and np.any(baseline > 0.0):
+        with np.errstate(divide="ignore"):
+            log_level = np.logaddexp.reduce(np.log(later)) - math.log(later.size)
+            log_base = np.logaddexp.reduce(np.log(baseline)) - math.log(baseline.size)
+        grew = log_level > math.log(4.0) + log_base
     stable = diverged == 0 and np.all(np.isfinite(mean_sq)) and not grew
     return (
         [arr.tobytes() for arr in arrays],
