@@ -132,9 +132,11 @@ class LinearFilter(CausalController):
         """Command for each stream, as a fresh array the caller may keep."""
         self._y_hist[1:] = self._y_hist[:-1]
         self._y_hist[0] = y
-        v = np.matmul(self.b, self._y_hist, out=self._v)
+        # np.dot, not np.matmul: matmul's path for a length-1 b or a costs
+        # several times as much, for the same floats.
+        v = np.dot(self.b, self._y_hist, out=self._v)
         if self.a.size:
-            np.subtract(v, np.matmul(self.a, self._v_hist, out=self._av), out=v)
+            np.subtract(v, np.dot(self.a, self._v_hist, out=self._av), out=v)
             self._v_hist[1:] = self._v_hist[:-1]
             self._v_hist[0] = v
         return -v

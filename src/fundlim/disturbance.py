@@ -226,9 +226,14 @@ class DisturbanceModel(ABC):
         ``seed`` is an int or a ``numpy.random.Generator``; draw through
         ``np.random.default_rng(seed)``, which returns a Generator unchanged,
         so that successive calls continue its stream. The simulator hands
-        one Generator to every trajectory of a chunk, in trajectory order.
-        The draws are reproducible per numpy version only: numpy does not
-        freeze Generator distribution streams (NEP 19).
+        one Generator to every trajectory of a chunk, in trajectory order,
+        unless the model also has a ``sample_rows(rng, out)`` method: the
+        simulator then calls that once per 64 trajectories instead, and it
+        must fill the (rows, length) float64 array ``out`` with rows, each a
+        trajectory, drawn from ``rng``. The built-ins define the one-row
+        case of ``sample_rows`` as ``sample``. The draws are reproducible
+        per numpy version only: numpy does not freeze Generator
+        distribution streams (NEP 19).
         """
 
     @abstractmethod
@@ -273,8 +278,38 @@ def _sample_length(length: int) -> int:
     return length
 
 
+def _fill_symmetric_uniform(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with U(-1, 1) draws and return it.
+
+    The floats of ``rng.uniform(-1.0, 1.0, out.shape)``, which is -1.0 +
+    2.0 * ``rng.random()``, at about half its cost.
+    """
+    rng.random(out=out)
+    out *= 2.0
+    out -= 1.0
+    return out
+
+
+class _RowSampled(DisturbanceModel):
+    """An IID model whose draws are defined by a block sampler.
+
+    ``sample_rows(rng, out)`` fills each row of ``out`` with one trajectory,
+    so the simulator fills 64 trajectories in one call; ``sample`` is its
+    one-row case, so the two give the same floats for one trajectory.
+    """
+
+    def sample(self, seed: int | np.random.Generator, length: int) -> np.ndarray:
+        out = np.empty((1, _sample_length(length)))
+        self.sample_rows(np.random.default_rng(seed), out)
+        return out[0]
+
+    @abstractmethod
+    def sample_rows(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Fill the C-contiguous float64 block ``out``, one trajectory per row, from rng."""
+
+
 @dataclass(frozen=True)
-class GaussianIID(DisturbanceModel):
+class GaussianIID(_RowSampled):
     """IID N(0, sigma^2) disturbance."""
 
     sigma: float
@@ -282,9 +317,10 @@ class GaussianIID(DisturbanceModel):
     def __post_init__(self) -> None:
         _check_positive(self.sigma, "sigma")
 
-    def sample(self, seed: int | np.random.Generator, length: int) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        return self.sigma * rng.standard_normal(_sample_length(length))
+    def sample_rows(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        # A (rows, length) draw is the rows' successive length draws.
+        rng.standard_normal(out=out)
+        out *= self.sigma
 
     def conditional_entropy_rate(self) -> float:
         return GAUSSIAN_ENTROPY_BITS + math.log2(self.sigma)
@@ -306,7 +342,7 @@ class GaussianIID(DisturbanceModel):
 
 
 @dataclass(frozen=True)
-class UniformIID(DisturbanceModel):
+class UniformIID(_RowSampled):
     """IID uniform disturbance on [-half_width, half_width]."""
 
     half_width: float
@@ -314,9 +350,9 @@ class UniformIID(DisturbanceModel):
     def __post_init__(self) -> None:
         _check_positive(self.half_width, "half_width")
 
-    def sample(self, seed: int | np.random.Generator, length: int) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        return self.half_width * rng.uniform(-1.0, 1.0, _sample_length(length))
+    def sample_rows(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        _fill_symmetric_uniform(rng, out)
+        out *= self.half_width
 
     def conditional_entropy_rate(self) -> float:
         return math.log2(2.0 * self.half_width)
@@ -338,7 +374,7 @@ class UniformIID(DisturbanceModel):
 
 
 @dataclass(frozen=True)
-class GeneralizedGaussianIID(DisturbanceModel):
+class GeneralizedGaussianIID(_RowSampled):
     """IID max-entropy disturbance for a fixed L_p norm (generalized Gaussian).
 
     ``shape`` is the norm order p >= 1 (finite; the p = inf member is
@@ -346,7 +382,8 @@ class GeneralizedGaussianIID(DisturbanceModel):
     exact: with G ~ Gamma(1 + 1/p) and V ~ U(-1, 1) independent,
     d = p^(1/p) lp_norm G^(1/p) V is a uniform scale mixture whose density,
     after integrating over G, is exp(-|x|^p) / (2 Gamma(1 + 1/p)) at unit
-    scale, the max-entropy density. No separate sign draw is needed.
+    scale, the max-entropy density. No separate sign draw is needed. A
+    block of rows draws all its G first, then all its V.
     """
 
     shape: float
@@ -358,16 +395,15 @@ class GeneralizedGaussianIID(DisturbanceModel):
             raise InvalidModelError(f"shape must be finite and >= 1, got {p}")
         _check_positive(self.lp_norm, "lp_norm")
 
-    def sample(self, seed: int | np.random.Generator, length: int) -> np.ndarray:
-        length = _sample_length(length)
+    def sample_rows(self, rng: np.random.Generator, out: np.ndarray) -> None:
         p = self.shape
-        rng = np.random.default_rng(seed)
-        # In place: one call per trajectory, so each temporary costs time.
-        out = rng.standard_gamma(1.0 + 1.0 / p, length)
+        rng.standard_gamma(1.0 + 1.0 / p, out=out)
         out **= 1.0 / p
-        out *= rng.uniform(-1.0, 1.0, length)
-        out *= p ** (1.0 / p) * self.lp_norm
-        return out
+        out *= _fill_symmetric_uniform(rng, np.empty_like(out))
+        # One factor at a time: their product overflows for lp_norm near
+        # float max, while most draws times it do not.
+        out *= p ** (1.0 / p)
+        out *= self.lp_norm
 
     def conditional_entropy_rate(self) -> float:
         return max_entropy_value(self.shape, self.lp_norm)

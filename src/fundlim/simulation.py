@@ -6,13 +6,15 @@ The loop semantics per trajectory are
     x_{k+1} = A x_k + B e_k,   x_0 = 0 (optionally Gaussian).
 
 Trajectories run in fixed-size chunks, and each chunk draws from its own
-random streams, one per purpose, keyed by the seed and the chunk index:
-every trajectory of a chunk passes the chunk's disturbance generator, in
-trajectory order, to ``dist.sample``, and the chunk's initial states come
-from a second generator. Trajectory m's draws so depend only on the seed,
-its chunk and its position in the chunk, not on the number of
-trajectories. The draws are bit-reproducible per numpy version, as numpy
-does not freeze Generator distribution streams (NEP 19). Chunks are
+random streams, one per purpose, keyed by the seed and the chunk index.
+The chunk's disturbance generator, in trajectory order, fills 64
+trajectories per ``dist.sample_rows`` call when the model has that method
+(the built-in IID models do), or else goes to ``dist.sample`` once per
+trajectory; the chunk's initial states come from a second generator.
+Trajectory m's draws so depend only on the seed, its chunk and its
+position in the chunk, not on the number of trajectories. The draws are
+bit-reproducible per numpy version, as numpy does not freeze Generator
+distribution streams (NEP 19). Chunks are
 independent jobs: they run in forked worker processes, one per CPU of the
 affinity mask, and their partial statistics are added in block order, so
 the results do not depend on the number of workers.
@@ -251,40 +253,54 @@ def _zero_stats(cfg):
 def _disturbance_block(dist, rng, horizon: int, count: int) -> np.ndarray:
     """The chunk's (horizon, count) disturbance block: column j is trajectory j's draw.
 
-    Trajectories draw in order, one ``dist.sample(rng, horizon)`` call each,
-    into a (_STAGING, horizon) block that is transposed into place once
-    full, so step k reads the contiguous row k.
+    Trajectories draw in order into a (_STAGING, horizon) block that is
+    transposed into place once full, so step k reads the contiguous row k.
+    A model with ``sample_rows`` fills every staging block in one call, all
+    _STAGING rows even when fewer trajectories remain, so a shorter run
+    still draws a prefix of a longer one's rows. Any other model is called
+    as ``dist.sample(rng, horizon)`` once per trajectory.
     """
     d = np.empty((horizon, count))
-    staging = np.empty((min(_STAGING, count), horizon))
+    sample_rows = getattr(dist, "sample_rows", None)
+    staging = np.empty((_STAGING if sample_rows else min(_STAGING, count), horizon))
     for lo in range(0, count, _STAGING):
         rows = staging[: min(_STAGING, count - lo)]
-        for row in rows:
-            draw = np.asarray(dist.sample(rng, horizon), dtype=float)
-            if draw.shape != (horizon,):
-                raise InvalidModelError(
-                    f"disturbance sample has shape {draw.shape}, expected ({horizon},)"
-                )
-            row[...] = draw
+        if sample_rows:
+            sample_rows(rng, staging)
+        else:
+            for row in rows:
+                draw = np.asarray(dist.sample(rng, horizon), dtype=float)
+                if draw.shape != (horizon,):
+                    raise InvalidModelError(
+                        f"disturbance sample has shape {draw.shape}, expected ({horizon},)"
+                    )
+                row[...] = draw
         d[:, lo : lo + len(rows)] = rows.T
     return d
 
 
-def _add_power_sums(sums, mag, powered, k):
-    """Set column k of every finite p's sums to the row sums of ``mag**p``.
+def _power(base, p: float, out):
+    """``base**p`` for p >= 1, in ``out`` or, for p = 1, ``base`` itself.
 
-    Each power is the one ``mag**p`` takes, written into ``powered``:
-    ``mag**1.0`` is a copy, so p = 1 sums ``mag`` itself, and ``mag**2.0`` a
-    square. Any other p is a ``pow`` per entry, which rounds once, so p = 4
-    is not the square of a square.
+    A whole p is taken by left-to-right binary squaring, so p = 2 is one
+    square, p = 4 the square of that square and p = 3 a square times
+    ``base``. Each step rounds once and costs a fraction of a ``pow`` per
+    entry. Any other p is a ``pow`` per entry.
     """
+    if not p.is_integer():
+        return np.power(base, p, out=out)
+    result = base
+    for bit in bin(int(p))[3:]:
+        result = np.square(result, out=out)
+        if bit == "1":
+            result = np.multiply(result, base, out=out)
+    return result
+
+
+def _add_power_sums(sums, mag, powered, k):
+    """Set column k of every finite p's sums to the row sums of ``_power(mag, p)``."""
     for p, total in sums.items():
-        if p == 1.0:
-            total[:, k] = mag.sum(axis=1)
-        elif p == 2.0:
-            total[:, k] = np.square(mag, out=powered).sum(axis=1)
-        else:
-            total[:, k] = np.power(mag, p, out=powered).sum(axis=1)
+        total[:, k] = _power(mag, p, powered).sum(axis=1)
 
 
 def _simulate_chunk(model, controller, dist, cfg, tails, span):
@@ -485,17 +501,20 @@ def run_closed_loop(
     """Simulate the closed loop over Monte Carlo trajectories.
 
     Trajectories are mutually independent and are processed in fixed-size
-    chunks. Every trajectory of a chunk draws its disturbance through
-    ``dist.sample(gen, horizon)`` from the chunk's one generator, in
-    trajectory order, and its initial state from a second generator of the
-    chunk; a ragged last chunk draws a prefix of a full chunk's streams.
+    chunks. The trajectories of a chunk draw their disturbances from the
+    chunk's one generator, in trajectory order: 64 at a time through
+    ``dist.sample_rows(gen, out)`` on a (64, horizon) block when the model
+    has that method, as the built-in IID models do, else one
+    ``dist.sample(gen, horizon)`` call each. Their initial states come from a
+    second generator of the chunk; a ragged last chunk draws a prefix of a
+    full chunk's streams.
 
     Chunks run in worker processes, one per CPU in the affinity mask
     (``os.sched_getaffinity``; ``os.cpu_count()`` where that does not
     exist), capped at the number of chunks. Workers start only with the
     ``fork`` method; where it is missing, with one worker, or inside a
     daemonic process, the chunks run in this process instead. ``taskset -c
-    0`` so forces a serial run. Forked workers run ``dist.sample`` and the
+    0`` so forces a serial run. Forked workers run the disturbance's and the
     controller's methods in child processes, so a side effect of that code
     does not reach the caller; each chunk already works on clones of the
     controller. A worker holds one chunk's disturbance block, 8192 x
@@ -622,10 +641,10 @@ def _bootstrap_pass(tail_abs: np.ndarray, orders, seed_key, resamples: int):
             np.maximum(sup, _resample_peaks(counts, block.max(axis=0) / scale), out=sup)
         if sums:
             weights = counts.T.astype(float)
+            scaled = block / scale
+            powered = np.empty_like(scaled)
             for p, total in sums.items():
-                powered = block / scale
-                powered **= p
-                total += powered @ weights
+                total += _power(scaled, p, powered) @ weights
             # Freed before the next slice's counts are drawn. Freeing more
             # here (counts, powered) lowers the peak but makes the allocator
             # hand pages back and fault them in again, slice after slice.

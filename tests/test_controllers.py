@@ -82,7 +82,14 @@ class TestLinearFilter:
 
     @pytest.mark.parametrize("streams", [1, 8192])
     @pytest.mark.parametrize(
-        "b, a", [([0.9, -0.3, 0.05], [0.25, -0.1]), ([0.5, -0.2, 0.1], [])], ids=["arma", "fir"]
+        "b, a",
+        [
+            ([0.9, -0.3, 0.05], [0.25, -0.1]),
+            ([0.5, -0.2, 0.1], []),
+            ([0.1], [-0.2]),
+            ([0.7], []),
+        ],
+        ids=["arma", "fir", "arma_one_lag", "gain"],
     )
     def test_batch_outputs_are_fresh_and_replay_the_recursion(self, streams, b, a):
         # Each output must be a fresh array: stacking the kept outputs gives

@@ -202,6 +202,53 @@ class TestSamplers:
         with pytest.raises(fl.InvalidModelError):
             fl.GaussianIID(1.0).sample(0, 0)
 
+    @pytest.mark.parametrize(
+        "model, draw",
+        [
+            (fl.GaussianIID(1.3), lambda rng, n: 1.3 * rng.standard_normal(n)),
+            (fl.UniformIID(0.7), lambda rng, n: 0.7 * rng.uniform(-1.0, 1.0, n)),
+        ],
+        ids=["gaussian", "uniform"],
+    )
+    def test_block_is_successive_samples(self, model, draw):
+        # A 64-row block is, byte for byte, 64 successive samples from the
+        # same generator, and each sample is the draw written out.
+        block = np.empty((64, 257))
+        model.sample_rows(np.random.default_rng(42), block)
+        rng = np.random.default_rng(42)
+        rows = np.stack([model.sample(rng, 257) for _ in range(64)])
+        assert block.tobytes() == rows.tobytes()
+        rng = np.random.default_rng(42)
+        assert rows.tobytes() == np.stack([draw(rng, 257) for _ in range(64)]).tobytes()
+
+    @pytest.mark.parametrize(
+        "model",
+        [fl.GaussianIID(1.3), fl.UniformIID(0.7), fl.GeneralizedGaussianIID(4.0, 1.3)],
+        ids=["gaussian", "uniform", "gengauss"],
+    )
+    def test_one_row_block_is_sample(self, model):
+        out = np.empty((1, 257))
+        model.sample_rows(np.random.default_rng(42), out)
+        assert out[0].tobytes() == model.sample(42, 257).tobytes()
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 4.0, 7.0])
+    def test_gengauss_block_moments(self, p):
+        # |d|^p / (p lp_norm^p) is Gamma(1/p), so |d|^p has mean lp_norm^p and
+        # relative std sqrt(p): 0.03 is over 5 standard errors at p = 7.
+        lp_norm = 1.3
+        block = np.empty((64, 4000))
+        fl.GeneralizedGaussianIID(p, lp_norm).sample_rows(np.random.default_rng(9), block)
+        assert np.mean(np.abs(block) ** p) == pytest.approx(lp_norm**p, rel=0.03)
+        assert np.mean(block > 0.0) == pytest.approx(0.5, abs=0.005)
+        assert np.mean(block) == pytest.approx(0.0, abs=0.02 * np.std(block))
+
+    def test_gengauss_near_float_max_is_mostly_finite(self):
+        # The scale p^(1/p) lp_norm is inf here, yet |d| <= max float for
+        # about 77% of the exact draws.
+        with np.errstate(over="ignore"):
+            x = fl.GeneralizedGaussianIID(2.0, 1.5e308).sample(1, 10_000)
+        assert np.isfinite(x).mean() > 0.5
+
     def test_ar_lag_covariance_solved_once_per_model(self, monkeypatch):
         coeffs = (0.5, -0.25)
         expected = [fl.GaussianAR(coeffs, 1.3).sample(seed, 50) for seed in range(3)]

@@ -26,13 +26,37 @@ def scalar_plant(a):
 
 
 def disturbance_matrix(dist, seed, trajectories, horizon):
-    """Row m is trajectory m's draw: its chunk's generator, in trajectory order."""
+    """Row m is trajectory m's draw: its chunk's generator, in trajectory order.
+
+    A model with ``sample_rows`` draws a full block of ``simulation._STAGING``
+    rows whenever a chunk's next trajectory starts one, even at the chunk's
+    ragged end; any other model draws one ``sample`` per trajectory.
+    """
     rows = []
     for m in range(trajectories):
-        if m % simulation._CHUNK == 0:
+        place = m % simulation._CHUNK
+        if place == 0:
             rng = _chunk_stream(seed, _DISTURBANCE, m // simulation._CHUNK)
-        rows.append(dist.sample(rng, horizon))
+        if not hasattr(dist, "sample_rows"):
+            rows.append(dist.sample(rng, horizon))
+            continue
+        if place % simulation._STAGING == 0:
+            block = np.empty((simulation._STAGING, horizon))
+            dist.sample_rows(rng, block)
+        rows.append(block[place % simulation._STAGING])
     return np.stack(rows)
+
+
+def squared_power(mag, p):
+    """``mag**p``, but a whole p >= 3 by left-to-right binary squaring, written out."""
+    if p == 3.0:
+        return np.square(mag) * mag
+    if p == 4.0:
+        return np.square(np.square(mag))
+    if p == 7.0:
+        return np.square(np.square(mag) * mag) * mag
+    assert not (p.is_integer() and p > 2.0), f"no squaring oracle for p = {p}"
+    return mag**p
 
 
 def initial_states(x0_std, seed, trajectories, n):
@@ -283,6 +307,47 @@ class TestDrawContract:
         assert few.tail_abs_output.tobytes() == many.tail_abs_output[:, :short].tobytes()
         # The output's first row is |C x_0|: zero unless initial states are drawn.
         assert (few.tail_abs_output[0] > 0.0).all() == (x0_std > 0.0)
+
+
+    @pytest.mark.parametrize(
+        "dist, draw",
+        [
+            (fl.GaussianIID(1.3), lambda rng, n: 1.3 * rng.standard_normal(n)),
+            (fl.UniformIID(0.7), lambda rng, n: 0.7 * rng.uniform(-1.0, 1.0, n)),
+        ],
+        ids=["gaussian", "uniform"],
+    )
+    def test_block_draws_keep_the_per_trajectory_floats(self, monkeypatch, dist, draw):
+        # Chunks of 100 hold a full block of 64 and a ragged one of 36, and
+        # the last chunk of 50 only a ragged one. Each trajectory's draw is
+        # the one that successive per-trajectory draws from its chunk's
+        # generator give, byte for byte.
+        monkeypatch.setattr("fundlim.simulation._CHUNK", 100)
+        cfg = fl.SimulationConfig(horizon=9, trajectories=150, seed=6, burn_in=0, tail_window=9)
+        result = fl.run_closed_loop(scalar_plant(0.5), ZeroController(), dist, cfg)
+        rows = []
+        for chunk, count in enumerate((100, 50)):
+            rng = _chunk_stream(cfg.seed, _DISTURBANCE, chunk)
+            rows += [draw(rng, cfg.horizon) for _ in range(count)]
+        assert result.tail_abs_error.tobytes() == np.abs(np.stack(rows)).T.tobytes()
+
+    def test_model_with_only_sample_is_called_once_per_trajectory(self, monkeypatch):
+        # 150 trajectories in chunks of 64 end in a ragged chunk of 22: a
+        # model without sample_rows is asked for those 22 rows, not 64.
+        monkeypatch.setattr("fundlim.simulation._CHUNK", 64)
+        use_cpus(monkeypatch, 1)
+        calls = []
+
+        class OnlySample:
+            def sample(self, rng, length):
+                calls.append(length)
+                return fl.GaussianIID(1.0).sample(rng, length)
+
+        cfg = fl.SimulationConfig(horizon=7, trajectories=150, seed=2, burn_in=0, tail_window=7)
+        result = fl.run_closed_loop(scalar_plant(0.5), ZeroController(), OnlySample(), cfg)
+        assert calls == [cfg.horizon] * cfg.trajectories
+        d = disturbance_matrix(OnlySample(), cfg.seed, cfg.trajectories, cfg.horizon)
+        assert result.tail_abs_error.tobytes() == np.abs(d).T.tobytes()
 
 
 class TestScaling:
@@ -789,7 +854,8 @@ def stable_pin_loop():
 
 
 def replay_loop(plant, b, a, dist, cfg):
-    """The loop as plain expressions: masks by ``np.where``, powers by ``**``.
+    """The loop as plain expressions: masks by ``np.where``, powers by ``**``
+    (a whole p >= 3 by squaring, as ``squared_power`` writes it out).
 
     Each chunk of ``simulation._CHUNK`` trajectories runs the ARMA law
     ``v_k = b @ y_hist - a @ v_hist``, ``z_k = -v_k`` on its own histories,
@@ -830,7 +896,7 @@ def replay_loop(plant, b, a, dist, cfg):
                 mag = np.where(alive, np.abs(np.stack((e, y))), 0.0)
                 part_counts[k] = alive.sum()
                 for p in part:
-                    part[p][:, k] = (mag**p).sum(axis=1)
+                    part[p][:, k] = squared_power(mag, p).sum(axis=1)
                 part_max[:, k] = mag.max(axis=1)
                 part_sq[k] = np.where(alive, np.einsum("ij,ij->j", x, x), 0.0).sum()
                 if k >= tail_start:
@@ -898,14 +964,18 @@ class TestBitIdentity:
                 assert np.float64(got_tail[p]).tobytes() == np.float64(want_tail[p]).tobytes()
         assert got[3:] == want[3:]
 
-    @pytest.mark.parametrize("p", [1.0, 2.0, 3.5, 4.0, 7.0])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 3.5, 4.0, 7.0])
     def test_power_sums_are_those_of_the_power_operator(self, p):
+        # p = 1, 2 and 3.5 are those of ``**`` itself, bit for bit; a whole
+        # p >= 3 is, bit for bit, the oracle's chain of squares and products,
+        # each rounding once, and within rtol 1e-15 of the ``pow`` of ``**``.
         rng = np.random.default_rng(int(p * 10))
         mag = np.abs(rng.standard_normal((2, 1000))) * 10.0 ** rng.integers(-40, 40, (2, 1000))
         mag[:, ::7] = 0.0
         sums = {p: np.zeros((2, 3))}
         simulation._add_power_sums(sums, mag, np.empty_like(mag), 1)
-        assert sums[p][:, 1].tobytes() == (mag**p).sum(axis=1).tobytes()
+        assert sums[p][:, 1].tobytes() == squared_power(mag, p).sum(axis=1).tobytes()
+        np.testing.assert_allclose(sums[p][:, 1], (mag**p).sum(axis=1), rtol=1e-15, atol=0.0)
 
 
 @pytest.fixture(scope="module")
