@@ -285,12 +285,15 @@ def _power(base, p: float, out):
     A whole p is taken by left-to-right binary squaring, so p = 2 is one
     square, p = 4 the square of that square and p = 3 a square times
     ``base``. Each step rounds once and costs a fraction of a ``pow`` per
-    entry. Any other p is a ``pow`` per entry.
+    entry. Any other p is a ``pow`` per entry. ``out`` may be ``base``.
     """
     if not p.is_integer():
         return np.power(base, p, out=out)
+    bits = bin(int(p))[3:]
+    if out is base and "1" in bits:
+        base = base.copy()  # multiplied in after out has overwritten it
     result = base
-    for bit in bin(int(p))[3:]:
+    for bit in bits:
         result = np.square(result, out=out)
         if bit == "1":
             result = np.multiply(result, base, out=out)
@@ -641,10 +644,9 @@ def _bootstrap_pass(tail_abs: np.ndarray, orders, seed_key, resamples: int):
             np.maximum(sup, _resample_peaks(counts, block.max(axis=0) / scale), out=sup)
         if sums:
             weights = counts.T.astype(float)
-            scaled = block / scale
-            powered = np.empty_like(scaled)
             for p, total in sums.items():
-                total += _power(scaled, p, powered) @ weights
+                powered = block / scale
+                total += _power(powered, p, powered) @ weights
             # Freed before the next slice's counts are drawn. Freeing more
             # here (counts, powered) lowers the peak but makes the allocator
             # hand pages back and fault them in again, slice after slice.

@@ -976,6 +976,9 @@ class TestBitIdentity:
         simulation._add_power_sums(sums, mag, np.empty_like(mag), 1)
         assert sums[p][:, 1].tobytes() == squared_power(mag, p).sum(axis=1).tobytes()
         np.testing.assert_allclose(sums[p][:, 1], (mag**p).sum(axis=1), rtol=1e-15, atol=0.0)
+        # In place, as the bootstrap takes them, the powers are the same.
+        own = mag.copy()
+        assert simulation._power(own, p, own).sum(axis=1).tobytes() == sums[p][:, 1].tobytes()
 
 
 @pytest.fixture(scope="module")
