@@ -230,10 +230,10 @@ class DisturbanceModel(ABC):
         unless the model also has a ``sample_rows(rng, out)`` method: the
         simulator then calls that once per 64 trajectories instead, and it
         must fill the (rows, length) float64 array ``out`` with rows, each a
-        trajectory, drawn from ``rng``. The built-ins define the one-row
-        case of ``sample_rows`` as ``sample``. The draws are reproducible
-        per numpy version only: numpy does not freeze Generator
-        distribution streams (NEP 19).
+        trajectory, drawn from ``rng``. The IID built-ins have both, and
+        their ``sample`` is the one-row case of ``sample_rows``. The draws
+        are reproducible per numpy version only: numpy does not freeze
+        Generator distribution streams (NEP 19).
         """
 
     @abstractmethod

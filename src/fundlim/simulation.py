@@ -521,8 +521,9 @@ def run_closed_loop(
     controller's methods in child processes, so a side effect of that code
     does not reach the caller; each chunk already works on clones of the
     controller. A worker holds one chunk's disturbance block, 8192 x
-    horizon x 8 bytes (26 MB at horizon 400), stored step-major, and the
-    chunk's step-loop work buffers, allocated once per chunk; the caller
+    horizon x 8 bytes (26 MB at horizon 400), stored step-major, a 64 x
+    horizon staging block, and the chunk's step-loop work buffers,
+    allocated once per chunk; the caller
     holds none. A batch controller's ``step_batch`` receives a fresh ``y``
     each step, which it may keep.
 

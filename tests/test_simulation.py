@@ -308,7 +308,6 @@ class TestDrawContract:
         # The output's first row is |C x_0|: zero unless initial states are drawn.
         assert (few.tail_abs_output[0] > 0.0).all() == (x0_std > 0.0)
 
-
     @pytest.mark.parametrize(
         "dist, draw",
         [
