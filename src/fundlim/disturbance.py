@@ -228,12 +228,13 @@ class DisturbanceModel(ABC):
         so that successive calls continue its stream. The simulator hands
         one Generator to every trajectory of a chunk, in trajectory order,
         unless the model also has a ``sample_rows(rng, out)`` method: the
-        simulator then calls that once per 64 trajectories instead, and it
-        must fill the (rows, length) float64 array ``out`` with rows, each a
-        trajectory, drawn from ``rng``. The IID built-ins have both, and
-        their ``sample`` is the one-row case of ``sample_rows``. The draws
-        are reproducible per numpy version only: numpy does not freeze
-        Generator distribution streams (NEP 19).
+        simulator then calls that instead, once per block of trajectories,
+        and it must fill the (rows, length) float64 array ``out`` with rows,
+        each a trajectory, drawn from ``rng``. ``UniformIID`` and
+        ``GeneralizedGaussianIID`` have both, and their ``sample`` is the
+        one-row case of ``sample_rows``. The draws are reproducible per
+        numpy version only: numpy does not freeze Generator distribution
+        streams (NEP 19).
         """
 
     @abstractmethod
@@ -294,8 +295,8 @@ class _RowSampled(DisturbanceModel):
     """An IID model whose draws are defined by a block sampler.
 
     ``sample_rows(rng, out)`` fills each row of ``out`` with one trajectory,
-    so the simulator fills 64 trajectories in one call; ``sample`` is its
-    one-row case, so the two give the same floats for one trajectory.
+    so the simulator fills a block of trajectories in one call; ``sample``
+    is its one-row case, so the two give the same floats for one trajectory.
     """
 
     def sample(self, seed: int | np.random.Generator, length: int) -> np.ndarray:
@@ -309,7 +310,7 @@ class _RowSampled(DisturbanceModel):
 
 
 @dataclass(frozen=True)
-class GaussianIID(_RowSampled):
+class GaussianIID(DisturbanceModel):
     """IID N(0, sigma^2) disturbance."""
 
     sigma: float
@@ -317,10 +318,9 @@ class GaussianIID(_RowSampled):
     def __post_init__(self) -> None:
         _check_positive(self.sigma, "sigma")
 
-    def sample_rows(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        # A (rows, length) draw is the rows' successive length draws.
-        rng.standard_normal(out=out)
-        out *= self.sigma
+    def sample(self, seed: int | np.random.Generator, length: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        return self.sigma * rng.standard_normal(_sample_length(length))
 
     def conditional_entropy_rate(self) -> float:
         return GAUSSIAN_ENTROPY_BITS + math.log2(self.sigma)

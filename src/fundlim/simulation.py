@@ -9,13 +9,13 @@ Trajectories run in fixed-size chunks, and each chunk draws from its own
 random streams, one per purpose, keyed by the seed and the chunk index.
 The chunk's disturbance generator, in trajectory order, fills 64
 trajectories per ``dist.sample_rows`` call when the model has that method
-(the built-in IID models do), or else goes to ``dist.sample`` once per
-trajectory; the chunk's initial states come from a second generator.
-Trajectory m's draws so depend only on the seed, its chunk and its
-position in the chunk, not on the number of trajectories. The draws are
-bit-reproducible per numpy version, as numpy does not freeze Generator
-distribution streams (NEP 19). Chunks are
-independent jobs: they run in forked worker processes, one per CPU of the
+(the uniform and generalized Gaussian models do), or else goes to
+``dist.sample`` once per trajectory; the chunk's initial states come from
+a second generator. Trajectory m's draws so depend only on the seed, its
+chunk and its position in the chunk, not on the number of trajectories.
+The draws are bit-reproducible per numpy version, as numpy does not
+freeze Generator distribution streams (NEP 19). Chunks are independent
+jobs: they run in forked worker processes, one per CPU of the
 affinity mask, and their partial statistics are added in block order, so
 the results do not depend on the number of workers.
 
@@ -282,22 +282,17 @@ def _disturbance_block(dist, rng, horizon: int, count: int) -> np.ndarray:
 def _power(base, p: float, out):
     """``base**p`` for p >= 1, in ``out`` or, for p = 1, ``base`` itself.
 
-    A whole p is taken by left-to-right binary squaring, so p = 2 is one
-    square, p = 4 the square of that square and p = 3 a square times
-    ``base``. Each step rounds once and costs a fraction of a ``pow`` per
-    entry. Any other p is a ``pow`` per entry. ``out`` may be ``base``.
+    p = 2 is a square, as ``base**2.0`` takes it, and p = 4 the square of
+    that square, each a fraction of a ``pow`` per entry; p = 4 so rounds
+    twice, within rtol 1e-15 of ``pow``. Any other p is a ``pow`` per
+    entry. ``out`` may be ``base``.
     """
-    if not p.is_integer():
-        return np.power(base, p, out=out)
-    bits = bin(int(p))[3:]
-    if out is base and "1" in bits:
-        base = base.copy()  # multiplied in after out has overwritten it
-    result = base
-    for bit in bits:
-        result = np.square(result, out=out)
-        if bit == "1":
-            result = np.multiply(result, base, out=out)
-    return result
+    if p == 1.0:
+        return base
+    if p == 2.0 or p == 4.0:
+        np.square(base, out=out)
+        return np.square(out, out=out) if p == 4.0 else out
+    return np.power(base, p, out=out)
 
 
 def _add_power_sums(sums, mag, powered, k):
@@ -507,10 +502,10 @@ def run_closed_loop(
     chunks. The trajectories of a chunk draw their disturbances from the
     chunk's one generator, in trajectory order: 64 at a time through
     ``dist.sample_rows(gen, out)`` on a (64, horizon) block when the model
-    has that method, as the built-in IID models do, else one
-    ``dist.sample(gen, horizon)`` call each. Their initial states come from a
-    second generator of the chunk; a ragged last chunk draws a prefix of a
-    full chunk's streams.
+    has that method, as the uniform and generalized Gaussian models do,
+    else one ``dist.sample(gen, horizon)`` call each. Their initial states
+    come from a second generator of the chunk; a ragged last chunk draws a
+    prefix of a full chunk's streams.
 
     Chunks run in worker processes, one per CPU in the affinity mask
     (``os.sched_getaffinity``; ``os.cpu_count()`` where that does not

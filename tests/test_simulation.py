@@ -48,15 +48,8 @@ def disturbance_matrix(dist, seed, trajectories, horizon):
 
 
 def squared_power(mag, p):
-    """``mag**p``, but a whole p >= 3 by left-to-right binary squaring, written out."""
-    if p == 3.0:
-        return np.square(mag) * mag
-    if p == 4.0:
-        return np.square(np.square(mag))
-    if p == 7.0:
-        return np.square(np.square(mag) * mag) * mag
-    assert not (p.is_integer() and p > 2.0), f"no squaring oracle for p = {p}"
-    return mag**p
+    """``mag**p``, but p = 4 as the square of the square."""
+    return np.square(np.square(mag)) if p == 4.0 else mag**p
 
 
 def initial_states(x0_std, seed, trajectories, n):
@@ -854,7 +847,7 @@ def stable_pin_loop():
 
 def replay_loop(plant, b, a, dist, cfg):
     """The loop as plain expressions: masks by ``np.where``, powers by ``**``
-    (a whole p >= 3 by squaring, as ``squared_power`` writes it out).
+    (p = 4 by squaring, as ``squared_power`` writes it out).
 
     Each chunk of ``simulation._CHUNK`` trajectories runs the ARMA law
     ``v_k = b @ y_hist - a @ v_hist``, ``z_k = -v_k`` on its own histories,
@@ -963,21 +956,33 @@ class TestBitIdentity:
                 assert np.float64(got_tail[p]).tobytes() == np.float64(want_tail[p]).tobytes()
         assert got[3:] == want[3:]
 
-    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 3.5, 4.0, 7.0])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 3.5, 4.0, 7.0, 2.0**52])
     def test_power_sums_are_those_of_the_power_operator(self, p):
-        # p = 1, 2 and 3.5 are those of ``**`` itself, bit for bit; a whole
-        # p >= 3 is, bit for bit, the oracle's chain of squares and products,
-        # each rounding once, and within rtol 1e-15 of the ``pow`` of ``**``.
+        # Every p but 4 is that of ``**`` itself, bit for bit; p = 4 is, bit
+        # for bit, the square of the square, and within rtol 1e-15 of the
+        # ``pow`` of ``**``.
         rng = np.random.default_rng(int(p * 10))
         mag = np.abs(rng.standard_normal((2, 1000))) * 10.0 ** rng.integers(-40, 40, (2, 1000))
         mag[:, ::7] = 0.0
         sums = {p: np.zeros((2, 3))}
-        simulation._add_power_sums(sums, mag, np.empty_like(mag), 1)
-        assert sums[p][:, 1].tobytes() == squared_power(mag, p).sum(axis=1).tobytes()
-        np.testing.assert_allclose(sums[p][:, 1], (mag**p).sum(axis=1), rtol=1e-15, atol=0.0)
-        # In place, as the bootstrap takes them, the powers are the same.
-        own = mag.copy()
-        assert simulation._power(own, p, own).sum(axis=1).tobytes() == sums[p][:, 1].tobytes()
+        with np.errstate(over="ignore", under="ignore"):
+            simulation._add_power_sums(sums, mag, np.empty_like(mag), 1)
+            want = squared_power(mag, p).sum(axis=1)
+            assert sums[p][:, 1].tobytes() == want.tobytes()
+            np.testing.assert_allclose(sums[p][:, 1], (mag**p).sum(axis=1), rtol=1e-15, atol=0.0)
+            # In place, as the bootstrap takes them, the powers are the same.
+            own = mag.copy()
+            assert simulation._power(own, p, own).sum(axis=1).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("p", [2.0**52, 1e300])
+    def test_large_whole_orders_take_pow(self, p):
+        # Squaring's relative error roughly doubles with each square: 52
+        # squarings take (1 + 2**-52)**(2**52) 7e-9 away from pow's e.
+        mag = np.array([[1.0 + 2.0**-52, 1.0 - 2.0**-53, 1.0, 0.0]])
+        with np.errstate(over="ignore", under="ignore"):
+            want = mag**p
+            got = simulation._power(mag, p, np.empty_like(mag))
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.fixture(scope="module")
