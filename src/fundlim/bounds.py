@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from scipy import special
-
 from .disturbance import (
     EntropySummary,
     SpectralDensity,
@@ -55,7 +53,7 @@ def cp_constant(p: float) -> float:
     p = check_order(p)
     if math.isinf(p):
         return 0.5
-    return 1.0 / (2.0 * special.gamma((p + 1.0) / p) * (p * math.e) ** (1.0 / p))
+    return 1.0 / (2.0 * math.gamma((p + 1.0) / p) * (p * math.e) ** (1.0 / p))
 
 
 @dataclass(frozen=True)

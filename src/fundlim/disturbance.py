@@ -17,7 +17,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy import linalg, special
 
 from .errors import (
     InvalidModelError,
@@ -68,7 +67,7 @@ def max_entropy_value(p: float, lp_norm: float) -> float:
     if math.isinf(p):
         return math.log2(2.0 * lp_norm)
     return (
-        math.log2(2.0 * special.gamma((p + 1.0) / p) * lp_norm)
+        math.log2(2.0 * math.gamma((p + 1.0) / p) * lp_norm)
         + math.log2(p * math.e) / p
     )
 
@@ -97,7 +96,7 @@ def max_entropy_pdf(p: float, lp_norm: float, x):
     if math.isinf(p):
         out = np.where(np.abs(arr) <= lp_norm, 0.5 / lp_norm, 0.0)
     else:
-        height = 2.0 * special.gamma((p + 1.0) / p) * p ** (1.0 / p) * lp_norm
+        height = 2.0 * math.gamma((p + 1.0) / p) * p ** (1.0 / p) * lp_norm
         out = np.exp(-((np.abs(arr) / lp_norm) ** p) / p) / height
     return float(out) if np.isscalar(x) else out
 
@@ -107,7 +106,7 @@ def _subbotin_variance(p: float, lp_norm: float) -> float:
     return (
         p ** (2.0 / p)
         * finite_power(lp_norm, 2, "disturbance variance")
-        * math.exp(special.gammaln(3.0 / p) - special.gammaln(1.0 / p))
+        * math.exp(math.lgamma(3.0 / p) - math.lgamma(1.0 / p))
     )
 
 
@@ -464,6 +463,9 @@ class GaussianAR(DisturbanceModel):
     def _unit_lag_covariance(self) -> np.ndarray:
         # Stationary covariance of (d_k, ..., d_{k-m+1}) for unit innovation
         # variance, via the companion-form discrete Lyapunov equation.
+        # Imported here, as in sample: no other model needs scipy.
+        from scipy import linalg
+
         m = self.order
         companion = np.zeros((m, m))
         companion[0, :] = self.coeffs

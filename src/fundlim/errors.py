@@ -58,7 +58,8 @@ class ZeroTransferFunctionError(FundlimError, ValueError):
 
 
 class DegenerateRealizationError(FundlimError, ValueError):
-    """The zero pencil is singular beyond tolerance, so finite zeros are ill-posed."""
+    """Finite zeros are ill-posed: a zero lies at infinity to working precision,
+    or the transfer function is identically zero."""
 
 
 class NonIntegrableSpectrumError(FundlimError, ValueError):

@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateRealizationError,
@@ -36,7 +35,7 @@ __all__ = [
 # A Markov parameter C A^i B counts as zero below this tolerance, relative
 # to the scale ||C|| ||A||^i ||B|| (spectral norms).
 TOL_MARKOV = 1e-9
-# Pencil eigenvalues with |beta| < TOL_INF * |alpha| are zeros at infinity.
+# A zero with |z| > 1 / TOL_INF is indistinguishable from a zero at infinity.
 TOL_INF = 1e-8
 # Pole-zero pairs closer than this (relative to magnitude) trigger a warning.
 TOL_CANCEL = 1e-6
@@ -196,18 +195,15 @@ def compute_finite_zeros(
 ) -> np.ndarray:
     """Finite invariant zeros of the SISO triple (A, B, C).
 
-    Zeros are the finite generalized eigenvalues of the pencil
-    ``([A, B; C, 0], diag(I_n, 0))``. For a single-input single-output triple
-    the pencil has exactly ``n - 1 - relative_degree`` finite eigenvalues
-    (the numerator ``C adj(zI - A) B`` has that degree, with the leading
-    Markov parameter as leading coefficient), so that many pairs are kept,
-    ranked by |beta| / (|alpha| + |beta|). Counting beats thresholding here:
-    a multiple eigenvalue at infinity splits under rounding like
-    eps^(1/multiplicity), which can clear any fixed cutoff and would
-    otherwise leak huge spurious finite zeros. A pair selected as finite but
-    with |beta| < tol_inf * |alpha| is indistinguishable from infinity at
-    working precision and raises DegenerateRealizationError, as does an
-    identically zero transfer function (singular pencil).
+    Zeros are the eigenvalues of the zero dynamics: the closed loop
+    ``A - B C A^{d+1} / g`` that holds the output at zero, restricted to the
+    subspace ``ker [C; CA; ...; CA^d]`` it leaves invariant, where d is the
+    relative degree and ``g = C A^d B`` the leading Markov parameter. That
+    subspace has dimension ``n - 1 - d``, the degree of the numerator
+    ``C adj(zI - A) B``, so the count is exact by construction. A zero with
+    ``|z| > 1 / tol_inf`` is indistinguishable from infinity at working
+    precision and raises DegenerateRealizationError, as does an identically
+    zero transfer function.
 
     Returns
     -------
@@ -215,41 +211,31 @@ def compute_finite_zeros(
         Complex zeros sorted by (real, imag); possibly empty.
     """
     try:
-        degree, _ = relative_degree_and_gain(model)
+        degree, gain = relative_degree_and_gain(model)
     except ZeroTransferFunctionError:
         raise DegenerateRealizationError(
-            "zero pencil is singular: the transfer function is identically zero"
+            "the transfer function is identically zero, so it has no zeros"
         ) from None
-    return _zeros_for_degree(model, degree, tol_inf)
+    return _zeros_for_degree(model, degree, gain, tol_inf)
 
 
-def _zeros_for_degree(model: StateSpaceModel, degree: int, tol_inf: float) -> np.ndarray:
-    # Body of compute_finite_zeros once the relative degree is known.
-    n = model.n
-    n_finite = n - 1 - degree
-    if n_finite <= 0:
+def _zeros_for_degree(
+    model: StateSpaceModel, degree: int, gain: float, tol_inf: float
+) -> np.ndarray:
+    # Body of compute_finite_zeros once the relative degree and gain are known.
+    if degree >= model.n - 1:
         return np.zeros(0, dtype=complex)
-    pencil = np.zeros((n + 1, n + 1))
-    pencil[:n, :n] = model.A
-    pencil[:n, n:] = model.B
-    pencil[n:, :n] = model.C
-    marker = np.zeros((n + 1, n + 1))
-    marker[:n, :n] = np.eye(n)
-    alpha, beta = scipy.linalg.eig(pencil, marker, right=False, homogeneous_eigvals=True)
-    scale = max(1.0, float(np.linalg.norm(pencil, 2)))
-    indeterminate = (np.abs(alpha) < 1e-12 * scale) & (np.abs(beta) < 1e-12)
-    if np.any(indeterminate):
+    rows = [model.C]
+    for _ in range(degree):
+        rows.append(rows[-1] @ model.A)
+    observability = np.vstack(rows)
+    basis = np.linalg.svd(observability)[2][degree + 1 :].T
+    closed = model.A - model.B @ (rows[-1] @ model.A) / gain
+    zeros = np.linalg.eigvals(basis.T @ closed @ basis).astype(complex)
+    if np.any(np.abs(zeros) > 1.0 / tol_inf):
         raise DegenerateRealizationError(
-            "zero pencil is singular beyond tolerance; finite zeros are ill-posed"
+            "the zero dynamics put a zero at infinity to working precision"
         )
-    finiteness = np.abs(beta) / (np.abs(alpha) + np.abs(beta))
-    keep = np.argsort(finiteness)[-n_finite:]
-    if np.any(np.abs(beta[keep]) < tol_inf * np.abs(alpha[keep])):
-        raise DegenerateRealizationError(
-            f"{n_finite} finite zeros expected from the relative degree, but the "
-            "pencil puts some of them at infinity to working precision"
-        )
-    zeros = alpha[keep] / beta[keep]
     order = np.lexsort((zeros.imag, zeros.real))
     return zeros[order]
 
@@ -270,7 +256,7 @@ def analyze_plant(model: StateSpaceModel) -> PlantCharacteristics:
     """
     poles, pole_product = analyze_poles(model)
     degree, gain = relative_degree_and_gain(model)
-    zeros = _zeros_for_degree(model, degree, TOL_INF)
+    zeros = _zeros_for_degree(model, degree, gain, TOL_INF)
     if degree == 0:
         warnings.warn(
             "relative degree is 0: C B is nonzero, so the current disturbance "

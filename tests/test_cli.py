@@ -712,3 +712,39 @@ class TestTopLevel:
             env={**os.environ, "PYTHONPATH": path},
         )
         assert done.stdout.strip() == "False"
+
+    def test_start_up_floors_and_verify_leave_scipy_unloaded(self, tmp_path):
+        plant = tmp_path / "nmp3.json"
+        plant.write_text(json.dumps({
+            "A": [[0.4, 0.11, -0.03], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+            "B": [1.0, 0.0, 0.0],
+            "C": [0.0, 1.0, -2.0],
+        }))
+        dist = tmp_path / "gengauss.json"
+        dist.write_text(json.dumps({"type": "iid_gengauss", "shape": 4.0, "lp_norm": 1.0}))
+        probe = "\n".join([
+            "import contextlib, io, sys",
+            "import fundlim.cli",
+            "import fundlim as fl",
+            "chars = fl.analyze_plant(fl.StateSpaceModel("
+            "[[0.4, 0.11, -0.03], [1, 0, 0], [0, 1, 0]], [1, 0, 0], [0, 1, -2]))",
+            "assert abs(chars.nmp_zero_product - 2.0) < 1e-12",
+            "for model in (fl.GaussianIID(1.0), fl.UniformIID(1.0),"
+            " fl.GeneralizedGaussianIID(4.0, 1.0)):",
+            "    fl.entropy_summary(model)",
+            "    for p in (1.0, 2.0, 4.0, float('inf')):",
+            "        fl.cp_constant(p)",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            f"    code = fundlim.cli.main(['verify', '--plant', {str(plant)!r},"
+            f" '--dist', {str(dist)!r}, '--which', 'output', '--traj', '400',"
+            " '--horizon', '60', '--p', '1,2,4,inf'])",
+            "print(code, 'scipy' in sys.modules)",
+        ])
+        src = str(Path(fl.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert done.stdout.split() == [str(EXIT_OK), "False"]

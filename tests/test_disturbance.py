@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 import fundlim as fl
 from fundlim.disturbance import GAUSSIAN_ENTROPY_BITS
@@ -104,6 +104,24 @@ class TestMaxEntropyValue:
         base = fl.max_entropy_value(p, lp_norm)
         moved = fl.max_entropy_value(p, scale * lp_norm)
         assert moved == pytest.approx(base + math.log2(scale), rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, 7.0, 300.0, 1e6])
+def test_gamma_values_match_scipy_special(p):
+    gamma = special.gamma((p + 1.0) / p)
+    cp = 1.0 / (2.0 * gamma * (p * math.e) ** (1.0 / p))
+    assert fl.cp_constant(p) == pytest.approx(cp, rel=1e-14, abs=0)
+    for lp_norm in (1e-3, 1.0, 2.5):
+        entropy = math.log2(2.0 * gamma * lp_norm) + math.log2(p * math.e) / p
+        assert fl.max_entropy_value(p, lp_norm) == pytest.approx(entropy, rel=1e-14, abs=0)
+        variance = (
+            p ** (2.0 / p)
+            * lp_norm**2
+            * math.exp(special.gammaln(3.0 / p) - special.gammaln(1.0 / p))
+        )
+        assert fl.GeneralizedGaussianIID(p, lp_norm).variance() == pytest.approx(
+            variance, rel=1e-14, abs=0
+        )
 
 
 class TestSamplers:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,19 @@ def oscillator():
 
 def scalar_plant(pole, b=1.0, c=1.0):
     return fl.StateSpaceModel([[pole]], [b], [c])
+
+
+def pencil_zeros(model, count):
+    # The generalized eigenvalues of ([A, B; C, 0], diag(I, 0)) from QZ, the
+    # `count` most finite of them (a multiple eigenvalue at infinity splits
+    # under rounding, so counting beats a cutoff).
+    n = model.n
+    pencil = np.block([[model.A, model.B], [model.C, np.zeros((1, 1))]])
+    marker = np.zeros((n + 1, n + 1))
+    marker[:n, :n] = np.eye(n)
+    alpha, beta = scipy.linalg.eig(pencil, marker, right=False, homogeneous_eigvals=True)
+    keep = np.argsort(np.abs(beta) / (np.abs(alpha) + np.abs(beta)))[len(alpha) - count :]
+    return alpha[keep] / beta[keep]
 
 
 class TestModelValidation:
@@ -154,6 +168,57 @@ class TestFiniteZeros:
             assert_complex_sets_close(zeros, np.roots(num), atol=1e-6)
             checked += 1
         assert checked >= 20
+
+    def test_zeros_match_the_qz_pencil(self):
+        rng = np.random.default_rng(11)
+        degrees, complex_cases = set(), 0
+        for _ in range(60):
+            n = int(rng.integers(2, 7))
+            degree = int(rng.integers(0, n - 1))
+            den = np.concatenate(([1.0], rng.normal(size=n)))
+            num = rng.normal(size=n - degree)
+            num[0] = np.sign(num[0]) * (abs(num[0]) + 0.5)
+            model = companion_realization(num, den)
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            t = q @ np.diag(rng.uniform(0.5, 2.0, size=n))
+            t_inv = np.linalg.inv(t)
+            moved = fl.StateSpaceModel(t @ model.A @ t_inv, t @ model.B, model.C @ t_inv)
+            for m in (model, moved):
+                got = fl.compute_finite_zeros(m)
+                want = pencil_zeros(m, n - 1 - degree)
+                assert got.size == want.size == n - 1 - degree
+                remaining = list(got)
+                for zero in want:
+                    gaps = [abs(have - zero) for have in remaining]
+                    best = int(np.argmin(gaps))
+                    assert gaps[best] <= 1e-9 * abs(zero), (zero, remaining)
+                    remaining.pop(best)
+            degrees.add(degree)
+            complex_cases += bool(np.any(np.abs(np.roots(num).imag) > 1e-3))
+        assert degrees == {0, 1, 2, 3, 4}
+        assert complex_cases >= 10
+
+    def test_third_order_nmp_zero(self):
+        # The plant of the CLI benchmark: poles 0.5, 0.2, -0.3 and a zero at 2.
+        model = fl.StateSpaceModel(
+            [[0.4, 0.11, -0.03], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [1.0, 0.0, 0.0], [0.0, 1.0, -2.0]
+        )
+        zeros = fl.compute_finite_zeros(model)
+        assert zeros.shape == (1,)
+        assert abs(zeros[0] - 2.0) <= 1e-14 * 2.0
+
+    def test_zero_past_the_infinity_guard_raises(self):
+        # (eps z - 1) / z^2 has relative degree 0 and one zero at 1 / eps.
+        model = companion_realization([1e-7, -1.0], [1.0, 0.0, 0.0])
+        zeros = fl.compute_finite_zeros(model)
+        assert zeros.shape == (1,)
+        assert zeros[0] == pytest.approx(1e7, rel=1e-9)
+        # At eps = 5e-9 the Markov scan still sees C B, but the zero at 2e8
+        # lies past 1 / TOL_INF.
+        model = companion_realization([5e-9, -1.0], [1.0, 0.0, 0.0])
+        assert fl.relative_degree_and_gain(model)[0] == 0
+        with pytest.raises(fl.DegenerateRealizationError):
+            fl.compute_finite_zeros(model)
 
     def test_degenerate_realization_raises(self):
         m = fl.StateSpaceModel([[0.5, 0.0], [0.0, 0.25]], [1.0, 0.0], [0.0, 1.0])
