@@ -11,9 +11,10 @@ spectral route.
 from __future__ import annotations
 
 import math
+import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -278,16 +279,226 @@ def _sample_length(length: int) -> int:
     return length
 
 
-def _fill_symmetric_uniform(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with U(-1, 1) draws and return it.
+def _tail_fraction(a: float, z: float) -> float:
+    """Gamma(a, z) e^z z^-a for 0 < a <= 1 and z >= 2.
 
-    The floats of ``rng.uniform(-1.0, 1.0, out.shape)``, which is -1.0 +
-    2.0 * ``rng.random()``, at about half its cost.
+    Lentz's evaluation of the continued fraction of the upper incomplete
+    gamma function, which converges fast for z > a + 1.
     """
-    rng.random(out=out)
-    out *= 2.0
-    out -= 1.0
-    return out
+    tiny = 1e-300
+    b = z + 1.0 - a
+    c = 1.0 / tiny
+    d = 1.0 / b
+    value = d
+    for i in range(1, 300):
+        term = -i * (i - a)
+        b += 2.0
+        d = term * d + b
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = b + term / c
+        c = c if abs(c) > tiny else tiny
+        value *= d * c
+        if abs(d * c - 1.0) < 1e-16:
+            break
+    return value
+
+
+class _Ziggurat:
+    """Ziggurat of 256 equal-area layers under f(x) = exp(-x^p / p), x >= 0.
+
+    Edges run from ``x[0]`` = V / f(r), the width of the base layer (the
+    rectangle [0, r] x [0, f(r)] and the tail beyond r, of area V), down
+    through ``x[1]`` = r to ``x[256]`` = 0, with layer i spanning heights
+    ``f[i]`` to ``f[i + 1]`` = f[i] + V / x[i] and f[256] = 1. The base
+    height f(r) = e^-z is solved for, by bracketing and secant steps on
+    z = r^p / p, so that the recursion closes at 1. Edges are found as
+    x = exp((ln p + ln z) / p), so no power overflows at large p, and the
+    tail area is p^(1/p - 1) Gamma(1/p, z).
+    """
+
+    def __init__(self, p: float):
+        self.p = p
+        self.log_p = math.log(p)
+        self.z = self._base_z()
+        self._scratch = threading.local()
+        edges, heights, self.area = self._layers(self.z)
+        edges.append(0.0)
+        heights.append(1.0)
+        self.r = edges[1]
+        x = np.array(edges)
+        # A candidate is k x[i] / 2^52 for a signed 53-bit k; it lies within
+        # x[i + 1], so under f at every height of its layer, when
+        # |k| < 2^52 x[i + 1] / x[i].
+        self.width = x[:-1] * 2.0**-52
+        self.bound = np.floor(x[1:] / x[:-1] * 2.0**52).astype(np.int64)
+        self.floor = np.array(heights)
+        self.rise = np.diff(self.floor)
+
+    def _base_z(self) -> float:
+        """The z of the table that closes at 1, by Illinois secant steps in a bracket."""
+        # Every shape p >= 1 overshoots 1 before the last layer at z = 4
+        # and falls short of it at z = 12; bisect until lo has a finite gap.
+        lo, hi, gap_lo, gap_hi = 4.0, 12.0, math.inf, self._closure(12.0)
+        side = 0
+        for _ in range(200):
+            if math.isinf(gap_lo):
+                z = 0.5 * (lo + hi)
+            else:
+                z = hi - gap_hi * (hi - lo) / (gap_hi - gap_lo)
+            if not lo < z < hi:
+                break
+            gap = self._closure(z)
+            if gap == 0.0:
+                return z
+            # Halve the gap at the end that stays put twice running.
+            if gap > 0.0:
+                lo, gap_lo = z, gap
+                if side > 0:
+                    gap_hi *= 0.5
+                side = 1
+            else:
+                hi, gap_hi = z, gap
+                if side < 0:
+                    gap_lo *= 0.5
+                side = -1
+        return lo if abs(gap_lo) < abs(gap_hi) else hi
+
+    def _edge(self, z: float) -> float:
+        """The x >= 0 with x^p / p = z."""
+        return math.exp((self.log_p + math.log(z)) / self.p)
+
+    def _layers(self, z: float):
+        """Edges x[0..255], heights f[0..255] and the layer area V for f(r) = e^-z.
+
+        None when a height reaches 1 before the last layer.
+        """
+        p, h = self.p, math.exp(-z)
+        a = 1.0 / p
+        tail = math.exp((a - 1.0) * self.log_p + a * math.log(z) - z) * _tail_fraction(a, z)
+        r = self._edge(z)
+        area = r * h + tail
+        edges, heights = [area / h, r], [0.0, h]
+        for _ in range(2, 256):
+            height = heights[-1] + area / edges[-1]
+            if height >= 1.0:
+                return None
+            heights.append(height)
+            edges.append(self._edge(-math.log(height)))
+        return edges, heights, area
+
+    def _closure(self, z: float) -> float:
+        """How far the top of layer 255 lands above 1, +inf on overshoot."""
+        layers = self._layers(z)
+        if layers is None:
+            return math.inf
+        edges, heights, area = layers
+        return heights[-1] + area / edges[-1] - 1.0
+
+    def fill(self, rng: np.random.Generator, dest: np.ndarray) -> None:
+        """Fill the contiguous 1-D float64 ``dest`` with unit-scale draws from rng.
+
+        One candidate is written in place into each entry, and about
+        n/16 + 64 spare ones after them; each entry whose candidate is
+        rejected takes the next accepted spare, and only a shortfall of
+        spares draws again.
+        """
+        spare = np.empty(dest.size // 16 + 64)
+        fail = self._candidates(rng, dest, spare)
+        split = int(np.searchsorted(fail, dest.size))
+        holes = fail[:split]
+        kept = np.delete(spare, fail[split:] - dest.size)
+        if kept.size < holes.size:
+            more = np.empty(holes.size - kept.size)
+            self.fill(rng, more)
+            kept = np.concatenate((kept, more))
+        dest[holes] = kept[: holes.size]
+
+    def _candidates(self, rng: np.random.Generator, dest: np.ndarray, spare: np.ndarray):
+        """Write one candidate into each entry of dest, then of spare, in place.
+
+        Returns the sorted indices, over dest then spare, of the rejected
+        ones. One raw word per candidate: its low 8 bits pick layer i and
+        its top 53, signed, a k with |k| <= 2^52 for x = k x[i] / 2^52,
+        accepted outright when |k| < 2^52 x[i + 1] / x[i]. Each other
+        candidate then takes one uniform: a wedge candidate keeps x when a
+        height that far up its layer is under f(|x|); a base-layer one is
+        beyond r and is always kept, as a draw from the tail that uses the
+        uniform for its first acceptance test.
+        """
+        n = dest.size
+        words = rng.bit_generator.random_raw(n + spare.size)
+        layer, inside, above = self._buffers(words.size)
+        np.bitwise_and(words, 0xFF, out=layer.view(np.uint64))
+        k = words.view(np.int64)
+        k >>= 11
+        for part, lo in ((dest, 0), (spare, n)):
+            # Each part holds its candidates' bounds b, then -b, before
+            # the candidates themselves: -b < k < b is inside.
+            at = slice(lo, lo + part.size)
+            bound = part.view(np.int64)
+            np.take(self.bound, layer[at], out=bound, mode="clip")
+            np.less(k[at], bound, out=inside[at])
+            np.negative(bound, out=bound)
+            inside[at] &= np.greater(k[at], bound, out=above[at])
+            np.take(self.width, layer[at], out=part, mode="clip")
+            part *= k[at]
+        miss = np.flatnonzero(np.logical_not(inside, out=above))
+        if not miss.size:
+            return miss
+        layer = layer[miss]
+        edge = self.width[layer] * k[miss]
+        u = rng.random(miss.size)
+        height = self.floor.take(layer) + self.rise.take(layer) * u
+        with np.errstate(divide="ignore", over="ignore"):
+            keep = height < np.exp(-np.exp(self.p * np.log(np.abs(edge)) - self.log_p))
+        base = np.flatnonzero(layer == 0)
+        if base.size:
+            keep[base] = True
+            edge[base] = np.copysign(self._tail(rng, u[base]), edge[base])
+            # Tail draws replace their candidates.
+            at, drawn = miss[base], edge[base]
+            cut = int(np.searchsorted(at, n))
+            dest[at[:cut]] = drawn[:cut]
+            spare[at[cut:] - n] = drawn[cut:]
+        return miss[~keep]
+
+    def _buffers(self, size: int):
+        """This thread's layer and two flag arrays for ``size`` candidates.
+
+        Kept from call to call, so that a block's draws allocate no array
+        of its size but the raw words: freed and allocated again block after
+        block, such arrays make the allocator fault their pages in anew.
+        """
+        held = getattr(self._scratch, "held", None)
+        if held is None or held[0].size < size:
+            held = (np.empty(size, np.int64), np.empty(size, bool), np.empty(size, bool))
+            self._scratch.held = held
+        return tuple(array[:size] for array in held)
+
+    def _tail(self, rng: np.random.Generator, u: np.ndarray) -> np.ndarray:
+        """One exact draw beyond r per entry of u, the first acceptance uniforms.
+
+        t with t^p / p = z + E, E exponential, has density t^(p - 1) times
+        the tail's, so t is kept with probability (t / r)^(1 - p), which is
+        (1 + E / z)^(1/p - 1); a rejected t is drawn again, with a new
+        uniform, until it is kept.
+        """
+        p, z = self.p, self.z
+        s = z + rng.standard_exponential(u.size)
+        redo = np.flatnonzero(u >= (s / z) ** (1.0 / p - 1.0))
+        while redo.size:
+            u = rng.random(redo.size)
+            again = z + rng.standard_exponential(redo.size)
+            kept = u < (again / z) ** (1.0 / p - 1.0)
+            s[redo[kept]] = again[kept]
+            redo = redo[~kept]
+        return np.exp((self.log_p + np.log(s)) / p)
+
+
+@lru_cache(maxsize=None)
+def _ziggurat(p: float) -> _Ziggurat:
+    """The generalized Gaussian table of shape p, built once per process."""
+    return _Ziggurat(p)
 
 
 class _RowSampled(DisturbanceModel):
@@ -350,7 +561,11 @@ class UniformIID(_RowSampled):
         _check_positive(self.half_width, "half_width")
 
     def sample_rows(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        _fill_symmetric_uniform(rng, out)
+        # The floats of rng.uniform(-1.0, 1.0, out.shape), which is
+        # -1.0 + 2.0 * rng.random(), at about half its cost.
+        rng.random(out=out)
+        out *= 2.0
+        out -= 1.0
         out *= self.half_width
 
     def conditional_entropy_rate(self) -> float:
@@ -377,12 +592,20 @@ class GeneralizedGaussianIID(_RowSampled):
     """IID max-entropy disturbance for a fixed L_p norm (generalized Gaussian).
 
     ``shape`` is the norm order p >= 1 (finite; the p = inf member is
-    UniformIID), and ``lp_norm`` fixes E|d|^p = lp_norm^p. The sampler is
-    exact: with G ~ Gamma(1 + 1/p) and V ~ U(-1, 1) independent,
-    d = p^(1/p) lp_norm G^(1/p) V is a uniform scale mixture whose density,
-    after integrating over G, is exp(-|x|^p) / (2 Gamma(1 + 1/p)) at unit
-    scale, the max-entropy density. No separate sign draw is needed. A
-    block of rows draws all its G first, then all its V.
+    UniformIID), and ``lp_norm`` fixes E|d|^p = lp_norm^p: d / lp_norm has
+    density proportional to exp(-|x|^p / p). The sampler is a ziggurat
+    (Marsaglia and Tsang, 2000) over 256 equal-area layers of that density,
+    built once per shape and process at the first draw. Each candidate is
+    one raw 64-bit word of the generator: 8 bits pick a layer and 53 a
+    signed position in it, and about 99% of candidates are accepted on one
+    comparison; the rest take a uniform height in their layer's wedge or,
+    in the base layer, an exact draw from the tail beyond the last edge.
+    Candidates are written into the block in place, and a rejected one's
+    entry takes the next accepted of a few spare candidates drawn after
+    them, so the draws are exact up to the rounding of the table. Where
+    float64 cannot
+    tell the layer edges apart (shapes past about 1e17), the same table is
+    the float64 box, uniform on [-lp_norm p^(1/p), lp_norm p^(1/p)].
     """
 
     shape: float
@@ -395,13 +618,9 @@ class GeneralizedGaussianIID(_RowSampled):
         _check_positive(self.lp_norm, "lp_norm")
 
     def sample_rows(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        p = self.shape
-        rng.standard_gamma(1.0 + 1.0 / p, out=out)
-        out **= 1.0 / p
-        out *= _fill_symmetric_uniform(rng, np.empty_like(out))
-        # One factor at a time: their product overflows for lp_norm near
-        # float max, while most draws times it do not.
-        out *= p ** (1.0 / p)
+        _ziggurat(float(self.shape)).fill(rng, out.reshape(-1))
+        # Last: the table holds the unit-scale law, and most draws times
+        # lp_norm stay finite even for lp_norm near float max.
         out *= self.lp_norm
 
     def conditional_entropy_rate(self) -> float:

@@ -630,23 +630,26 @@ def _bootstrap_pass(tail_abs: np.ndarray, orders, seed_key, resamples: int):
     other orders share the pass.
     """
     rng = np.random.default_rng(seed_key)
-    n = tail_abs.shape[1]
+    tail, n = tail_abs.shape
     scale = float(tail_abs.max()) or 1.0
-    sums = {p: np.zeros((tail_abs.shape[0], resamples)) for p in orders if not math.isinf(p)}
+    sums = {p: np.zeros((tail, resamples)) for p in orders if not math.isinf(p)}
     sup = np.zeros(resamples) if math.inf in orders else None
+    # Reused slice after slice, so the allocator neither hands their pages
+    # back nor faults them in again. The weights are column-major, as
+    # counts.T.astype(float) is, so every product rounds as it did.
+    scaled = np.empty((tail, _BOOTSTRAP_SLICE))
+    powered = np.empty((tail, _BOOTSTRAP_SLICE))
+    weights = np.empty((resamples, _BOOTSTRAP_SLICE)).T
     for lo, counts in _resample_counts(rng, n, resamples):
-        block = tail_abs[:, lo : lo + counts.shape[1]]
+        size = counts.shape[1]
+        block = tail_abs[:, lo : lo + size]
         if sup is not None:
             np.maximum(sup, _resample_peaks(counts, block.max(axis=0) / scale), out=sup)
         if sums:
-            weights = counts.T.astype(float)
+            base = np.divide(block, scale, out=scaled[:, :size])
+            np.copyto(weights[:size], counts.T)
             for p, total in sums.items():
-                powered = block / scale
-                total += _power(powered, p, powered) @ weights
-            # Freed before the next slice's counts are drawn. Freeing more
-            # here (counts, powered) lowers the peak but makes the allocator
-            # hand pages back and fault them in again, slice after slice.
-            del weights
+                total += _power(base, p, powered[:, :size]) @ weights[:size]
     stats = {p: (total.max(axis=0) / n) ** (1.0 / p) for p, total in sums.items()}
     if sup is not None:
         stats[math.inf] = sup

@@ -227,6 +227,18 @@ class TestVerify:
         assert csv_lines[0] == "k,e_p2,y_p2"
         assert len(csv_lines) == 61
 
+    @pytest.mark.parametrize("shape", [300.0, 1e300])
+    def test_high_order_gengauss_is_certified(self, capsys, tmp_path, stable_plant, shape):
+        # At 1e300 float64 cannot tell the density from the box on [-1, 1].
+        dist = tmp_path / "gengauss.json"
+        dist.write_text(json.dumps({"type": "iid_gengauss", "shape": shape, "lp_norm": 1.0}))
+        code, out, _ = run_cli(
+            capsys, "verify", "--plant", stable_plant, "--dist", str(dist),
+            "--horizon", "60", "--traj", "2000", "--seed", "1", "--p", "2,inf",
+        )
+        assert code == EXIT_OK
+        assert [row["satisfied"] for row in json.loads(out)["results"]] == [True, True]
+
     def test_unsatisfied_transient_exits_three(self, capsys, unstable_plant, gauss_dist):
         # Two steps only: e_1 = d_1 - 1.5 d_0 has variance 3.25 < 4, the
         # stationary floor, so the tail statistic honestly under-reads the
@@ -734,11 +746,14 @@ class TestTopLevel:
             "    fl.entropy_summary(model)",
             "    for p in (1.0, 2.0, 4.0, float('inf')):",
             "        fl.cp_constant(p)",
+            # No generalized Gaussian table is built before the first draw.
+            "from fundlim.disturbance import _ziggurat",
+            "tables = _ziggurat.cache_info().currsize",
             "with contextlib.redirect_stdout(io.StringIO()):",
             f"    code = fundlim.cli.main(['verify', '--plant', {str(plant)!r},"
             f" '--dist', {str(dist)!r}, '--which', 'output', '--traj', '400',"
             " '--horizon', '60', '--p', '1,2,4,inf'])",
-            "print(code, 'scipy' in sys.modules)",
+            "print(code, 'scipy' in sys.modules, tables, _ziggurat.cache_info().currsize)",
         ])
         src = str(Path(fl.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -747,4 +762,29 @@ class TestTopLevel:
             capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": path},
         )
-        assert done.stdout.split() == [str(EXIT_OK), "False"]
+        assert done.stdout.split() == [str(EXIT_OK), "False", "0", "1"]
+
+    def test_cli_import_loads_only_fundlim_and_the_standard_library(self):
+        # Beyond numpy itself: no scipy, and no numpy submodule numpy does
+        # not load on its own (numpy.polynomial, say).
+        probe = "\n".join([
+            "import json, sys",
+            "import numpy",
+            "before = set(sys.modules)",
+            "import fundlim.cli",
+            "print(json.dumps(sorted(set(sys.modules) - before)))",
+        ])
+        src = str(Path(fl.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        loaded = json.loads(done.stdout)
+        assert "fundlim.disturbance" in loaded
+        foreign = [
+            name for name in loaded
+            if name.split(".")[0] not in sys.stdlib_module_names | {"fundlim"}
+        ]
+        assert foreign == []

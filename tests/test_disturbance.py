@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 import fundlim as fl
-from fundlim.disturbance import GAUSSIAN_ENTROPY_BITS
+from fundlim.disturbance import GAUSSIAN_ENTROPY_BITS, _ziggurat
 
 
 class TestMaxEntropyDensity:
@@ -178,9 +178,9 @@ class TestSamplers:
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, 7.0])
     def test_gengauss_matches_scipy_gennorm(self, p):
         # exp(-|x|^p / (p lp_norm^p)) is gennorm with beta p and scale
-        # p^(1/p) lp_norm.
+        # p^(1/p) lp_norm. The seed dates the draw contract, the ziggurat's.
         lp_norm = 1.3
-        x = fl.GeneralizedGaussianIID(p, lp_norm).sample(20261018, 200_000)
+        x = fl.GeneralizedGaussianIID(p, lp_norm).sample(20261019, 200_000)
         reference = stats.gennorm(beta=p, scale=p ** (1.0 / p) * lp_norm)
         assert stats.kstest(x, reference.cdf).pvalue > 0.01
 
@@ -278,6 +278,117 @@ class TestSamplers:
         assert len(calls) == 1
         for got, want in zip(draws, expected):
             assert got.tobytes() == want.tobytes()
+
+
+def _gengauss_abs_cdf(p, t):
+    """P(|d| <= t) at unit lp_norm: P(1/p, t^p / p), regularized lower gamma.
+
+    Where ln z < -30, P(a, z) is its leading series term z^a / Gamma(1 + a),
+    with z^a = t p^(-1/p) exactly: z itself underflows at large p (scipy's
+    gennorm(beta=300).cdf(-0.085) is exactly 0.5).
+    """
+    a = 1.0 / p
+    t = np.asarray(t, dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):
+        log_z = p * np.log(t) - math.log(p)
+        lower = special.gammainc(a, np.exp(log_z))
+    small = log_z < -30.0
+    lower[small] = t[small] * p ** (-a) / math.gamma(1.0 + a)
+    return lower
+
+
+class TestZiggurat:
+    @pytest.mark.parametrize(
+        "p, r", [(1.0, 7.69711747013105), (2.0, 3.654152885361009)], ids=["exp", "normal"]
+    )
+    def test_base_edge_anchors(self, p, r):
+        # Marsaglia and Tsang's 256-layer exponential and normal constants.
+        assert _ziggurat(p).r == pytest.approx(r, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, 7.0, 300.0, 1e6])
+    def test_layers_have_equal_area(self, p):
+        table = _ziggurat(p)
+        edges = table.width * 2.0**52
+        area = table.area
+        # Base: the rectangle under f(r) and the tail beyond r.
+        tail = p ** (1.0 / p - 1.0) * special.gamma(1.0 / p) * special.gammaincc(1.0 / p, table.z)
+        assert table.r * table.floor[1] + tail == pytest.approx(area, rel=1e-12)
+        assert edges[0] * table.floor[1] == pytest.approx(area, rel=1e-12)
+        np.testing.assert_allclose(edges[1:] * table.rise[1:], area, rtol=1e-9)
+        assert table.floor[-1] == 1.0
+        assert np.all(np.diff(edges) < 0.0) and np.all(table.rise > 0.0)
+        # Each edge sits on the density at its layer's floor; x^p rounds
+        # to about p ulps of x.
+        np.testing.assert_allclose(
+            np.exp(-(edges[1:] ** p) / p), table.floor[1:-1], rtol=1e-13 * max(p, 10.0)
+        )
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, 7.0, 300.0, 1e6])
+    def test_matches_exact_cdf(self, p):
+        # On |d|: the sign splits evenly and a signed KS test sees about
+        # half the deviation of a sampler that keeps every wedge candidate.
+        lp_norm = 1.3
+        x = fl.GeneralizedGaussianIID(p, lp_norm).sample(11, 2_000_000)
+        assert stats.kstest(np.abs(x) / lp_norm, lambda t: _gengauss_abs_cdf(p, t)).pvalue > 1e-3
+
+    @pytest.mark.parametrize("p", [1.0, 4.0, 7.0])
+    def test_share_and_law_beyond_base_edge(self, p):
+        # 2e7 draws put about 1.6e3 (p = 7) to 9e3 (p = 1) beyond r, where
+        # P(|d| <= v | |d| > r) = 1 - Q(1/p, v^p / p) / Q(1/p, r^p / p).
+        table = _ziggurat(p)
+        model = fl.GeneralizedGaussianIID(p, 1.0)
+        rng = np.random.default_rng(17)
+        draws, beyond = 20_000_000, []
+        block = np.empty((64, 15_625))
+        for _ in range(draws // block.size):
+            model.sample_rows(rng, block)
+            beyond.append(np.abs(block[np.abs(block) > table.r]))
+        beyond = np.concatenate(beyond)
+        share = special.gammaincc(1.0 / p, table.z)
+        assert abs(beyond.size - draws * share) < 4.0 * math.sqrt(draws * share * (1.0 - share))
+        cdf = lambda v: 1.0 - special.gammaincc(1.0 / p, v**p / p) / share  # noqa: E731
+        assert stats.kstest(beyond, cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("p", [1.5, 4.0, 7.0])
+    def test_tail_draws_follow_the_tail_law(self, p):
+        # P(t <= v | t > r) = 1 - Q(1/p, v^p / p) / Q(1/p, r^p / p).
+        table = _ziggurat(p)
+        rng = np.random.default_rng(23)
+        t = table._tail(rng, rng.random(200_000))
+        assert t.min() > table.r
+        q = special.gammaincc(1.0 / p, table.z)
+        cdf = lambda v: 1.0 - special.gammaincc(1.0 / p, v**p / p) / q  # noqa: E731
+        assert stats.kstest(t, cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("p", [1.5, 4.0])
+    def test_base_layer_candidates_are_never_rejected(self, p):
+        # Beyond r the tail draws again until it accepts: giving up the
+        # candidate instead would thin the tail by the mean acceptance.
+        table = _ziggurat(p)
+        size = 1_000_000
+        words = np.random.default_rng(29).bit_generator.random_raw(size)
+        k = np.abs(words.view(np.int64) >> 11)
+        base = np.flatnonzero(((words & 0xFF) == 0) & (k >= table.bound[0]))
+        x = np.empty(size)
+        fail = table._candidates(np.random.default_rng(29), x, np.empty(0))
+        assert base.size > 50
+        assert np.intersect1d(base, fail).size == 0
+        assert np.all(np.abs(x[base]) > table.r)
+
+    def test_shape_past_float_resolution_is_the_box(self):
+        lp_norm = 2.5
+        x = fl.GeneralizedGaussianIID(1e300, lp_norm).sample(3, 200_000)
+        assert np.max(np.abs(x)) <= lp_norm
+        assert np.mean(np.abs(x)) == pytest.approx(lp_norm / 2.0, rel=0.01)
+        assert stats.kstest(np.abs(x) / lp_norm, "uniform").pvalue > 1e-3
+
+    def test_table_built_once_per_shape(self):
+        _ziggurat.cache_clear()
+        model = fl.GeneralizedGaussianIID(4.0, 1.0)
+        model.sample(0, 10)
+        fl.GeneralizedGaussianIID(4.0, 7.0).sample(1, 10)
+        assert _ziggurat.cache_info().currsize == 1
+        assert _ziggurat.cache_info().misses == 1
 
 
 class TestModelValidation:
