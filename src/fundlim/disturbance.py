@@ -597,15 +597,15 @@ class GeneralizedGaussianIID(_RowSampled):
     (Marsaglia and Tsang, 2000) over 256 equal-area layers of that density,
     built once per shape and process at the first draw. Each candidate is
     one raw 64-bit word of the generator: 8 bits pick a layer and 53 a
-    signed position in it, and about 99% of candidates are accepted on one
-    comparison; the rest take a uniform height in their layer's wedge or,
-    in the base layer, an exact draw from the tail beyond the last edge.
-    Candidates are written into the block in place, and a rejected one's
-    entry takes the next accepted of a few spare candidates drawn after
-    them, so the draws are exact up to the rounding of the table. Where
-    float64 cannot
-    tell the layer edges apart (shapes past about 1e17), the same table is
-    the float64 box, uniform on [-lp_norm p^(1/p), lp_norm p^(1/p)].
+    signed position in it, and 98-99% of candidates (97.8% at shape 1) are
+    accepted on one comparison; the rest take a uniform height in their
+    layer's wedge or, in the base layer, an exact draw from the tail beyond
+    the last edge. Candidates are written into the block in place, and a
+    rejected one's entry takes the next accepted of a few spare candidates
+    drawn after them, so the draws are exact up to the rounding of the
+    table. Where float64 cannot tell the layer edges apart (shapes past
+    about 1e17), the same table is the float64 box, uniform on
+    [-lp_norm p^(1/p), lp_norm p^(1/p)].
     """
 
     shape: float

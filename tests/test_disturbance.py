@@ -2,6 +2,7 @@
 
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -389,6 +390,16 @@ class TestZiggurat:
         fl.GeneralizedGaussianIID(4.0, 7.0).sample(1, 10)
         assert _ziggurat.cache_info().currsize == 1
         assert _ziggurat.cache_info().misses == 1
+
+    def test_threads_sharing_a_table_draw_as_alone(self):
+        # The table keeps its block-sized work arrays per thread.
+        model = fl.GeneralizedGaussianIID(4.0, 1.0)
+        seeds = range(24)
+        alone = [model.sample(seed, 200_000) for seed in seeds]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            shared = list(pool.map(lambda seed: model.sample(seed, 200_000), seeds))
+        for got, want in zip(shared, alone):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestModelValidation:
