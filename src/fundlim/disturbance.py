@@ -279,6 +279,11 @@ def _sample_length(length: int) -> int:
     return length
 
 
+# Candidates whose work arrays a ziggurat keeps per thread (10 bytes each):
+# a 64-row block of horizon 3800 and its spares.
+_KEPT_CANDIDATES = 2**18
+
+
 def _tail_fraction(a: float, z: float) -> float:
     """Gamma(a, z) e^z z^-a for 0 < a <= 1 and z >= 2.
 
@@ -465,14 +470,16 @@ class _Ziggurat:
     def _buffers(self, size: int):
         """This thread's layer and two flag arrays for ``size`` candidates.
 
-        Kept from call to call, so that a block's draws allocate no array
-        of its size but the raw words: freed and allocated again block after
-        block, such arrays make the allocator fault their pages in anew.
+        Kept from call to call up to _KEPT_CANDIDATES, so that a block's
+        draws allocate no array of its size but the raw words: freed and
+        allocated again block after block, such arrays make the allocator
+        fault their pages in anew. A longer draw gets arrays of its own.
         """
         held = getattr(self._scratch, "held", None)
         if held is None or held[0].size < size:
             held = (np.empty(size, np.int64), np.empty(size, bool), np.empty(size, bool))
-            self._scratch.held = held
+            if size <= _KEPT_CANDIDATES:
+                self._scratch.held = held
         return tuple(array[:size] for array in held)
 
     def _tail(self, rng: np.random.Generator, u: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 import fundlim as fl
-from fundlim.disturbance import GAUSSIAN_ENTROPY_BITS, _ziggurat
+from fundlim.disturbance import _KEPT_CANDIDATES, GAUSSIAN_ENTROPY_BITS, _ziggurat
 
 
 class TestMaxEntropyDensity:
@@ -390,6 +390,13 @@ class TestZiggurat:
         fl.GeneralizedGaussianIID(4.0, 7.0).sample(1, 10)
         assert _ziggurat.cache_info().currsize == 1
         assert _ziggurat.cache_info().misses == 1
+
+    def test_long_draws_keep_no_work_arrays_of_their_size(self):
+        table = _ziggurat(4.0)
+        fl.GeneralizedGaussianIID(4.0, 1.0).sample(1, 64 * 400)
+        kept = table._scratch.held[0].size
+        fl.GeneralizedGaussianIID(4.0, 1.0).sample(2, 3_000_000)
+        assert table._scratch.held[0].size == kept <= _KEPT_CANDIDATES
 
     def test_threads_sharing_a_table_draw_as_alone(self):
         # The table keeps its block-sized work arrays per thread.
