@@ -11,7 +11,6 @@ spectral route.
 from __future__ import annotations
 
 import math
-import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -279,11 +278,6 @@ def _sample_length(length: int) -> int:
     return length
 
 
-# Candidates whose work arrays a ziggurat keeps per thread (10 bytes each):
-# a 64-row block of horizon 3800 and its spares.
-_KEPT_CANDIDATES = 2**18
-
-
 def _tail_fraction(a: float, z: float) -> float:
     """Gamma(a, z) e^z z^-a for 0 < a <= 1 and z >= 2.
 
@@ -325,17 +319,15 @@ class _Ziggurat:
         self.p = p
         self.log_p = math.log(p)
         self.z = self._base_z()
-        self._scratch = threading.local()
         edges, heights, self.area = self._layers(self.z)
         edges.append(0.0)
         heights.append(1.0)
         self.r = edges[1]
         x = np.array(edges)
-        # A candidate is k x[i] / 2^52 for a signed 53-bit k; it lies within
-        # x[i + 1], so under f at every height of its layer, when
-        # |k| < 2^52 x[i + 1] / x[i].
         self.width = x[:-1] * 2.0**-52
-        self.bound = np.floor(x[1:] / x[:-1] * 2.0**52).astype(np.int64)
+        # A candidate of layer i within x[i + 1] is under f at every
+        # height of its layer.
+        self.inner = x[1:]
         self.floor = np.array(heights)
         self.rise = np.diff(self.floor)
 
@@ -402,16 +394,13 @@ class _Ziggurat:
     def fill(self, rng: np.random.Generator, dest: np.ndarray) -> None:
         """Fill the contiguous 1-D float64 ``dest`` with unit-scale draws from rng.
 
-        One candidate is written in place into each entry, and about
-        n/16 + 64 spare ones after them; each entry whose candidate is
-        rejected takes the next accepted spare, and only a shortfall of
-        spares draws again.
+        One candidate is written into each entry, and about n/16 + 64
+        spare ones after them; each entry whose candidate is rejected takes
+        the next accepted spare, and only a shortfall of spares draws again.
         """
         spare = np.empty(dest.size // 16 + 64)
-        fail = self._candidates(rng, dest, spare)
-        split = int(np.searchsorted(fail, dest.size))
-        holes = fail[:split]
-        kept = np.delete(spare, fail[split:] - dest.size)
+        holes, lost = self._candidates(rng, dest, spare)
+        kept = np.delete(spare, lost)
         if kept.size < holes.size:
             more = np.empty(holes.size - kept.size)
             self.fill(rng, more)
@@ -419,68 +408,54 @@ class _Ziggurat:
         dest[holes] = kept[: holes.size]
 
     def _candidates(self, rng: np.random.Generator, dest: np.ndarray, spare: np.ndarray):
-        """Write one candidate into each entry of dest, then of spare, in place.
+        """Write one candidate into each entry of dest, then of spare.
 
-        Returns the sorted indices, over dest then spare, of the rejected
-        ones. One raw word per candidate: its low 8 bits pick layer i and
-        its top 53, signed, a k with |k| <= 2^52 for x = k x[i] / 2^52,
-        accepted outright when |k| < 2^52 x[i + 1] / x[i]. Each other
-        candidate then takes one uniform: a wedge candidate keeps x when a
-        height that far up its layer is under f(|x|); a base-layer one is
-        beyond r and is always kept, as a draw from the tail that uses the
-        uniform for its first acceptance test.
+        Returns the indices of the rejected ones in dest and in spare. One
+        raw word per candidate: its low 8 bits pick layer i and its top 53,
+        signed, a k with |k| <= 2^52 for x = k x[i] / 2^52, accepted
+        outright unless |x| > x[i + 1]. Each other candidate then takes one
+        uniform: a wedge candidate keeps x unless a height that far up its
+        layer is over f(|x|); a base-layer one is beyond r and is always
+        kept, as a draw from the tail that uses the uniform for its first
+        acceptance test.
         """
         n = dest.size
         words = rng.bit_generator.random_raw(n + spare.size)
-        layer, inside, above = self._buffers(words.size)
-        np.bitwise_and(words, 0xFF, out=layer.view(np.uint64))
         k = words.view(np.int64)
+        layer = k & 0xFF
         k >>= 11
-        for part, lo in ((dest, 0), (spare, n)):
-            # Each part holds its candidates' bounds b, then -b, before
-            # the candidates themselves: -b < k < b is inside.
-            at = slice(lo, lo + part.size)
-            bound = part.view(np.int64)
-            np.take(self.bound, layer[at], out=bound, mode="clip")
-            np.less(k[at], bound, out=inside[at])
-            np.negative(bound, out=bound)
-            inside[at] &= np.greater(k[at], bound, out=above[at])
-            np.take(self.width, layer[at], out=part, mode="clip")
+        outside = np.empty(words.size, dtype=bool)
+        for part, at in ((dest, slice(None, n)), (spare, slice(n, None))):
+            np.take(self.width, layer[at], out=part)
             part *= k[at]
-        miss = np.flatnonzero(np.logical_not(inside, out=above))
+            np.less(self.inner.take(layer[at]), np.abs(part), out=outside[at])
+        miss = np.flatnonzero(outside)
+        # How many of the misses are in dest, which come first.
+        cut = np.count_nonzero(outside[:n])
         if not miss.size:
-            return miss
+            return miss, miss
         layer = layer[miss]
         edge = self.width[layer] * k[miss]
         u = rng.random(miss.size)
-        height = self.floor.take(layer) + self.rise.take(layer) * u
-        with np.errstate(divide="ignore", over="ignore"):
-            keep = height < np.exp(-np.exp(self.p * np.log(np.abs(edge)) - self.log_p))
-        base = np.flatnonzero(layer == 0)
-        if base.size:
-            keep[base] = True
-            edge[base] = np.copysign(self._tail(rng, u[base]), edge[base])
-            # Tail draws replace their candidates.
-            at, drawn = miss[base], edge[base]
-            cut = int(np.searchsorted(at, n))
-            dest[at[:cut]] = drawn[:cut]
-            spare[at[cut:] - n] = drawn[cut:]
-        return miss[~keep]
-
-    def _buffers(self, size: int):
-        """This thread's layer and two flag arrays for ``size`` candidates.
-
-        Kept from call to call up to _KEPT_CANDIDATES, so that a block's
-        draws allocate no array of its size but the raw words: freed and
-        allocated again block after block, such arrays make the allocator
-        fault their pages in anew. A longer draw gets arrays of its own.
-        """
-        held = getattr(self._scratch, "held", None)
-        if held is None or held[0].size < size:
-            held = (np.empty(size, np.int64), np.empty(size, bool), np.empty(size, bool))
-            if size <= _KEPT_CANDIDATES:
-                self._scratch.held = held
-        return tuple(array[:size] for array in held)
+        floor = self.floor[layer]
+        # f(|x|) = e^-(|x|^p / p), as a pow of 1/e: a chunk worker runs pow
+        # anyway, and each other numpy loop faults in code pages of its own.
+        level = math.exp(-1.0) ** (np.abs(edge) ** self.p / self.p)
+        reject = level < floor + self.rise[layer] * u
+        # The base layer, the one whose floor is 0, reaches past r.
+        base = floor == 0.0
+        if np.count_nonzero(base):
+            reject[base] = False
+            t = self._tail(rng, u[base])
+            # Tail draws replace their candidates, with their signs.
+            drawn = np.where(edge[base] < 0.0, -t, t)
+            at = miss[base]
+            split = np.count_nonzero(base[:cut])
+            dest[at[:split]] = drawn[:split]
+            spare[at[split:] - n] = drawn[split:]
+        cut = np.count_nonzero(reject[:cut])
+        miss = miss[reject]
+        return miss[:cut], miss[cut:] - n
 
     def _tail(self, rng: np.random.Generator, u: np.ndarray) -> np.ndarray:
         """One exact draw beyond r per entry of u, the first acceptance uniforms.
@@ -492,14 +467,12 @@ class _Ziggurat:
         """
         p, z = self.p, self.z
         s = z + rng.standard_exponential(u.size)
-        redo = np.flatnonzero(u >= (s / z) ** (1.0 / p - 1.0))
+        redo = np.flatnonzero((s / z) ** (1.0 / p - 1.0) < u)
         while redo.size:
             u = rng.random(redo.size)
-            again = z + rng.standard_exponential(redo.size)
-            kept = u < (again / z) ** (1.0 / p - 1.0)
-            s[redo[kept]] = again[kept]
-            redo = redo[~kept]
-        return np.exp((self.log_p + np.log(s)) / p)
+            s[redo] = z + rng.standard_exponential(redo.size)
+            redo = redo[(s[redo] / z) ** (1.0 / p - 1.0) < u]
+        return p ** (1.0 / p) * s ** (1.0 / p)
 
 
 @lru_cache(maxsize=None)

@@ -634,12 +634,14 @@ def _bootstrap_pass(tail_abs: np.ndarray, orders, seed_key, resamples: int):
     scale = float(tail_abs.max()) or 1.0
     sums = {p: np.zeros((tail, resamples)) for p in orders if not math.isinf(p)}
     sup = np.zeros(resamples) if math.inf in orders else None
-    # Reused slice after slice, so the allocator neither hands their pages
-    # back nor faults them in again. The weights are column-major, as
-    # counts.T.astype(float) is, so every product rounds as it did.
-    scaled = np.empty((tail, _BOOTSTRAP_SLICE))
-    powered = np.empty((tail, _BOOTSTRAP_SLICE))
-    weights = np.empty((resamples, _BOOTSTRAP_SLICE)).T
+    if sums:
+        # Reused slice after slice, so the allocator neither hands their
+        # pages back nor faults them in again. The weights are
+        # column-major, as counts.T.astype(float) is, so every product
+        # rounds as it did.
+        scaled = np.empty((tail, _BOOTSTRAP_SLICE))
+        powered = np.empty((tail, _BOOTSTRAP_SLICE))
+        weights = np.empty((resamples, _BOOTSTRAP_SLICE)).T
     for lo, counts in _resample_counts(rng, n, resamples):
         size = counts.shape[1]
         block = tail_abs[:, lo : lo + size]

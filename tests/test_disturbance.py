@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 import fundlim as fl
-from fundlim.disturbance import _KEPT_CANDIDATES, GAUSSIAN_ENTROPY_BITS, _ziggurat
+from fundlim.disturbance import GAUSSIAN_ENTROPY_BITS, _ziggurat
 
 
 class TestMaxEntropyDensity:
@@ -368,12 +368,12 @@ class TestZiggurat:
         table = _ziggurat(p)
         size = 1_000_000
         words = np.random.default_rng(29).bit_generator.random_raw(size)
-        k = np.abs(words.view(np.int64) >> 11)
-        base = np.flatnonzero(((words & 0xFF) == 0) & (k >= table.bound[0]))
+        reach = np.abs(table.width[0] * (words.view(np.int64) >> 11))
+        base = np.flatnonzero(((words & 0xFF) == 0) & (reach > table.r))
         x = np.empty(size)
-        fail = table._candidates(np.random.default_rng(29), x, np.empty(0))
+        holes, _ = table._candidates(np.random.default_rng(29), x, np.empty(0))
         assert base.size > 50
-        assert np.intersect1d(base, fail).size == 0
+        assert np.intersect1d(base, holes).size == 0
         assert np.all(np.abs(x[base]) > table.r)
 
     def test_shape_past_float_resolution_is_the_box(self):
@@ -391,15 +391,8 @@ class TestZiggurat:
         assert _ziggurat.cache_info().currsize == 1
         assert _ziggurat.cache_info().misses == 1
 
-    def test_long_draws_keep_no_work_arrays_of_their_size(self):
-        table = _ziggurat(4.0)
-        fl.GeneralizedGaussianIID(4.0, 1.0).sample(1, 64 * 400)
-        kept = table._scratch.held[0].size
-        fl.GeneralizedGaussianIID(4.0, 1.0).sample(2, 3_000_000)
-        assert table._scratch.held[0].size == kept <= _KEPT_CANDIDATES
-
     def test_threads_sharing_a_table_draw_as_alone(self):
-        # The table keeps its block-sized work arrays per thread.
+        # The table is only read once built; each draw has its own work arrays.
         model = fl.GeneralizedGaussianIID(4.0, 1.0)
         seeds = range(24)
         alone = [model.sample(seed, 200_000) for seed in seeds]
