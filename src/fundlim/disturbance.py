@@ -229,11 +229,11 @@ class DisturbanceModel(ABC):
         unless the model also has a ``sample_rows(rng, out)`` method: the
         simulator then calls that instead, once per block of trajectories,
         and it must fill the (rows, length) float64 array ``out`` with rows,
-        each a trajectory, drawn from ``rng``. ``UniformIID`` and
-        ``GeneralizedGaussianIID`` have both, and their ``sample`` is the
-        one-row case of ``sample_rows``. The draws are reproducible per
-        numpy version only: numpy does not freeze Generator distribution
-        streams (NEP 19).
+        each a trajectory, drawn from ``rng``. ``UniformIID``,
+        ``GeneralizedGaussianIID`` and ``GaussianAR`` have both, and their
+        ``sample`` is the one-row case of ``sample_rows``. The draws are
+        reproducible per numpy version only: numpy does not freeze Generator
+        distribution streams (NEP 19).
         """
 
     @abstractmethod
@@ -482,7 +482,7 @@ def _ziggurat(p: float) -> _Ziggurat:
 
 
 class _RowSampled(DisturbanceModel):
-    """An IID model whose draws are defined by a block sampler.
+    """A model whose draws are defined by a block sampler.
 
     ``sample_rows(rng, out)`` fills each row of ``out`` with one trajectory,
     so the simulator fills a block of trajectories in one call; ``sample``
@@ -626,14 +626,22 @@ class GeneralizedGaussianIID(_RowSampled):
         }
 
 
+def _stationary(solve, *args) -> np.ndarray:
+    """``solve(*args)``, where float64 failing near the unit circle is an InvalidModelError."""
+    try:
+        return solve(*args)
+    except np.linalg.LinAlgError as exc:
+        raise InvalidModelError(f"autoregression too close to the unit circle: {exc}") from exc
+
+
 @dataclass(frozen=True)
-class GaussianAR(DisturbanceModel):
+class GaussianAR(_RowSampled):
     """Stable Gaussian autoregression d_k = sum_i coeffs[i] d_{k-i} + w_k.
 
     Innovations w_k are IID N(0, innovation_std^2). Sampling is exact: the
-    initial lags are drawn from the stationary law (discrete Lyapunov solve
-    for the companion-form state covariance, done once per model) before
-    filtering the innovations.
+    initial lags are drawn from the stationary law (a Yule-Walker solve,
+    once per model, refused where float64 finds it singular, as it does
+    near the unit circle) before filtering the innovations.
     """
 
     coeffs: tuple
@@ -661,39 +669,40 @@ class GaussianAR(DisturbanceModel):
     @cached_property
     def _unit_lag_covariance(self) -> np.ndarray:
         # Stationary covariance of (d_k, ..., d_{k-m+1}) for unit innovation
-        # variance, via the companion-form discrete Lyapunov equation.
-        # Imported here, as in sample: no other model needs scipy.
-        from scipy import linalg
-
+        # variance: the Toeplitz matrix of the autocovariances g_0..g_{m-1},
+        # from the Yule-Walker system g_k - sum_i c_i g_|k-i| = [k = 0].
         m = self.order
-        companion = np.zeros((m, m))
-        companion[0, :] = self.coeffs
-        if m > 1:
-            companion[1:, :-1] = np.eye(m - 1)
-        noise = np.zeros((m, m))
-        noise[0, 0] = 1.0
-        cov = linalg.solve_discrete_lyapunov(companion, noise)
-        return 0.5 * (cov + cov.T)
+        lags = np.arange(m + 1)
+        system = np.eye(m + 1)
+        gap = np.abs(lags[:, None] - lags[1:]).ravel()
+        np.subtract.at(system, (np.repeat(lags, m), gap), np.tile(self.coeffs, m + 1))
+        gamma = _stationary(np.linalg.solve, system, np.eye(m + 1)[0])
+        return gamma[np.abs(lags[:m, None] - lags[:m])]
 
     @cached_property
     def _unit_lag_cholesky(self) -> np.ndarray:
-        return np.linalg.cholesky(self._unit_lag_covariance)
+        return _stationary(np.linalg.cholesky, self._unit_lag_covariance)
 
-    def sample(self, seed: int | np.random.Generator, length: int) -> np.ndarray:
-        # Imported here, its only use: scipy.signal pulls in scipy.stats,
-        # which would more than double the import time of every CLI command.
-        from scipy import signal
-
-        length = _sample_length(length)
-        rng = np.random.default_rng(seed)
-        innovations = self.innovation_std * rng.standard_normal(length)
-        initial_lags = self.innovation_std * (
-            self._unit_lag_cholesky @ rng.standard_normal(self.order)
-        )
-        denominator = np.concatenate(([1.0], -np.asarray(self.coeffs)))
-        state = signal.lfiltic([1.0], denominator, y=initial_lags)
-        out, _ = signal.lfilter([1.0], denominator, innovations, zi=state)
-        return out
+    def sample_rows(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        # Each row draws its innovations, then its initial lags; all rows run
+        # step-major through lfilter's transposed direct form, from the state
+        # lfiltic sets, in their arithmetic: a row's floats are one filter's.
+        rows, length = out.shape
+        m = self.order
+        draws = rng.standard_normal((rows, length + m))
+        np.multiply(draws[:, :length], self.innovation_std, out=out)
+        # Row by row: one batched product sums in another order.
+        chol = self._unit_lag_cholesky
+        lags = self.innovation_std * np.array([chol @ w for w in draws[:, length:]])
+        # z_j = sum_i c_{j+i} lag_i, then z_j <- z_{j+1} + c_j y, with z_m = 0.
+        coeffs = np.asarray(self.coeffs)
+        state, spare = np.zeros((2, m + 1, rows))
+        for j in range(m):
+            np.sum(coeffs[j:] * lags[:, : m - j], axis=1, out=state[j])
+        for k in range(length):
+            out[:, k] += state[0]
+            np.add(state[1:], coeffs[:, None] * out[:, k], out=spare[:-1])
+            state, spare = spare, state
 
     def conditional_entropy_rate(self) -> float:
         return GAUSSIAN_ENTROPY_BITS + math.log2(self.innovation_std)

@@ -9,7 +9,7 @@ Trajectories run in fixed-size chunks, and each chunk draws from its own
 random streams, one per purpose, keyed by the seed and the chunk index.
 The chunk's disturbance generator, in trajectory order, fills 64
 trajectories per ``dist.sample_rows`` call when the model has that method
-(the uniform and generalized Gaussian models do), or else goes to
+(the uniform, generalized Gaussian and AR models do), or else goes to
 ``dist.sample`` once per trajectory; the chunk's initial states come from
 a second generator. Trajectory m's draws so depend only on the seed, its
 chunk and its position in the chunk, not on the number of trajectories.
@@ -502,7 +502,7 @@ def run_closed_loop(
     chunks. The trajectories of a chunk draw their disturbances from the
     chunk's one generator, in trajectory order: 64 at a time through
     ``dist.sample_rows(gen, out)`` on a (64, horizon) block when the model
-    has that method, as the uniform and generalized Gaussian models do,
+    has that method, as the uniform, generalized Gaussian and AR models do,
     else one ``dist.sample(gen, horizon)`` call each. Their initial states
     come from a second generator of the chunk; a ragged last chunk draws a
     prefix of a full chunk's streams.

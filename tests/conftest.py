@@ -2,6 +2,7 @@
 
 import numpy as np
 from hypothesis import settings
+from scipy import signal
 
 from fundlim import StateSpaceModel
 
@@ -33,6 +34,21 @@ def companion_realization(num_coeffs, den_coeffs):
     c_vector = np.zeros(n)
     c_vector[: num.size] = num[::-1]
     return StateSpaceModel(a_matrix, b_vector, c_vector)
+
+
+def lfilter_ar_sample(model, rng, length):
+    """One GaussianAR trajectory built with scipy's filter from rng's next draws.
+
+    The draws are the innovations, then the standard normals of the initial
+    lags, whose covariance is the model's own; lfiltic turns the lags into
+    the filter's initial state, and lfilter runs the innovations through it.
+    """
+    innovations = model.innovation_std * rng.standard_normal(length)
+    chol = np.linalg.cholesky(model._unit_lag_covariance)
+    lags = model.innovation_std * (chol @ rng.standard_normal(model.order))
+    denominator = np.concatenate(([1.0], -np.asarray(model.coeffs)))
+    state = signal.lfiltic([1.0], denominator, y=lags)
+    return signal.lfilter([1.0], denominator, innovations, zi=state)[0]
 
 
 def sorted_complex(values):

@@ -524,6 +524,26 @@ class TestVerify:
         assert code == EXIT_INPUT
         assert "controller" in err
 
+    def test_ar_singular_to_float64_is_an_input_error(
+        self, capsys, monkeypatch, tmp_path, stable_plant
+    ):
+        # Roots 1e-7 and 2e-7 inside the unit circle: the Yule-Walker
+        # system is singular in float64. The chunks of 100 that draw from
+        # the model run in worker processes where the host has the CPUs.
+        monkeypatch.setattr("fundlim.simulation._CHUNK", 100)
+        near, nearer = 0.9999998, 0.9999999
+        dist = tmp_path / "near_unit_ar.json"
+        dist.write_text(json.dumps(
+            {"type": "gauss_ar", "coeffs": [near + nearer, -near * nearer], "innovation_std": 1.0}
+        ))
+        code, out, err = run_cli(
+            capsys, "verify", "--plant", stable_plant, "--dist", str(dist),
+            "--horizon", "50", "--traj", "200",
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("fundlim: ") and "unit circle" in err
+
     def test_deterministic_reports(self, capsys, tmp_path, stable_plant, gauss_dist):
         def one_run(tag):
             out_dir = tmp_path / tag
@@ -734,6 +754,8 @@ class TestTopLevel:
         }))
         dist = tmp_path / "gengauss.json"
         dist.write_text(json.dumps({"type": "iid_gengauss", "shape": 4.0, "lp_norm": 1.0}))
+        ar = tmp_path / "ar2.json"
+        ar.write_text(json.dumps({"type": "gauss_ar", "coeffs": [0.5, -0.25], "innovation_std": 1.0}))
         probe = "\n".join([
             "import contextlib, io, sys",
             "import fundlim.cli",
@@ -753,7 +775,9 @@ class TestTopLevel:
             f"    code = fundlim.cli.main(['verify', '--plant', {str(plant)!r},"
             f" '--dist', {str(dist)!r}, '--which', 'output', '--traj', '400',"
             " '--horizon', '60', '--p', '1,2,4,inf'])",
-            "print(code, 'scipy' in sys.modules, tables, _ziggurat.cache_info().currsize)",
+            f"    code_ar = fundlim.cli.main(['verify', '--plant', {str(plant)!r},"
+            f" '--dist', {str(ar)!r}, '--traj', '400', '--horizon', '60', '--p', '2,inf'])",
+            "print(code, code_ar, 'scipy' in sys.modules, tables, _ziggurat.cache_info().currsize)",
         ])
         src = str(Path(fl.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -762,7 +786,7 @@ class TestTopLevel:
             capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": path},
         )
-        assert done.stdout.split() == [str(EXIT_OK), "False", "0", "1"]
+        assert done.stdout.split() == [str(EXIT_OK), str(EXIT_OK), "False", "0", "1"]
 
     def test_cli_import_loads_only_fundlim_and_the_standard_library(self):
         # Beyond numpy itself: no scipy, and no numpy submodule numpy does

@@ -1,5 +1,6 @@
 """Disturbance models: densities, entropies, samplers, spectra, Szego route."""
 
+import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 import fundlim as fl
+from conftest import lfilter_ar_sample
 from fundlim.disturbance import GAUSSIAN_ENTROPY_BITS, _ziggurat
 
 
@@ -221,23 +223,65 @@ class TestSamplers:
         with pytest.raises(fl.InvalidModelError):
             fl.GaussianIID(1.0).sample(0, 0)
 
-    def test_uniform_block_is_successive_samples(self):
+    @pytest.mark.parametrize(
+        "model, draw",
+        [(fl.UniformIID(0.7), lambda rng, n: 0.7 * rng.uniform(-1.0, 1.0, n))]
+        + [
+            (ar, functools.partial(lfilter_ar_sample, ar))
+            for ar in (
+                fl.GaussianAR((0.9,), 1.3),
+                fl.GaussianAR((0.5, -0.25), 1.3),
+                fl.GaussianAR((0.5, -0.25, 0.1), 1.3),
+            )
+        ],
+        ids=["uniform", "ar1", "ar2", "ar3"],
+    )
+    def test_block_is_successive_samples(self, model, draw):
         # A 64-row block is, byte for byte, 64 successive samples from the
-        # same generator, and each sample is rng.uniform's draw.
-        model = fl.UniformIID(0.7)
+        # same generator, and each sample is the reference draw: rng.uniform's,
+        # or scipy's lfilter run from the state lfiltic sets, on the same
+        # draws and covariance.
         block = np.empty((64, 257))
         model.sample_rows(np.random.default_rng(42), block)
         rng = np.random.default_rng(42)
         rows = np.stack([model.sample(rng, 257) for _ in range(64)])
         assert block.tobytes() == rows.tobytes()
         rng = np.random.default_rng(42)
-        draws = np.stack([0.7 * rng.uniform(-1.0, 1.0, 257) for _ in range(64)])
+        draws = np.stack([draw(rng, 257) for _ in range(64)])
         assert rows.tobytes() == draws.tobytes()
+
+    @pytest.mark.parametrize("order", range(1, 13))
+    def test_ar_covariance_matches_discrete_lyapunov(self, order):
+        # The Yule-Walker covariance against scipy's companion-form Lyapunov
+        # solve. Both lose digits in proportion to the covariance's
+        # condition number, which clustered roots drive up (at 1e9 the two
+        # differ by ~1e-9), so the roots here are spread: conjugate pairs
+        # at evenly spaced angles, moduli 0.95 down to 0.65, and 0.95 at
+        # odd orders.
+        pairs = order // 2
+        angles = np.pi * np.arange(1, pairs + 1) / (pairs + 1)
+        moduli = 0.95 - 0.3 * np.arange(pairs) / max(pairs, 1)
+        upper = moduli * np.exp(1j * angles)
+        roots = np.concatenate([upper, upper.conj(), [0.95] * (order % 2)])
+        coeffs = tuple(-np.poly(roots).real[1:])
+        companion = np.zeros((order, order))
+        companion[0] = coeffs
+        companion[1:, :-1] = np.eye(order - 1)
+        noise = np.zeros((order, order))
+        noise[0, 0] = 1.0
+        want = scipy.linalg.solve_discrete_lyapunov(companion, noise)
+        got = fl.GaussianAR(coeffs, 1.0)._unit_lag_covariance
+        scale = np.abs(want).max()
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
 
     @pytest.mark.parametrize(
         "model",
-        [fl.UniformIID(0.7), fl.GeneralizedGaussianIID(4.0, 1.3)],
-        ids=["uniform", "gengauss"],
+        [
+            fl.UniformIID(0.7),
+            fl.GeneralizedGaussianIID(4.0, 1.3),
+            fl.GaussianAR((0.5, -0.25), 1.3),
+        ],
+        ids=["uniform", "gengauss", "ar"],
     )
     def test_one_row_block_is_sample(self, model):
         out = np.empty((1, 257))
@@ -265,14 +309,14 @@ class TestSamplers:
     def test_ar_lag_covariance_solved_once_per_model(self, monkeypatch):
         coeffs = (0.5, -0.25)
         expected = [fl.GaussianAR(coeffs, 1.3).sample(seed, 50) for seed in range(3)]
-        solve = scipy.linalg.solve_discrete_lyapunov
+        solve = np.linalg.solve
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(1)
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "solve_discrete_lyapunov", counted)
+        monkeypatch.setattr(np.linalg, "solve", counted)
         model = fl.GaussianAR(coeffs, 1.3)
         draws = [model.sample(seed, 50) for seed in range(3)]
         model.variance()

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import fundlim as fl
+from conftest import lfilter_ar_sample
 from fundlim import simulation
 from fundlim.bounds import BoundReport
 from fundlim.controllers import CausalController, StaticGain, ZeroController
@@ -19,6 +20,9 @@ from fundlim.simulation import _BOOTSTRAP_TAG, _DISTURBANCE, _INITIAL_STATE, _ch
 # Scalar test plants have C B != 0; that analysis warning is covered in
 # test_plant and is noise here.
 pytestmark = pytest.mark.filterwarnings("ignore::fundlim.AnalysisWarning")
+
+
+AR2 = fl.GaussianAR((0.5, -0.25), 1.1)
 
 
 def scalar_plant(a):
@@ -306,8 +310,9 @@ class TestDrawContract:
         [
             (fl.GaussianIID(1.3), lambda rng, n: 1.3 * rng.standard_normal(n)),
             (fl.UniformIID(0.7), lambda rng, n: 0.7 * rng.uniform(-1.0, 1.0, n)),
+            (AR2, lambda rng, n: lfilter_ar_sample(AR2, rng, n)),
         ],
-        ids=["gaussian", "uniform"],
+        ids=["gaussian", "uniform", "ar"],
     )
     def test_block_draws_keep_the_per_trajectory_floats(self, monkeypatch, dist, draw):
         # Chunks of 100 hold a full block of 64 and a ragged one of 36, and
