@@ -626,12 +626,11 @@ class GeneralizedGaussianIID(_RowSampled):
         }
 
 
-def _stationary(solve, *args) -> np.ndarray:
-    """``solve(*args)``, where float64 failing near the unit circle is an InvalidModelError."""
-    try:
-        return solve(*args)
-    except np.linalg.LinAlgError as exc:
-        raise InvalidModelError(f"autoregression too close to the unit circle: {exc}") from exc
+# The largest condition number of a Yule-Walker system whose solve is
+# trusted. Its relative error is up to about condition * 1.1e-16, and near
+# the unit circle it grows without bound: roots 0.9999 and 0.9998 give
+# 8.8e11, roots 0.999999 and 0.999998 give 1.75e16 and a negative variance.
+_MAX_CONDITION = 1e12
 
 
 @dataclass(frozen=True)
@@ -640,8 +639,10 @@ class GaussianAR(_RowSampled):
 
     Innovations w_k are IID N(0, innovation_std^2). Sampling is exact: the
     initial lags are drawn from the stationary law (a Yule-Walker solve,
-    once per model, refused where float64 finds it singular, as it does
-    near the unit circle) before filtering the innovations.
+    once per model) before filtering the innovations. A model too close to
+    the unit circle for that solve in float64 is refused when it is made:
+    one whose Yule-Walker system has a condition number above 1e12, or
+    whose solved variance is not finite and positive.
     """
 
     coeffs: tuple
@@ -661,6 +662,7 @@ class GaussianAR(_RowSampled):
                 "lies on or outside the unit circle"
             )
         object.__setattr__(self, "coeffs", coeffs)
+        self._unit_lag_covariance  # refuses a system float64 cannot solve
 
     @property
     def order(self) -> int:
@@ -676,12 +678,21 @@ class GaussianAR(_RowSampled):
         system = np.eye(m + 1)
         gap = np.abs(lags[:, None] - lags[1:]).ravel()
         np.subtract.at(system, (np.repeat(lags, m), gap), np.tile(self.coeffs, m + 1))
-        gamma = _stationary(np.linalg.solve, system, np.eye(m + 1)[0])
+        condition = np.linalg.cond(system)
+        gamma = np.linalg.solve(system, np.eye(m + 1)[0]) if condition <= _MAX_CONDITION else None
+        if gamma is None or not (math.isfinite(gamma[0]) and gamma[0] > 0.0):
+            raise InvalidModelError(
+                "autoregression too close to the unit circle: its Yule-Walker system "
+                f"has condition number {condition:.3g} (limit {_MAX_CONDITION:.0e})"
+            )
         return gamma[np.abs(lags[:m, None] - lags[:m])]
 
     @cached_property
     def _unit_lag_cholesky(self) -> np.ndarray:
-        return _stationary(np.linalg.cholesky, self._unit_lag_covariance)
+        try:
+            return np.linalg.cholesky(self._unit_lag_covariance)
+        except np.linalg.LinAlgError as exc:
+            raise InvalidModelError(f"autoregression too close to the unit circle: {exc}") from exc
 
     def sample_rows(self, rng: np.random.Generator, out: np.ndarray) -> None:
         # Each row draws its innovations, then its initial lags; all rows run

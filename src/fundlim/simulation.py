@@ -19,10 +19,12 @@ jobs: they run in forked worker processes, one per CPU of the
 affinity mask, and their partial statistics are added in block order, so
 the results do not depend on the number of workers.
 
-Per-step empirical L_p norms are aggregated across trajectories, the limsup
-is operationalized as the maximum of those norms over a tail window at the
-end of the horizon, and certification compares that tail statistic against
-a bound with a bootstrap margin.
+Per-step empirical L_p norms are aggregated across trajectories. The limsup
+is operationalized over a tail window at the end of the horizon: for finite
+p as the pooled norm of every magnitude in it, all steps and trajectories
+together, and for p = inf as their largest magnitude. Certification compares
+that tail statistic against a bound with a margin from a bootstrap over
+trajectories.
 """
 
 from __future__ import annotations
@@ -72,15 +74,6 @@ _BOOTSTRAP_TAG = 0xB007
 # Disturbance draws staged per transpose into the chunk's step-major block.
 _STAGING = 64
 
-# Trajectories per bootstrap slice. Fixed, like _CHUNK: the bootstrap draws,
-# and so every margin, depend on it. A slice's temporaries take a few MB.
-_BOOTSTRAP_SLICE = 512
-
-# The p = inf bootstrap reads a resample's maximum off the first of a slice's
-# this many largest peaks that it picked; a resample that picked none of
-# them (probability about e**-8) takes the maximum over the whole slice.
-_TOP_PEAKS = 8
-
 # Purposes of a chunk's random streams (the first word of their spawn key).
 _DISTURBANCE = 0
 _INITIAL_STATE = 1
@@ -94,8 +87,8 @@ _GROWTH = 4.0
 class SimulationConfig:
     """Closed-loop Monte Carlo settings.
 
-    ``tail_window`` is the number of final steps whose per-step norms feed
-    the tail statistic (default horizon // 5). ``burn_in`` (default
+    ``tail_window`` is the number of final steps whose magnitudes feed the
+    tail statistic (default horizon // 5). ``burn_in`` (default
     horizon // 5) is the start-up transient kept out of the stability
     baseline: the mean-square state on steps [max(burn_in, 1), horizon -
     tail_window) is the level the tail window must not outgrow. It must
@@ -172,8 +165,10 @@ class SimulationResult:
     """Aggregated closed-loop statistics.
 
     ``error_norms``/``output_norms`` map each norm order to the per-step
-    empirical norm across trajectories (length horizon); ``error_tail`` and
-    ``output_tail`` hold the maxima of those norms over the tail window.
+    empirical norm across trajectories (length horizon). ``error_tail`` and
+    ``output_tail`` hold the tail statistic: for finite p the pooled norm
+    over the tail window, (sum of the window's per-step power sums / sum of
+    its alive counts)^(1/p), and for p = inf the window's largest magnitude.
     ``tail_abs_error``/``tail_abs_output`` keep the per-trajectory magnitudes
     inside the tail window, shape (tail_window, trajectories), for bootstrap
     resampling; they are the two row views of one
@@ -558,7 +553,14 @@ def run_closed_loop(
         norms = {p: (total / counts) ** (1.0 / p) for p, total in sums.items()}
         if maxes is not None:
             norms[math.inf] = maxes
-        tail_max = {p: rows[:, horizon - tail :].max(axis=1) for p, rows in norms.items()}
+        # The pooled norm over the window; for p = inf the largest maximum.
+        window = slice(horizon - tail, None)
+        tail_stat = {
+            p: (total[:, window].sum(axis=1) / counts[window].sum()) ** (1.0 / p)
+            for p, total in sums.items()
+        }
+        if maxes is not None:
+            tail_stat[math.inf] = maxes[:, window].max(axis=1)
         # Step 0 is x0, not the loop's response. With no baseline steps before
         # the tail window, the later half of [start, horizon) faces the earlier.
         start = max(cfg.burn_in, 1)
@@ -573,8 +575,8 @@ def run_closed_loop(
         config=cfg,
         error_norms={p: rows[0] for p, rows in norms.items()},
         output_norms={p: rows[1] for p, rows in norms.items()},
-        error_tail={p: float(rows[0]) for p, rows in tail_max.items()},
-        output_tail={p: float(rows[1]) for p, rows in tail_max.items()},
+        error_tail={p: float(rows[0]) for p, rows in tail_stat.items()},
+        output_tail={p: float(rows[1]) for p, rows in tail_stat.items()},
         mean_square_state=mean_sq,
         stable=bool(stable),
         diverged=diverged,
@@ -584,77 +586,44 @@ def run_closed_loop(
     )
 
 
-def _resample_counts(rng: np.random.Generator, n: int, resamples: int):
-    """Yield each slice's first trajectory and its (resamples, size) pick counts.
-
-    Resample r picks n of the n trajectories uniformly with replacement. One
-    multinomial splits its picks across the slices, in proportion to their
-    sizes; a slice's picks then land uniformly inside it. Row r of every
-    slice so makes up one multinomial(n, 1/n) count vector, and no array
-    grows with n but the (resamples, slices) split.
-    """
-    starts = np.arange(0, n, _BOOTSTRAP_SLICE)
-    sizes = np.minimum(_BOOTSTRAP_SLICE, n - starts)
-    totals = rng.multinomial(n, sizes / n, size=resamples)
-    for lo, size, total in zip(starts.tolist(), sizes.tolist(), totals.T):
-        picks = np.repeat(np.arange(resamples) * size, total)
-        picks += rng.integers(0, size, picks.size)
-        yield lo, np.bincount(picks, minlength=resamples * size).reshape(resamples, size)
-
-
-def _resample_peaks(counts: np.ndarray, peaks: np.ndarray) -> np.ndarray:
-    """Each resample's largest picked peak, 0.0 if it picked none.
-
-    Exactly ``np.where(counts > 0, peaks, 0.0).max(axis=1)`` for peaks >= 0:
-    a resample's maximum is the first of the slice's largest peaks, taken in
-    descending order, that it picked, and only the rare resample that picked
-    none of them takes the maximum over the whole slice.
-    """
-    top = np.argsort(peaks)[: -_TOP_PEAKS - 1 : -1]
-    picked = counts[:, top] > 0
-    best = peaks[top][picked.argmax(axis=1)]
-    missed = ~picked.any(axis=1)
-    if missed.any():
-        best[missed] = np.where(counts[missed] > 0, peaks, 0.0).max(axis=1)
-    return best
-
-
 def _bootstrap_pass(tail_abs: np.ndarray, orders, seed_key, resamples: int):
     """Tail statistic of each bootstrap resample for every order, and the scale.
 
-    Returns a dict from each order in ``orders`` to its (resamples,)
-    statistics, those of ``tail_abs / scale``, where scale is the block's
-    largest magnitude (1.0 if that is 0), so no power overflows or
-    underflows for the scale of the data alone. One set of count draws
-    serves every order, and each order's arithmetic is the same whatever
-    other orders share the pass.
+    One pass over the (tail, n) block, row by row, takes each trajectory's
+    tail sum of (|x| / scale)^p for every finite order in ``orders`` and its
+    tail peak, where scale is the block's largest magnitude (1.0 if that is
+    0), so no power overflows or underflows for the scale of the data alone.
+    Resample r then picks n of the n trajectories uniformly with
+    replacement, ``rng.integers(0, n, n)``, and reads its statistics off
+    those numbers: (sum of the picked sums / (tail n))^(1/p), the pooled
+    norm, and the largest picked peak for p = inf. Returns a dict from each
+    order to its (resamples,) statistics, in units of the scale. One set of
+    picks serves every order, and each order's arithmetic is the same
+    whatever other orders share the pass.
     """
     rng = np.random.default_rng(seed_key)
     tail, n = tail_abs.shape
     scale = float(tail_abs.max()) or 1.0
-    sums = {p: np.zeros((tail, resamples)) for p in orders if not math.isinf(p)}
-    sup = np.zeros(resamples) if math.inf in orders else None
-    if sums:
-        # Reused slice after slice, so the allocator neither hands their
-        # pages back nor faults them in again. The weights are
-        # column-major, as counts.T.astype(float) is, so every product
-        # rounds as it did.
-        scaled = np.empty((tail, _BOOTSTRAP_SLICE))
-        powered = np.empty((tail, _BOOTSTRAP_SLICE))
-        weights = np.empty((resamples, _BOOTSTRAP_SLICE)).T
-    for lo, counts in _resample_counts(rng, n, resamples):
-        size = counts.shape[1]
-        block = tail_abs[:, lo : lo + size]
-        if sup is not None:
-            np.maximum(sup, _resample_peaks(counts, block.max(axis=0) / scale), out=sup)
-        if sums:
-            base = np.divide(block, scale, out=scaled[:, :size])
-            np.copyto(weights[:size], counts.T)
-            for p, total in sums.items():
-                total += _power(base, p, powered[:, :size]) @ weights[:size]
-    stats = {p: (total.max(axis=0) / n) ** (1.0 / p) for p, total in sums.items()}
-    if sup is not None:
-        stats[math.inf] = sup
+    totals = {p: np.zeros(n) for p in orders if not math.isinf(p)}
+    if math.inf in orders:
+        totals[math.inf] = np.zeros(n)
+    base, work = np.empty(n), np.empty(n)
+    for row in tail_abs:
+        np.divide(row, scale, out=base)
+        for p, total in totals.items():
+            if math.isinf(p):
+                np.maximum(total, base, out=total)
+            else:
+                total += _power(base, p, work)
+    stats = {p: np.empty(resamples) for p in totals}
+    for r in range(resamples):
+        picks = rng.integers(0, n, n)
+        for p, total in totals.items():
+            picked = np.take(total, picks, out=work)
+            stats[p][r] = picked.max() if math.isinf(p) else picked.sum()
+    for p, values in stats.items():
+        if not math.isinf(p):
+            stats[p] = (values / (tail * n)) ** (1.0 / p)
     return stats, scale
 
 
@@ -666,13 +635,13 @@ def _bootstrap_stds(tail_abs: np.ndarray, orders, seed_key, resamples: int) -> d
 
 
 def check_resamples(resamples: int) -> None:
-    """Raise InvalidModelError unless 1 <= resamples and a slice's counts fit an array."""
+    """Raise InvalidModelError unless 1 <= resamples and its statistics fit an array."""
     if resamples < 1:
         raise InvalidModelError(f"resamples must be >= 1, got {resamples}")
-    if resamples * _BOOTSTRAP_SLICE * 8 > sys.maxsize:
+    if resamples * 8 > sys.maxsize:
         raise InvalidModelError(
-            f"resamples {resamples} is too large: a slice's (resamples, "
-            f"{_BOOTSTRAP_SLICE}) counts would exceed {sys.maxsize} bytes"
+            f"resamples {resamples} is too large: the (resamples,) statistics "
+            f"of a norm order would exceed {sys.maxsize} bytes"
         )
 
 
@@ -713,21 +682,22 @@ def verify_bound(
 
     The ratio is tail norm / bound; the bound counts as satisfied when the
     ratio is at least 1 minus three bootstrap standard errors. The bootstrap
-    is an exact multinomial resampling of trajectories, ``resamples`` draws
-    deterministic in the simulation seed, drawn and summed one fixed slice
-    of trajectories at a time, so it makes no copy of the tail array: its
-    extra memory grows with the number of trajectories only through a
-    (resamples, slices) table. One set of count draws per signal and
-    ``resamples`` serves every norm order of ``result.config.p_list``: the
-    first call computes the std of each order in one pass and memoizes them
-    on ``result``, and later calls look theirs up. Each order's margin is
-    the one a pass of its own would give, bit for bit. The bootstrap works
-    in units of the tail block's largest magnitude, so it is scale-free:
-    scaling the magnitudes by a power of two scales the bootstrap std by
-    exactly that factor. For p = inf the sample maximum is a one-sided
-    underestimate of the essential supremum, so an extra ``sup_slack`` is
-    allowed. Refuses to certify unstable results; raises InvalidModelError
-    for resamples < 1 or too many to count in one array.
+    resamples whole trajectories with replacement, ``resamples`` draws of n
+    picks each, deterministic in the simulation seed. One pass over the
+    signal's tail block takes every trajectory's tail power sum per finite
+    order and its tail peak, and each resample's pooled norm and maximum
+    are read off those: the extra memory is a few arrays of one float per
+    trajectory, never a copy of the tail block. One set of draws per signal
+    and ``resamples`` serves every norm order of ``result.config.p_list``:
+    the first call computes the std of each order in one pass and memoizes
+    them on ``result``, and later calls look theirs up. Each order's margin
+    is the one a pass of its own would give, bit for bit. The bootstrap
+    works in units of the tail block's largest magnitude, so it is
+    scale-free: scaling the magnitudes by a power of two scales the
+    bootstrap std by exactly that factor. For p = inf the sample maximum is
+    a one-sided underestimate of the essential supremum, so an extra
+    ``sup_slack`` is allowed. Refuses to certify unstable results; raises
+    InvalidModelError for resamples < 1 or too many to hold in one array.
     """
     if which not in ("error", "output"):
         raise ValueError(f"which must be 'error' or 'output', got {which!r}")

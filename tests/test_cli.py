@@ -524,13 +524,10 @@ class TestVerify:
         assert code == EXIT_INPUT
         assert "controller" in err
 
-    def test_ar_singular_to_float64_is_an_input_error(
-        self, capsys, monkeypatch, tmp_path, stable_plant
-    ):
+    def test_ar_singular_to_float64_is_an_input_error(self, capsys, tmp_path, stable_plant):
         # Roots 1e-7 and 2e-7 inside the unit circle: the Yule-Walker
-        # system is singular in float64. The chunks of 100 that draw from
-        # the model run in worker processes where the host has the CPUs.
-        monkeypatch.setattr("fundlim.simulation._CHUNK", 100)
+        # system is singular in float64, and the model is refused when the
+        # disturbance file is loaded, before any chunk runs.
         near, nearer = 0.9999998, 0.9999999
         dist = tmp_path / "near_unit_ar.json"
         dist.write_text(json.dumps(
@@ -543,6 +540,23 @@ class TestVerify:
         assert code == EXIT_INPUT
         assert out == ""
         assert err.startswith("fundlim: ") and "unit circle" in err
+
+    @pytest.mark.parametrize("command", ["bound", "verify"])
+    def test_ar_ill_conditioned_is_an_input_error(self, capsys, tmp_path, stable_plant, command):
+        # Roots 1e-6 inside the unit circle: the Yule-Walker system is not
+        # singular, but its condition number, 1.75e16, is past the limit.
+        near, nearer = 0.999998, 0.999999
+        dist = tmp_path / "ill_conditioned_ar.json"
+        dist.write_text(json.dumps(
+            {"type": "gauss_ar", "coeffs": [near + nearer, -near * nearer], "innovation_std": 1.0}
+        ))
+        code, out, err = run_cli(
+            capsys, command, "--plant", stable_plant, "--dist", str(dist),
+            *(["--horizon", "50", "--traj", "200"] if command == "verify" else []),
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("fundlim: ") and "condition number" in err
 
     def test_deterministic_reports(self, capsys, tmp_path, stable_plant, gauss_dist):
         def one_run(tag):

@@ -466,6 +466,21 @@ class TestModelValidation:
             fl.GaussianAR((1.5, -0.4), 1.0)
         fl.GaussianAR((0.5, -0.25), 1.0)  # stable pair is fine
 
+    def test_ar_too_close_to_the_unit_circle_refused(self):
+        # Roots 1e-6 inside the unit circle: the Yule-Walker system has
+        # condition number 1.75e16, and its solve gives a variance of -4.5e15
+        # where the closed form gives 8.33e16.
+        r1, r2 = 0.999999, 0.999998
+        with pytest.raises(fl.InvalidModelError, match="unit circle.*condition number"):
+            fl.GaussianAR((r1 + r2, -r1 * r2), 1.0).variance()
+
+    @pytest.mark.parametrize("r1, r2", [(0.99, 0.98), (0.9999, 0.9998)])
+    def test_ar_near_the_unit_circle_accepted(self, r1, r2):
+        # Condition numbers 8.6e5 and 8.8e11, under the limit of 1e12.
+        a1, a2 = r1 + r2, -r1 * r2
+        exact = (1.0 - a2) / ((1.0 + a2) * ((1.0 - a2) ** 2 - a1**2))
+        assert fl.GaussianAR((a1, a2), 1.0).variance() == pytest.approx(exact, rel=1e-4)
+
 
 class TestEntropyRates:
     def test_gaussian_value(self):
