@@ -53,7 +53,10 @@ def cp_constant(p: float) -> float:
     p = check_order(p)
     if math.isinf(p):
         return 0.5
-    return 1.0 / (2.0 * math.gamma((p + 1.0) / p) * (p * math.e) ** (1.0 / p))
+    pe = p * math.e
+    # Past p ~ 6.6e307, p e overflows; its logarithm does not.
+    root = pe ** (1.0 / p) if math.isfinite(pe) else math.exp((math.log(p) + 1.0) / p)
+    return 1.0 / (2.0 * math.gamma((p + 1.0) / p) * root)
 
 
 @dataclass(frozen=True)

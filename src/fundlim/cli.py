@@ -407,6 +407,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"fundlim: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError as exc:
+        print(f"fundlim: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

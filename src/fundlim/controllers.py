@@ -35,10 +35,11 @@ class CausalController(ABC):
     vectorizes it across trajectories.
 
     The simulator never steps the instance it is given: each chunk of
-    trajectories works on ``clone()`` copies. Chunks may run in forked
-    worker processes (see ``run_closed_loop``), so these methods can run in
-    a child process, and state they change there does not reach the caller.
-    Nothing needs to be picklable: workers inherit the instance by ``fork``.
+    trajectories works on ``clone()`` copies. Chunks may run in a pool of
+    forked worker processes (see ``run_closed_loop``), so these methods can
+    run in a child process, and state they change there does not reach the
+    caller. Nothing needs to be picklable: workers inherit the instance by
+    ``fork``, through the pool's initializer.
     """
 
     @abstractmethod
@@ -80,7 +81,10 @@ class StaticGain(CausalController):
     """Proportional negative feedback z_k = -gain * y_k."""
 
     def __init__(self, gain: float):
-        self.gain = float(gain)
+        gain = float(gain)
+        if not np.isfinite(gain):
+            raise InvalidModelError(f"gain must be finite, got {gain}")
+        self.gain = gain
 
     def reset(self) -> None:
         pass

@@ -66,10 +66,10 @@ def max_entropy_value(p: float, lp_norm: float) -> float:
     lp_norm = _check_positive(lp_norm, "lp_norm")
     if math.isinf(p):
         return math.log2(2.0 * lp_norm)
-    return (
-        math.log2(2.0 * math.gamma((p + 1.0) / p) * lp_norm)
-        + math.log2(p * math.e) / p
-    )
+    pe = p * math.e
+    # Past p ~ 6.6e307, p e overflows; its logarithm does not.
+    log_pe = math.log2(pe) if math.isfinite(pe) else math.log2(p) + math.log2(math.e)
+    return math.log2(2.0 * math.gamma((p + 1.0) / p) * lp_norm) + log_pe / p
 
 
 def max_entropy_pdf(p: float, lp_norm: float, x):

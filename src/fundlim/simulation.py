@@ -15,9 +15,10 @@ a second generator. Trajectory m's draws so depend only on the seed, its
 chunk and its position in the chunk, not on the number of trajectories.
 The draws are bit-reproducible per numpy version, as numpy does not
 freeze Generator distribution streams (NEP 19). Chunks are independent
-jobs: they run in forked worker processes, one per CPU of the
-affinity mask, and their partial statistics are added in block order, so
-the results do not depend on the number of workers.
+jobs: they run in a ``concurrent.futures.ProcessPoolExecutor`` of forked
+workers, one per CPU of the affinity mask, and their partial statistics
+are added in block order, so the results do not depend on the number of
+workers.
 
 Per-step empirical L_p norms are aggregated across trajectories. The limsup
 is operationalized over a tail window at the end of the horizon: for finite
@@ -35,7 +36,6 @@ import mmap
 import os
 import pickle
 import sys
-import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -408,7 +408,10 @@ def _map_chunks(job, spans):
     """Yield ``job(span)`` for every span, in order.
 
     One worker process per CPU, capped at the number of spans, runs the jobs
-    when the host can fork; else, or with one worker, they run here.
+    in a ``ProcessPoolExecutor`` when the host can fork; else, or with one
+    worker, they run here. Workers get ``job`` through the pool's
+    initializer, which ``fork`` passes on without pickling it; only spans
+    and results are pickled.
     """
     workers = min(_cpus(), len(spans))
     if workers > 1:
@@ -419,70 +422,46 @@ def _map_chunks(job, spans):
             "fork" in multiprocessing.get_all_start_methods()
             and not multiprocessing.current_process().daemon
         ):
-            return _forked_map(multiprocessing.get_context("fork"), job, spans, workers)
-    return map(job, spans)
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(
+                workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_install_job,
+                initargs=(job,),
+            )
+            try:
+                yield from pool.map(_run_job, spans)
+            finally:
+                pool.shutdown(cancel_futures=True)
+            return
+    yield from map(job, spans)
 
 
-def _serve(job, spans, conn):
-    """Worker body: send the outcome of ``job`` on each span, in order.
+def _install_job(job):
+    """Pool initializer: the job that ``_run_job`` runs in this worker.
 
-    A failure is sent as the exception and its traceback text, and ends the
-    worker. An exception that does not survive pickling goes as a
-    RuntimeError that names its class and message.
+    It runs only in a worker process, which serves one pool, so the global
+    is never shared between two runs.
+    """
+    global _worker_job
+    _worker_job = job
+
+
+def _run_job(span):
+    """Run the worker's job on ``span``.
+
+    An exception that does not survive pickling is raised as a RuntimeError
+    that names its class and message, with the original as its cause.
     """
     try:
-        for span in spans:
-            conn.send((job(span), None))
+        return _worker_job(span)
     except Exception as exc:
-        remote = "".join(traceback.format_exception(exc))
         try:
             pickle.loads(pickle.dumps(exc))
         except Exception:
-            exc = RuntimeError(f"{type(exc).__qualname__}: {exc}")
-        conn.send((exc, remote))
-    finally:
-        conn.close()
-
-
-def _forked_map(ctx, job, spans, workers):
-    """``_map_chunks`` over forked workers: worker w runs spans w, w + workers, ...
-
-    Forked workers inherit ``job`` with everything it holds, so nothing of it
-    is pickled; only the results come back through pipes. A failed job is
-    raised again here with its type and message, or, when its exception
-    cannot be pickled, as a RuntimeError naming them; the worker's traceback
-    is its cause. Every worker is stopped before this generator ends.
-    """
-    pipes, procs = [], []
-    try:
-        for w in range(workers):
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_serve, args=(job, spans[w::workers], send), daemon=True)
-            proc.start()
-            send.close()
-            pipes.append(recv)
-            procs.append(proc)
-        for i in range(len(spans)):
-            try:
-                value, remote = pipes[i % workers].recv()
-            except EOFError:
-                proc = procs[i % workers]
-                proc.join()
-                raise RuntimeError(
-                    f"chunk worker exited with code {proc.exitcode} before sending chunk {i}"
-                ) from None
-            if remote is not None:
-                raise value from RuntimeError(f"in the chunk worker:\n{remote}")
-            yield value
-        for proc in procs:
-            proc.join()
-    finally:
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-            proc.join()
-        for conn in pipes:
-            conn.close()
+            raise RuntimeError(f"{type(exc).__qualname__}: {exc}") from exc
+        raise
 
 
 def run_closed_loop(
@@ -502,15 +481,20 @@ def run_closed_loop(
     come from a second generator of the chunk; a ragged last chunk draws a
     prefix of a full chunk's streams.
 
-    Chunks run in worker processes, one per CPU in the affinity mask
-    (``os.sched_getaffinity``; ``os.cpu_count()`` where that does not
-    exist), capped at the number of chunks. Workers start only with the
-    ``fork`` method; where it is missing, with one worker, or inside a
-    daemonic process, the chunks run in this process instead. ``taskset -c
-    0`` so forces a serial run. Forked workers run the disturbance's and the
-    controller's methods in child processes, so a side effect of that code
-    does not reach the caller; each chunk already works on clones of the
-    controller. A worker holds one chunk's disturbance block, 8192 x
+    Chunks run in a ``ProcessPoolExecutor`` of worker processes, one per
+    CPU in the affinity mask (``os.sched_getaffinity``; ``os.cpu_count()``
+    where that does not exist), capped at the number of chunks. Workers
+    start only with the ``fork`` method; where it is missing, with one
+    worker, or inside a daemonic process, the chunks run in this process
+    instead. ``taskset -c 0`` so forces a serial run. Forked workers run
+    the disturbance's and the controller's methods in child processes, so a
+    side effect of that code does not reach the caller; each chunk already
+    works on clones of the controller. A chunk's exception is raised here
+    with its type and message, or as a RuntimeError naming them when it
+    cannot be pickled. A worker that dies, say by a signal or
+    ``os._exit``, surfaces as ``concurrent.futures.process.BrokenProcessPool``
+    (a RuntimeError). After a failure, chunks not yet started are
+    cancelled, and a chunk already running finishes before this returns. A worker holds one chunk's disturbance block, 8192 x
     horizon x 8 bytes (26 MB at horizon 400), stored step-major, a 64 x
     horizon staging block, and the chunk's step-loop work buffers,
     allocated once per chunk; the caller

@@ -119,6 +119,14 @@ class TestBound:
         reports = json.loads(out)["reports"]
         assert [r["p"] for r in reports] == [1.0, 2.0, "inf"]
 
+    def test_order_where_p_times_e_overflows(self, capsys, gauss_dist, stable_plant):
+        code, out, _ = run_cli(
+            capsys, "bound", "--dist", gauss_dist, "--plant", stable_plant, "--p", "1e308"
+        )
+        assert code == EXIT_OK
+        (report,) = json.loads(out)["reports"]
+        assert report["factors"]["cp"] == 0.5
+
     def test_p2_route_pins_norm_order(self, capsys, gauss_dist, unstable_plant):
         code, out, _ = run_cli(
             capsys, "bound", "--dist", gauss_dist, "--plant", unstable_plant,
@@ -227,9 +235,10 @@ class TestVerify:
         assert csv_lines[0] == "k,e_p2,y_p2"
         assert len(csv_lines) == 61
 
-    @pytest.mark.parametrize("shape", [300.0, 1e300])
+    @pytest.mark.parametrize("shape", [300.0, 1e300, 1e308])
     def test_high_order_gengauss_is_certified(self, capsys, tmp_path, stable_plant, shape):
-        # At 1e300 float64 cannot tell the density from the box on [-1, 1].
+        # At 1e300 float64 cannot tell the density from the box on [-1, 1];
+        # at 1e308, p e overflows.
         dist = tmp_path / "gengauss.json"
         dist.write_text(json.dumps({"type": "iid_gengauss", "shape": shape, "lp_norm": 1.0}))
         code, out, _ = run_cli(
@@ -238,6 +247,15 @@ class TestVerify:
         )
         assert code == EXIT_OK
         assert [row["satisfied"] for row in json.loads(out)["results"]] == [True, True]
+
+    def test_order_where_p_times_e_overflows(self, capsys, stable_plant, gauss_dist):
+        code, out, err = run_cli(
+            capsys, "verify", "--plant", stable_plant, "--dist", gauss_dist,
+            "--horizon", "60", "--traj", "2000", "--p", "1e308",
+        )
+        assert code in (EXIT_OK, EXIT_UNSATISFIED), err
+        (row,) = json.loads(out)["results"]
+        assert row["factors"]["cp"] == 0.5
 
     def test_unsatisfied_transient_exits_three(self, capsys, unstable_plant, gauss_dist):
         # Two steps only: e_1 = d_1 - 1.5 d_0 has variance 3.25 < 4, the
@@ -523,6 +541,33 @@ class TestVerify:
         )
         assert code == EXIT_INPUT
         assert "controller" in err
+
+    @pytest.mark.parametrize("spec", ["gain:nan", "gain:inf"])
+    def test_non_finite_gain_is_an_input_error(self, capsys, stable_plant, gauss_dist, spec):
+        code, out, err = run_cli(
+            capsys, "verify", "--plant", stable_plant, "--dist", gauss_dist,
+            "--controller", spec, "--horizon", "20", "--traj", "100",
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "gain must be finite" in err
+
+    @pytest.mark.parametrize("message", ["", "Unable to allocate 745. GiB"])
+    def test_out_of_memory_is_an_input_error(
+        self, capsys, monkeypatch, stable_plant, gauss_dist, message
+    ):
+        # Stands in for sizes that fit an array but not this host's memory.
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("fundlim.cli.run_closed_loop", out_of_memory)
+        code, out, err = run_cli(
+            capsys, "verify", "--plant", stable_plant, "--dist", gauss_dist,
+            "--horizon", "20", "--traj", "100",
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == f"fundlim: out of memory{f': {message}' if message else ''}\n"
 
     def test_ar_singular_to_float64_is_an_input_error(self, capsys, tmp_path, stable_plant):
         # Roots 1e-7 and 2e-7 inside the unit circle: the Yule-Walker

@@ -162,3 +162,8 @@ class TestParseGrammar:
     def test_rejects_malformed(self, text):
         with pytest.raises(fl.InvalidModelError):
             fl.parse_controller(text)
+
+    @pytest.mark.parametrize("text", ["gain:nan", "gain:inf", "gain:-inf"])
+    def test_rejects_non_finite_gain(self, text):
+        with pytest.raises(fl.InvalidModelError, match="gain must be finite"):
+            fl.parse_controller(text)

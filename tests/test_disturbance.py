@@ -97,6 +97,13 @@ class TestMaxEntropyValue:
         assert fl.max_entropy_value(math.inf, 1.0) == pytest.approx(1.0, abs=1e-15)
         assert fl.max_entropy_value(1.0, 1.0) == pytest.approx(math.log2(2.0 * math.e), rel=1e-12)
 
+    def test_order_where_p_times_e_overflows(self):
+        # p e overflows past p ~ 6.6e307; the uniform limit is 1 bit.
+        assert fl.max_entropy_value(1e308, 1.0) == pytest.approx(1.0, abs=1e-15)
+        assert fl.GeneralizedGaussianIID(1e308, 1.0).conditional_entropy_rate() == pytest.approx(
+            1.0, abs=1e-15
+        )
+
     @given(
         p=st.floats(min_value=1.0, max_value=50.0),
         lp_norm=st.floats(min_value=1e-2, max_value=1e2),

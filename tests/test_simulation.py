@@ -6,6 +6,7 @@ import os
 import pickle
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -697,6 +698,15 @@ class FailsOnRaggedChunk(StaticGain):
         return super().step_batch(y)
 
 
+class ExitsOnRaggedChunk(StaticGain):
+    """Batch gain whose process exits with code 3 on the ragged last chunk."""
+
+    def step_batch(self, y):
+        if y.size != 64:
+            os._exit(3)
+        return super().step_batch(y)
+
+
 def run_in_pool_worker():
     plant, dist, cfg = diverging_loop()
     return result_bytes(fl.run_closed_loop(plant, StaticGain(DIVERGING_GAIN), dist, cfg))
@@ -778,6 +788,33 @@ class TestChunkWorkers:
             fl.run_closed_loop(scalar_plant(0.5), LocalFailure(0.5), fl.GaussianIID(1.0), cfg)
         assert str(caught.value) == f"{LocalError.__qualname__}: no command for a block of 44"
         assert "LocalError: no command for a block of 44" in str(caught.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+    def test_killed_worker_raises_and_leaves_no_child(self, monkeypatch):
+        monkeypatch.setattr("fundlim.simulation._CHUNK", 64)
+        cfg = fl.SimulationConfig(horizon=10, trajectories=300, seed=2)
+        use_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError):
+            fl.run_closed_loop(
+                scalar_plant(0.5), ExitsOnRaggedChunk(0.5), fl.GaussianIID(1.0), cfg
+            )
+        assert multiprocessing.active_children() == []
+
+    def test_concurrent_runs_match_their_lone_runs(self, monkeypatch):
+        monkeypatch.setattr("fundlim.simulation._CHUNK", 64)
+        use_cpus(monkeypatch, 2)
+        plant, dist, cfg = diverging_loop()
+
+        def run(gain):
+            return result_bytes(fl.run_closed_loop(plant, StaticGain(gain), dist, cfg))
+
+        # Open-loop pole 3 under gains -0.01 and 2.5: diverging and stable.
+        gains = (DIVERGING_GAIN, 2.5)
+        alone = [run(gain) for gain in gains]
+        with ThreadPoolExecutor(2) as threads:
+            together = list(threads.map(run, gains, timeout=120))
+        assert together == alone
+        assert alone[0] != alone[1]
         assert multiprocessing.active_children() == []
 
     def test_unpicklable_controller_runs_across_workers(self, monkeypatch):
