@@ -173,16 +173,9 @@ def _resolve_sim_config(args) -> SimulationConfig:
         if unknown:
             raise FundlimError(f"simulation config has unknown keys: {', '.join(unknown)}")
 
-    def pick(flag_value, key, fallback, kind):
-        value = flag_value if flag_value is not None else file_cfg.get(key, fallback)
-        if value is None and fallback is None:
-            return None
-        try:
-            return kind(value)
-        except (TypeError, ValueError, OverflowError):
-            raise FundlimError(
-                f"simulation setting {key} must be a number, got {value!r}"
-            ) from None
+    # SimulationConfig checks the values' types.
+    def pick(flag_value, key, fallback):
+        return flag_value if flag_value is not None else file_cfg.get(key, fallback)
 
     if args.p is not None:
         p_list = _parse_p_list(args.p)
@@ -190,13 +183,13 @@ def _resolve_sim_config(args) -> SimulationConfig:
         p_list = _parse_p_list(file_cfg.get("p_list", "2"), "p_list of --sim-config")
 
     return SimulationConfig(
-        horizon=pick(args.horizon, "horizon", 200, int),
-        trajectories=pick(args.traj, "trajectories", 10000, int),
-        seed=pick(args.seed, "seed", 0, int),
+        horizon=pick(args.horizon, "horizon", 200),
+        trajectories=pick(args.traj, "trajectories", 10000),
+        seed=pick(args.seed, "seed", 0),
         p_list=p_list,
-        burn_in=pick(args.burn_in, "burn_in", None, int),
-        tail_window=pick(args.tail_window, "tail_window", None, int),
-        x0_std=pick(args.x0_std, "x0_std", 0.0, float),
+        burn_in=pick(args.burn_in, "burn_in", None),
+        tail_window=pick(args.tail_window, "tail_window", None),
+        x0_std=pick(args.x0_std, "x0_std", 0.0),
     )
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-import mmap
+import numbers
 import os
 import pickle
 import sys
@@ -83,6 +83,19 @@ _INITIAL_STATE = 1
 _GROWTH = 4.0
 
 
+def _whole(name: str, value) -> int:
+    """``value`` as an int: an integer, numpy's included, or a whole float.
+
+    A bool, a fraction, a string or any other value raises InvalidModelError.
+    """
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    if isinstance(value, bool) or not whole:
+        raise InvalidModelError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Closed-loop Monte Carlo settings.
@@ -105,38 +118,41 @@ class SimulationConfig:
     x0_std: float = 0.0
 
     def __post_init__(self) -> None:
-        horizon = int(self.horizon)
-        trajectories = int(self.trajectories)
+        horizon = _whole("horizon", self.horizon)
+        trajectories = _whole("trajectories", self.trajectories)
         if horizon < 1:
             raise InvalidModelError(f"horizon must be >= 1, got {horizon}")
         if trajectories < 1:
             raise InvalidModelError(f"trajectories must be >= 1, got {trajectories}")
-        seed = int(self.seed)
+        seed = _whole("seed", self.seed)
         if seed < 0:
             raise InvalidModelError(f"seed must be >= 0, got {seed}")
         p_list = tuple(sorted({check_order(p) for p in self.p_list}))
         if not p_list:
             raise InvalidNormOrderError("p_list must name at least one norm order")
-        burn_in = horizon // 5 if self.burn_in is None else int(self.burn_in)
-        tail = max(1, horizon // 5) if self.tail_window is None else int(self.tail_window)
+        burn_in = horizon // 5 if self.burn_in is None else _whole("burn_in", self.burn_in)
+        tail = max(1, horizon // 5) if self.tail_window is None else self.tail_window
+        tail = _whole("tail_window", tail)
         if burn_in < 0 or tail < 1 or burn_in + tail > horizon:
             raise InvalidModelError(
                 f"need burn_in >= 0, tail_window >= 1, burn_in + tail_window <= horizon; "
                 f"got burn_in={burn_in}, tail_window={tail}, horizon={horizon}"
             )
-        # No array or mapping can hold more than sys.maxsize bytes: reject
-        # such sizes here instead of failing inside numpy or mmap.
+        # No array can hold more than sys.maxsize bytes: reject such sizes
+        # here instead of failing inside numpy.
         rows = max(2, min(_CHUNK, trajectories))
         if horizon * rows * 8 > sys.maxsize:
             raise InvalidModelError(
                 f"horizon {horizon} is too large: a chunk's (horizon, {rows}) arrays "
                 f"would exceed {sys.maxsize} bytes"
             )
-        if 2 * tail * trajectories * 8 > sys.maxsize:
+        if 2 * (len(p_list) + 1) * trajectories * 8 > sys.maxsize:
             raise InvalidModelError(
-                f"trajectories {trajectories} with tail_window {tail} is too large: "
-                f"the tail array would exceed {sys.maxsize} bytes"
+                f"trajectories {trajectories} is too large: the per-trajectory "
+                f"tail arrays would exceed {sys.maxsize} bytes"
             )
+        if isinstance(self.x0_std, bool) or not isinstance(self.x0_std, numbers.Real):
+            raise InvalidModelError(f"x0_std must be a number, got {self.x0_std!r}")
         x0_std = float(self.x0_std)
         if not (math.isfinite(x0_std) and x0_std >= 0.0):
             raise InvalidModelError("x0_std must be finite and >= 0")
@@ -169,18 +185,16 @@ class SimulationResult:
     ``output_tail`` hold the tail statistic: for finite p the pooled norm
     over the tail window, (sum of the window's per-step power sums / sum of
     its alive counts)^(1/p), and for p = inf the window's largest magnitude.
-    ``tail_abs_error``/``tail_abs_output`` keep the per-trajectory magnitudes
-    inside the tail window, shape (tail_window, trajectories), for bootstrap
-    resampling; they are the two row views of one
-    (2, tail_window, trajectories) array, NaN where a trajectory has
-    diverged. That array lives in an anonymous shared memory mapping, which
-    the chunk workers write into; it is kept as it is, not copied back into
-    private memory. ``stable`` is False when any trajectory left float range
-    (``diverged`` counts them), when the mean-square state did, or when the
-    mean-square state over the tail window averages more than 4 times its
-    average over the baseline steps [max(burn_in, 1), tail_start); with no
-    baseline steps, the later half of [max(burn_in, 1), horizon) is held
-    against the earlier half. ``alive_counts`` (int64, length horizon) is
+    ``tail_abs_error``/``tail_abs_output`` hold each signal's tail summaries
+    for the bootstrap, one column per trajectory: row i is its tail sum of
+    (|x| / peak)^p for the i-th finite order of ``config.p_list``, the last
+    row its tail peak, with magnitudes 0 from the step it diverged.
+    ``stable`` is False when any trajectory left float range (``diverged``
+    counts them), when the mean-square state did, or when the mean-square
+    state over the tail window averages more than 4 times its average over
+    the baseline steps [max(burn_in, 1), tail_start); with no baseline
+    steps, the later half of [max(burn_in, 1), horizon) is held against the
+    earlier half. ``alive_counts`` (int64, length horizon) is
     how many trajectories were still finite at each step; it never
     increases, and its last entry is trajectories - diverged.
     Every field is the same whatever the number of worker processes.
@@ -210,14 +224,18 @@ def empirical_lp(samples, p: float) -> float:
     """Empirical L_p norm: (mean |x|^p)^(1/p), or max |x| for p = inf.
 
     Taken as m (mean (|x|/m)^p)^(1/p), with m the largest magnitude, so no
-    power overflows or underflows for the scale of the samples alone.
+    power overflows or underflows for the scale of the samples alone. A
+    sample with an infinite entry has norm inf at every p; a NaN entry
+    raises InvalidModelError.
     """
     p = check_order(p)
     magnitudes = np.abs(np.asarray(samples, dtype=float).ravel())
     if magnitudes.size == 0:
         raise InvalidModelError("empirical norm needs at least one sample")
     peak = float(magnitudes.max())
-    if math.isinf(p) or peak == 0.0:
+    if math.isnan(peak):
+        raise InvalidModelError("empirical norm of a sample with a NaN entry")
+    if math.isinf(p) or peak == 0.0 or math.isinf(peak):
         return peak
     return peak * float(np.mean((magnitudes / peak) ** p) ** (1.0 / p))
 
@@ -296,21 +314,39 @@ def _add_power_sums(sums, mag, powered, k):
         total[:, k] = _power(mag, p, powered).sum(axis=1)
 
 
-def _simulate_chunk(model, controller, dist, cfg, tails, span):
+def _tail_summary(block: np.ndarray, orders) -> np.ndarray:
+    """The (finite orders + 1, count) summary of a (tail, count) magnitude block.
+
+    Per trajectory: the tail sum of ``_power(|x| / peak, p)`` for each finite
+    p of ``orders`` (sorted, inf last), then peak, its largest magnitude; a
+    zero peak divides by 1.0.
+    """
+    peak = block.max(axis=0)
+    divisor = np.where(peak > 0.0, peak, 1.0)
+    summary = np.zeros((sum(not math.isinf(p) for p in orders) + 1, block.shape[1]))
+    base, powered = np.empty_like(peak), np.empty_like(peak)
+    for row in block:
+        np.divide(row, divisor, out=base)
+        for total, p in zip(summary[:-1], orders):
+            total += _power(base, p, powered)
+    summary[-1] = peak
+    return summary
+
+
+def _simulate_chunk(model, controller, dist, cfg, span):
     """Simulate the trajectories ``span`` and return their partial statistics.
 
     Returns the chunk's ``_zero_stats`` arrays, filled with its per-step
-    statistics, and how many of its trajectories diverged. The chunk writes
-    its columns ``m_lo:m_hi`` of ``tails`` directly. It runs in a worker
-    process or in the caller's, so it sets its own floating-point error
-    state.
+    statistics, how many of its trajectories diverged, and the stacked
+    ``_tail_summary`` of its error and output. It runs in a worker or in
+    the caller's process, so it sets its own floating-point error state.
 
     Every work array of the step loop is allocated once per chunk: the
     disturbance block (step-major, so step k reads the contiguous row k),
     the state and its successor, which swap each step, and the magnitude,
-    power and mask buffers, which each ufunc writes through ``out=``. Only
-    the measurement ``y`` is a fresh array each step, since the control law
-    may keep it.
+    power, mask and (2, tail_window, count) tail buffers, which each step
+    writes in place. Only the measurement ``y`` is a fresh array each step,
+    since the control law may keep it.
     """
     sums, maxes, counts, sum_sq_state = _zero_stats(cfg)
     m_lo, m_hi = span
@@ -348,6 +384,7 @@ def _simulate_chunk(model, controller, dist, cfg, tails, span):
         # Row 0 is |e|, row 1 is |y|.
         mag = np.empty((2, count_m))
         powered = np.empty_like(mag)
+        tail_mag = np.empty((2, cfg.tail_window, count_m))
         xsq = np.empty(count_m)
         x_finite = np.empty(x.shape, dtype=bool)
         finite = np.empty(count_m, dtype=bool)
@@ -386,14 +423,13 @@ def _simulate_chunk(model, controller, dist, cfg, tails, span):
             np.copyto(xsq, 0.0, where=dead)
             sum_sq_state[k] = xsq.sum()
             if k >= tail_start:
-                row = tails[:, k - tail_start, m_lo:m_hi]
-                np.copyto(row, mag)
-                np.copyto(row, np.nan, where=dead)
+                tail_mag[:, k - tail_start] = mag
             np.matmul(A, x, out=x_next)
             np.multiply(B, e, out=be)
             np.add(x_next, be, out=x_next)
             x, x_next = x_next, x
-        return sums, maxes, counts, sum_sq_state, count_m - live
+        summary = np.stack([_tail_summary(block, cfg.p_list) for block in tail_mag])
+        return sums, maxes, counts, sum_sq_state, count_m - live, summary
 
 
 def _cpus() -> int:
@@ -494,29 +530,26 @@ def run_closed_loop(
     cannot be pickled. A worker that dies, say by a signal or
     ``os._exit``, surfaces as ``concurrent.futures.process.BrokenProcessPool``
     (a RuntimeError). After a failure, chunks not yet started are
-    cancelled, and a chunk already running finishes before this returns. A worker holds one chunk's disturbance block, 8192 x
-    horizon x 8 bytes (26 MB at horizon 400), stored step-major, a 64 x
-    horizon staging block, and the chunk's step-loop work buffers,
-    allocated once per chunk; the caller
-    holds none. A batch controller's ``step_batch`` receives a fresh ``y``
-    each step, which it may keep.
-
-    Each chunk returns its partial per-step statistics, and they are added
-    in block order, so results are bit-identical for a given config and
-    numpy version, whatever the number of workers. Raises
-    UnstableLoopError when every trajectory has left float range by the
-    final step.
+    cancelled, and a chunk already running finishes before this returns.
+    A worker holds one chunk's disturbance block, 8192 x horizon x 8 bytes
+    (26 MB at horizon 400), stored step-major, a 64 x horizon staging
+    block, and the chunk's step-loop work buffers, (2, tail_window, 8192)
+    tail magnitudes among them, allocated once per chunk. The caller holds
+    the chunks' per-step statistics and tail summaries, which it adds and
+    joins in block order, so results are bit-identical for a given config
+    and numpy version, whatever the number of workers. A batch
+    controller's ``step_batch`` receives a fresh ``y`` each step, which it
+    may keep. Raises UnstableLoopError when every trajectory has left
+    float range by the final step.
     """
     horizon, tail, n = cfg.horizon, cfg.tail_window, cfg.trajectories
     sums, maxes, counts, sum_sq_state = _zero_stats(cfg)
-    # Shared with forked workers, which write their columns into it.
-    tails = np.ndarray((2, tail, n), buffer=mmap.mmap(-1, 2 * tail * n * 8))
     spans = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
-    job = functools.partial(_simulate_chunk, model, controller, dist, cfg, tails)
+    job = functools.partial(_simulate_chunk, model, controller, dist, cfg)
 
-    diverged = 0
+    diverged, summaries = 0, []
     with np.errstate(all="ignore"):
-        for part_sums, part_maxes, part_counts, part_sq, part_diverged in _map_chunks(
+        for part_sums, part_maxes, part_counts, part_sq, part_diverged, summary in _map_chunks(
             job, spans
         ):
             for p, total in sums.items():
@@ -526,6 +559,8 @@ def run_closed_loop(
             counts += part_counts
             sum_sq_state += part_sq
             diverged += part_diverged
+            summaries.append(summary)
+        summaries = np.concatenate(summaries, axis=2)
 
         # A trajectory never revives, so counts only fall along the horizon:
         # a live final step means every step has live trajectories.
@@ -565,40 +600,30 @@ def run_closed_loop(
         stable=bool(stable),
         diverged=diverged,
         alive_counts=counts,
-        tail_abs_error=tails[0],
-        tail_abs_output=tails[1],
+        tail_abs_error=summaries[0],
+        tail_abs_output=summaries[1],
     )
 
 
-def _bootstrap_pass(tail_abs: np.ndarray, orders, seed_key, resamples: int):
+def _bootstrap_pass(summary: np.ndarray, orders, tail: int, seed_key, resamples: int):
     """Tail statistic of each bootstrap resample for every order, and the scale.
 
-    One pass over the (tail, n) block, row by row, takes each trajectory's
-    tail sum of (|x| / scale)^p for every finite order in ``orders`` and its
-    tail peak, where scale is the block's largest magnitude (1.0 if that is
-    0), so no power overflows or underflows for the scale of the data alone.
-    Resample r then picks n of the n trajectories uniformly with
-    replacement, ``rng.integers(0, n, n)``, and reads its statistics off
-    those numbers: (sum of the picked sums / (tail n))^(1/p), the pooled
-    norm, and the largest picked peak for p = inf. Returns a dict from each
-    order to its (resamples,) statistics, in units of the scale. One set of
-    picks serves every order, and each order's arithmetic is the same
-    whatever other orders share the pass.
+    ``summary`` is a signal's ``_tail_summary`` for ``orders`` over ``tail``
+    steps; scale is its largest peak (1.0 if that is 0). Resample r picks n
+    of the n trajectories with replacement, ``rng.integers(0, n, n)``. Its
+    pooled norm is (sum of their rows times (peak / scale)^p / (tail n))^(1/p),
+    and for p = inf it is their largest peak / scale. Returns a dict from
+    each order to its (resamples,) statistics, in units of the scale. One
+    set of picks serves every order, and each order's arithmetic is the
+    same whatever other orders share the pass.
     """
     rng = np.random.default_rng(seed_key)
-    tail, n = tail_abs.shape
-    scale = float(tail_abs.max()) or 1.0
-    totals = {p: np.zeros(n) for p in orders if not math.isinf(p)}
+    n = summary.shape[1]
+    scale = float(summary[-1].max()) or 1.0
+    rel, work = summary[-1] / scale, np.empty(n)
+    totals = {p: row * _power(rel, p, work) for p, row in zip(orders, summary[:-1])}
     if math.inf in orders:
-        totals[math.inf] = np.zeros(n)
-    base, work = np.empty(n), np.empty(n)
-    for row in tail_abs:
-        np.divide(row, scale, out=base)
-        for p, total in totals.items():
-            if math.isinf(p):
-                np.maximum(total, base, out=total)
-            else:
-                total += _power(base, p, work)
+        totals[math.inf] = rel
     stats = {p: np.empty(resamples) for p in totals}
     for r in range(resamples):
         picks = rng.integers(0, n, n)
@@ -609,13 +634,6 @@ def _bootstrap_pass(tail_abs: np.ndarray, orders, seed_key, resamples: int):
         if not math.isinf(p):
             stats[p] = (values / (tail * n)) ** (1.0 / p)
     return stats, scale
-
-
-def _bootstrap_stds(tail_abs: np.ndarray, orders, seed_key, resamples: int) -> dict:
-    """Std of the tail statistic of every order under trajectory-level bootstrap."""
-    stats, scale = _bootstrap_pass(tail_abs, orders, seed_key, resamples)
-    # np.std squares the statistics, so they stay in units of the scale.
-    return {p: float(np.std(values)) * scale for p, values in stats.items()}
 
 
 def check_resamples(resamples: int) -> None:
@@ -667,21 +685,20 @@ def verify_bound(
     The ratio is tail norm / bound; the bound counts as satisfied when the
     ratio is at least 1 minus three bootstrap standard errors. The bootstrap
     resamples whole trajectories with replacement, ``resamples`` draws of n
-    picks each, deterministic in the simulation seed. One pass over the
-    signal's tail block takes every trajectory's tail power sum per finite
-    order and its tail peak, and each resample's pooled norm and maximum
-    are read off those: the extra memory is a few arrays of one float per
-    trajectory, never a copy of the tail block. One set of draws per signal
-    and ``resamples`` serves every norm order of ``result.config.p_list``:
-    the first call computes the std of each order in one pass and memoizes
-    them on ``result``, and later calls look theirs up. Each order's margin
-    is the one a pass of its own would give, bit for bit. The bootstrap
-    works in units of the tail block's largest magnitude, so it is
-    scale-free: scaling the magnitudes by a power of two scales the
-    bootstrap std by exactly that factor. For p = inf the sample maximum is
-    a one-sided underestimate of the essential supremum, so an extra
-    ``sup_slack`` is allowed. Refuses to certify unstable results; raises
-    InvalidModelError for resamples < 1 or too many to hold in one array.
+    picks each, deterministic in the simulation seed. It reads each
+    resample's pooled norm and maximum off the signal's tail summaries (see
+    ``SimulationResult``), so its extra memory is a few arrays of one float
+    per trajectory. One set of draws per signal and ``resamples`` serves
+    every norm order of ``result.config.p_list``: the first call computes
+    the std of each order in one pass and memoizes them on ``result``, and
+    later calls look theirs up. Each order's margin is the one a pass of
+    its own would give, bit for bit. The bootstrap works in units of the
+    largest tail magnitude, so it is scale-free: scaling the magnitudes by
+    a power of two scales the bootstrap std by exactly that factor. For
+    p = inf the sample maximum is a one-sided underestimate of the
+    essential supremum, so an extra ``sup_slack`` is allowed. Refuses to
+    certify unstable results; raises InvalidModelError for resamples < 1 or
+    too many to hold in one array.
     """
     if which not in ("error", "output"):
         raise ValueError(f"which must be 'error' or 'output', got {which!r}")
@@ -699,10 +716,13 @@ def verify_bound(
         )
     stds = result._margins.get((which, resamples))
     if stds is None:
-        block = result.tail_abs_error if which == "error" else result.tail_abs_output
-        stds = _bootstrap_stds(
-            block, result.config.p_list, (result.config.seed, _BOOTSTRAP_TAG), resamples
+        cfg = result.config
+        summary = result.tail_abs_error if which == "error" else result.tail_abs_output
+        stats, scale = _bootstrap_pass(
+            summary, cfg.p_list, cfg.tail_window, (cfg.seed, _BOOTSTRAP_TAG), resamples
         )
+        # np.std squares the statistics, so they stay in units of the scale.
+        stds = {order: float(np.std(values)) * scale for order, values in stats.items()}
         result._margins[(which, resamples)] = stds
     tail_norm = tails[p]
     ratio = tail_norm / report.bound_value

@@ -478,6 +478,30 @@ class TestVerify:
         assert err.startswith("fundlim: ")
         assert "p_list" in err or "horizon" in err
 
+    @pytest.mark.parametrize(
+        "settings, key",
+        [
+            ({"horizon": 50.9, "trajectories": 50}, "horizon"),
+            ({"horizon": 20, "trajectories": 50, "seed": 1.5}, "seed"),
+            ({"horizon": True, "trajectories": 50}, "horizon"),
+            ({"horizon": 20, "trajectories": 50, "x0_std": True}, "x0_std"),
+        ],
+        ids=["fractional_horizon", "fractional_seed", "bool_horizon", "bool_x0_std"],
+    )
+    def test_non_integral_or_bool_sim_config_value(
+        self, capsys, tmp_path, stable_plant, gauss_dist, settings, key
+    ):
+        # Each once ran with a truncated or coerced value and exited 0.
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps(settings))
+        code, out, err = run_cli(
+            capsys, "verify", "--plant", stable_plant, "--dist", gauss_dist,
+            "--sim-config", str(cfg),
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("fundlim: ") and key in err
+
     @pytest.mark.parametrize("source", ["flag", "sim_config"])
     def test_negative_seed(self, capsys, tmp_path, stable_plant, gauss_dist, source):
         cfg = tmp_path / "sim.json"

@@ -57,6 +57,34 @@ def squared_power(mag, p):
     return np.square(np.square(mag)) if p == 4.0 else mag**p
 
 
+def recording_tails(monkeypatch):
+    """Keep the (tail, count) magnitudes every chunk hands ``_tail_summary``.
+
+    Chunks run in this process. The returned function takes a finished
+    run's result, checks that its tail summaries are those of the recorded
+    magnitudes, and returns them as one (2, tail_window, trajectories)
+    array, error first, with 0 where a trajectory had diverged.
+    """
+    use_cpus(monkeypatch, 1)
+    blocks = []
+    summarize = simulation._tail_summary
+
+    def spy(block, orders):
+        blocks.append(block.copy())
+        return summarize(block, orders)
+
+    monkeypatch.setattr(simulation, "_tail_summary", spy)
+
+    def tails(result):
+        both = np.stack([np.concatenate(blocks[i::2], axis=1) for i in (0, 1)])
+        blocks.clear()
+        for summary, block in zip((result.tail_abs_error, result.tail_abs_output), both):
+            assert summary.tobytes() == summarize(block, result.config.p_list).tobytes()
+        return both
+
+    return tails
+
+
 def initial_states(x0_std, seed, trajectories, n):
     """Row m is trajectory m's initial state, drawn as a block per chunk."""
     blocks = []
@@ -100,6 +128,16 @@ class TestEmpiricalLp:
     def test_zero_signal(self):
         for p in (1.0, 300.0, math.inf):
             assert fl.empirical_lp(np.zeros(4), p) == 0.0
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 7.0, math.inf])
+    def test_infinite_entry_has_infinite_norm(self, p):
+        assert fl.empirical_lp([1.0, math.inf], p) == math.inf
+        assert fl.empirical_lp([-math.inf, 0.0], p) == math.inf
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 7.0, math.inf])
+    def test_nan_entry_rejected(self, p):
+        with pytest.raises(fl.InvalidModelError, match="NaN"):
+            fl.empirical_lp([1.0, math.nan, math.inf], p)
 
 
 class TestSimulationConfig:
@@ -150,6 +188,38 @@ class TestSimulationConfig:
         with pytest.raises(fl.InvalidModelError, match=what):
             fl.SimulationConfig(horizon=horizon, trajectories=trajectories)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("horizon", 50.9),
+            ("horizon", math.inf),
+            ("horizon", True),
+            ("horizon", None),
+            ("horizon", "50"),
+            ("trajectories", 2.5),
+            ("trajectories", np.True_),
+            ("seed", 1.5),
+            ("seed", False),
+            ("burn_in", 2.5),
+            ("tail_window", True),
+            ("x0_std", True),
+            ("x0_std", "0.5"),
+        ],
+    )
+    def test_non_integral_or_bool_settings_rejected(self, name, value):
+        settings = {"horizon": 50, "trajectories": 10, name: value}
+        with pytest.raises(fl.InvalidModelError, match=name):
+            fl.SimulationConfig(**settings)
+
+    def test_numpy_integers_and_whole_floats_accepted(self):
+        cfg = fl.SimulationConfig(
+            horizon=np.int64(50), trajectories=np.int32(10), seed=np.uint8(3),
+            burn_in=5.0, tail_window=np.float64(20.0), x0_std=np.float32(0.5),
+        )
+        fields = (cfg.horizon, cfg.trajectories, cfg.seed, cfg.burn_in, cfg.tail_window)
+        assert fields == (50, 10, 3, 5, 20) and cfg.x0_std == 0.5
+        assert all(type(v) is int for v in fields)
+
 
 class TestLoopSemantics:
     def test_open_loop_error_equals_disturbance(self):
@@ -164,53 +234,55 @@ class TestLoopSemantics:
     def test_deadbeat_error_identity(self):
         # Plant x+ = 2x + e with gain 2 feedback drives x_k = d_{k-1}, so
         # e_0 = d_0 and e_k = d_k - 2 d_{k-1} afterwards, up to one rounding
-        # per step (the loop evaluates 2d + (d' - 2d), not d' directly).
+        # per step (the loop evaluates 2d + (d' - 2d), not d' directly). With
+        # one trajectory the per-step sup norm is |e_k| itself.
         dist = fl.GaussianIID(0.7)
         cfg = fl.SimulationConfig(
-            horizon=12, trajectories=4, seed=9, burn_in=0, tail_window=12
+            horizon=12, trajectories=1, seed=9, p_list=(math.inf,), burn_in=0, tail_window=12
         )
         result = fl.run_closed_loop(scalar_plant(2.0), StaticGain(2.0), dist, cfg)
-        d = disturbance_matrix(dist, 9, 4, 12)
+        (d,) = disturbance_matrix(dist, 9, 1, 12)
         expected = d.copy()
-        expected[:, 1:] = (-2.0 * d[:, :-1]) + d[:, 1:]
+        expected[1:] = (-2.0 * d[:-1]) + d[1:]
         np.testing.assert_allclose(
-            result.tail_abs_error, np.abs(expected).T, rtol=1e-12, atol=1e-14
+            result.error_norms[math.inf], np.abs(expected), rtol=1e-12, atol=1e-14
         )
 
     def test_deadbeat_output_identity(self):
         dist = fl.GaussianIID(0.7)
         cfg = fl.SimulationConfig(
-            horizon=12, trajectories=4, seed=9, burn_in=0, tail_window=12
+            horizon=12, trajectories=1, seed=9, p_list=(math.inf,), burn_in=0, tail_window=12
         )
         result = fl.run_closed_loop(scalar_plant(2.0), StaticGain(2.0), dist, cfg)
-        d = disturbance_matrix(dist, 9, 4, 12)
-        expected_abs_y = np.zeros((12, 4))
-        expected_abs_y[1:] = np.abs(d[:, :-1]).T  # y_k = x_k = d_{k-1}
+        (d,) = disturbance_matrix(dist, 9, 1, 12)
+        expected_abs_y = np.zeros(12)
+        expected_abs_y[1:] = np.abs(d[:-1])  # y_k = x_k = d_{k-1}
         np.testing.assert_allclose(
-            result.tail_abs_output, expected_abs_y, rtol=1e-12, atol=1e-14
+            result.output_norms[math.inf], expected_abs_y, rtol=1e-12, atol=1e-14
         )
         np.testing.assert_allclose(
-            result.mean_square_state[1:], (d[:, :-1] ** 2).mean(axis=0), rtol=1e-12
+            result.mean_square_state[1:], d[:-1] ** 2, rtol=1e-12
         )
 
-    def test_tail_statistic_is_pooled(self):
+    def test_tail_statistic_is_pooled(self, monkeypatch):
         # Finite p: the norm of every tail magnitude together, all steps
         # and trajectories; p = inf: the window's largest per-step maximum.
+        tails = recording_tails(monkeypatch)
         cfg = fl.SimulationConfig(
             horizon=30, trajectories=16, seed=3, p_list=(1.0, 2.0, 7.0, math.inf)
         )
         result = fl.run_closed_loop(
             scalar_plant(0.5), StaticGain(0.4), fl.GaussianIID(1.0), cfg
         )
+        blocks = tails(result)
         window = slice(result.tail_start, None)
         assert result.tail_start == 24
         for p in (1.0, 2.0, 7.0):
-            for tail, block in ((result.error_tail, result.tail_abs_error),
-                                (result.output_tail, result.tail_abs_output)):
+            for tail, block in zip((result.error_tail, result.output_tail), blocks):
                 assert tail[p] == pytest.approx(fl.empirical_lp(block, p), rel=1e-13)
         assert result.error_tail[math.inf] == np.max(result.error_norms[math.inf][window])
         assert result.output_tail[math.inf] == np.max(result.output_norms[math.inf][window])
-        assert result.error_tail[math.inf] == result.tail_abs_error.max()
+        assert result.error_tail[math.inf] == blocks[0].max()
 
     def test_random_initial_state(self):
         cfg = fl.SimulationConfig(horizon=5, trajectories=20000, seed=1, x0_std=0.5)
@@ -272,19 +344,20 @@ class TestDrawContract:
         # y_0 = C x_0 and, in open loop, e_k = d_k: both against the oracle
         # draws of their own streams, across three chunks of 64.
         monkeypatch.setattr("fundlim.simulation._CHUNK", 64)
+        tails = recording_tails(monkeypatch)
         plant = fl.StateSpaceModel([[0.5, 0.2], [1.0, 0.0]], [1.0, 0.0], [1.0, -0.3])
         dist = fl.GaussianIID(1.0)
         cfg = fl.SimulationConfig(
             horizon=3, trajectories=150, seed=8, burn_in=0, tail_window=3, x0_std=0.7
         )
-        result = fl.run_closed_loop(plant, ZeroController(), dist, cfg)
+        tail_e, tail_y = tails(fl.run_closed_loop(plant, ZeroController(), dist, cfg))
 
         x0 = initial_states(cfg.x0_std, cfg.seed, cfg.trajectories, 2)
         np.testing.assert_allclose(
-            result.tail_abs_output[0], np.abs(x0 @ plant.C.ravel()), rtol=1e-14, atol=0.0
+            tail_y[0], np.abs(x0 @ plant.C.ravel()), rtol=1e-14, atol=0.0
         )
         d = disturbance_matrix(dist, cfg.seed, cfg.trajectories, cfg.horizon)
-        assert result.tail_abs_error.tobytes() == np.abs(d).T.tobytes()
+        assert tail_e.tobytes() == np.abs(d).T.tobytes()
 
     @pytest.mark.parametrize("x0_std", [0.0, 0.7])
     @pytest.mark.parametrize(
@@ -298,6 +371,7 @@ class TestDrawContract:
         # disturbance rows and (count, n) initial-state block.
         if chunk is not None:
             monkeypatch.setattr("fundlim.simulation._CHUNK", chunk)
+        tails = recording_tails(monkeypatch)
         plant = fl.StateSpaceModel([[0.5, 0.2], [1.0, 0.0]], [1.0, 0.0], [1.0, -0.3])
         dist = fl.GeneralizedGaussianIID(4.0, 1.0)
 
@@ -306,13 +380,12 @@ class TestDrawContract:
                 horizon=8, trajectories=trajectories, seed=4, burn_in=0, tail_window=8,
                 x0_std=x0_std,
             )
-            return fl.run_closed_loop(plant, StaticGain(0.3), dist, cfg)
+            return tails(fl.run_closed_loop(plant, StaticGain(0.3), dist, cfg))
 
         few, many = run(short), run(long)
-        assert few.tail_abs_error.tobytes() == many.tail_abs_error[:, :short].tobytes()
-        assert few.tail_abs_output.tobytes() == many.tail_abs_output[:, :short].tobytes()
+        assert few.tobytes() == many[:, :, :short].tobytes()
         # The output's first row is |C x_0|: zero unless initial states are drawn.
-        assert (few.tail_abs_output[0] > 0.0).all() == (x0_std > 0.0)
+        assert (few[1, 0] > 0.0).all() == (x0_std > 0.0)
 
     @pytest.mark.parametrize(
         "dist, draw",
@@ -329,19 +402,20 @@ class TestDrawContract:
         # the one that successive per-trajectory draws from its chunk's
         # generator give, byte for byte.
         monkeypatch.setattr("fundlim.simulation._CHUNK", 100)
+        tails = recording_tails(monkeypatch)
         cfg = fl.SimulationConfig(horizon=9, trajectories=150, seed=6, burn_in=0, tail_window=9)
-        result = fl.run_closed_loop(scalar_plant(0.5), ZeroController(), dist, cfg)
+        tail_e, _ = tails(fl.run_closed_loop(scalar_plant(0.5), ZeroController(), dist, cfg))
         rows = []
         for chunk, count in enumerate((100, 50)):
             rng = _chunk_stream(cfg.seed, _DISTURBANCE, chunk)
             rows += [draw(rng, cfg.horizon) for _ in range(count)]
-        assert result.tail_abs_error.tobytes() == np.abs(np.stack(rows)).T.tobytes()
+        assert tail_e.tobytes() == np.abs(np.stack(rows)).T.tobytes()
 
     def test_model_with_only_sample_is_called_once_per_trajectory(self, monkeypatch):
         # 150 trajectories in chunks of 64 end in a ragged chunk of 22: a
         # model without sample_rows is asked for those 22 rows, not 64.
         monkeypatch.setattr("fundlim.simulation._CHUNK", 64)
-        use_cpus(monkeypatch, 1)
+        tails = recording_tails(monkeypatch)
         calls = []
 
         class OnlySample:
@@ -353,7 +427,7 @@ class TestDrawContract:
         result = fl.run_closed_loop(scalar_plant(0.5), ZeroController(), OnlySample(), cfg)
         assert calls == [cfg.horizon] * cfg.trajectories
         d = disturbance_matrix(OnlySample(), cfg.seed, cfg.trajectories, cfg.horizon)
-        assert result.tail_abs_error.tobytes() == np.abs(d).T.tobytes()
+        assert tails(result)[0].tobytes() == np.abs(d).T.tobytes()
 
 
 class TestScaling:
@@ -370,15 +444,20 @@ class TestScaling:
                 scaled.error_norms[p], 1.7 * base.error_norms[p], rtol=1e-12
             )
 
-    def test_power_of_two_scaling_is_exact_prenorm(self):
+    def test_power_of_two_scaling_is_exact_prenorm(self, monkeypatch):
+        tails = recording_tails(monkeypatch)
         cfg = fl.SimulationConfig(horizon=30, trajectories=64, seed=8, burn_in=0, tail_window=30)
         base = fl.run_closed_loop(
             scalar_plant(1.2), StaticGain(1.0), fl.GaussianIID(1.0), cfg
         )
+        base_tails = tails(base)
         scaled = fl.run_closed_loop(
             scalar_plant(1.2), StaticGain(1.0), fl.GaussianIID(2.0), cfg
         )
-        np.testing.assert_array_equal(scaled.tail_abs_error, 2.0 * base.tail_abs_error)
+        np.testing.assert_array_equal(tails(scaled), 2.0 * base_tails)
+        # The summaries' power sums are scale-free and their peaks scale.
+        np.testing.assert_array_equal(scaled.tail_abs_error[:-1], base.tail_abs_error[:-1])
+        np.testing.assert_array_equal(scaled.tail_abs_error[-1], 2.0 * base.tail_abs_error[-1])
 
 
 class TestInstability:
@@ -550,7 +629,7 @@ class TestControllerBoundary:
     def test_kept_measurements_keep_their_values(self, monkeypatch):
         # In-process, so the law's clone appends here. Every y it kept must
         # still hold what it was handed, which is the loop's |y| tail.
-        use_cpus(monkeypatch, 1)
+        tails = recording_tails(monkeypatch)
         KEPT_MEASUREMENTS.clear()
         plant = fl.StateSpaceModel([[0.5, 0.2], [1.0, 0.0]], [1.0, 0.0], [1.0, -0.3])
         cfg = fl.SimulationConfig(
@@ -560,11 +639,12 @@ class TestControllerBoundary:
         assert result.diverged == 0 and len(KEPT_MEASUREMENTS) == cfg.horizon
         kept = np.stack([y for y, _ in KEPT_MEASUREMENTS])
         assert kept.tobytes() == np.stack([c for _, c in KEPT_MEASUREMENTS]).tobytes()
-        assert np.abs(kept).tobytes() == result.tail_abs_output.tobytes()
+        assert np.abs(kept).tobytes() == tails(result)[1].tobytes()
 
 
 class TestScalarControllerFallback:
-    def test_matches_manual_loop(self):
+    def test_matches_manual_loop(self, monkeypatch):
+        tails = recording_tails(monkeypatch)
         a, horizon, trajectories, seed = 0.8, 15, 5, 21
         dist = fl.GaussianIID(1.0)
         cfg = fl.SimulationConfig(
@@ -583,20 +663,21 @@ class TestScalarControllerFallback:
                 e = z + d[k]
                 expected[k, m] = abs(e)
                 x = a * x + e
-        np.testing.assert_allclose(result.tail_abs_error, expected, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(tails(result)[0], expected, rtol=1e-12, atol=0.0)
 
     def test_scalar_path_is_bit_identical_to_batch(self, monkeypatch):
         monkeypatch.setattr("fundlim.simulation._CHUNK", 64)
+        tails = recording_tails(monkeypatch)
         plant, dist, cfg = diverging_loop()
         scalar = fl.run_closed_loop(plant, ScalarGain(DIVERGING_GAIN), dist, cfg)
+        scalar_tails = tails(scalar)
         batch = fl.run_closed_loop(plant, StaticGain(DIVERGING_GAIN), dist, cfg)
 
         assert 0 < scalar.diverged == batch.diverged < cfg.trajectories
         for p in cfg.p_list:
             assert scalar.error_norms[p].tobytes() == batch.error_norms[p].tobytes()
             assert scalar.output_norms[p].tobytes() == batch.output_norms[p].tobytes()
-        assert scalar.tail_abs_error.tobytes() == batch.tail_abs_error.tobytes()
-        assert scalar.tail_abs_output.tobytes() == batch.tail_abs_output.tobytes()
+        assert scalar_tails.tobytes() == tails(batch).tobytes()
         assert scalar.mean_square_state.tobytes() == batch.mean_square_state.tobytes()
 
 
@@ -627,6 +708,7 @@ class TestChunkedAccumulation:
         # the p = 1 sums must add the chunks' sums in block order (the p = 2 sums
         # overflow).
         monkeypatch.setattr("fundlim.simulation._CHUNK", 64)
+        tails = recording_tails(monkeypatch)
         plant, dist, cfg = diverging_loop()
         chunked = fl.run_closed_loop(plant, StaticGain(DIVERGING_GAIN), dist, cfg)
 
@@ -644,13 +726,12 @@ class TestChunkedAccumulation:
                 for lo in range(0, cfg.trajectories, 64):
                     sums[k] += magnitudes[lo : lo + 64].sum()
                 if k >= chunked.tail_start:
-                    tail_e.append(np.where(alive, np.abs(e), np.nan))
-                    tail_y.append(np.where(alive, np.abs(y), np.nan))
+                    tail_e.append(magnitudes)
+                    tail_y.append(np.where(alive, np.abs(y), 0.0))
                 x = 3.0 * x + e
 
         assert chunked.diverged == int((~alive).sum()) > 0
-        assert chunked.tail_abs_error.tobytes() == np.array(tail_e).tobytes()
-        assert chunked.tail_abs_output.tobytes() == np.array(tail_y).tobytes()
+        assert tails(chunked).tobytes() == np.array([tail_e, tail_y]).tobytes()
         assert chunked.error_norms[1.0].tobytes() == (sums / chunked.alive_counts).tobytes()
 
 
@@ -846,7 +927,8 @@ class TestChunkWorkers:
 
     def test_caller_holds_no_disturbance_block(self, monkeypatch):
         # Two full chunks: in-process, the caller allocates a chunk's
-        # (8192, horizon) block; with workers, only the small statistics.
+        # (8192, horizon) block; with workers, only the small statistics
+        # and the tail summaries, which it receives and then concatenates.
         cfg = fl.SimulationConfig(horizon=50, trajectories=2 * simulation._CHUNK, seed=1)
         block = simulation._CHUNK * cfg.horizon * 8
         peaks = []
@@ -854,11 +936,14 @@ class TestChunkWorkers:
             use_cpus(monkeypatch, cpus)
             tracemalloc.start()
             try:
-                fl.run_closed_loop(scalar_plant(0.5), StaticGain(0.2), fl.GaussianIID(1.0), cfg)
+                result = fl.run_closed_loop(
+                    scalar_plant(0.5), StaticGain(0.2), fl.GaussianIID(1.0), cfg
+                )
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[0] > block > 4 * peaks[1]
+        summaries = result.tail_abs_error.nbytes + result.tail_abs_output.nbytes
+        assert peaks[0] > block > 4 * (peaks[1] - 2 * summaries)
 
     def test_runs_inside_a_daemonic_pool_worker(self, monkeypatch):
         monkeypatch.setattr("fundlim.simulation._CHUNK", 64)
@@ -893,6 +978,14 @@ def stable_pin_loop():
         horizon=60, trajectories=300, seed=7, p_list=(1.0, 2.0, 3.5, 4.0, math.inf), x0_std=1.0
     )
     return plant, "arma:0.1;-0.2", ((0.1,), (-0.2,)), fl.GeneralizedGaussianIID(4.0, 1.0), cfg
+
+
+def replay_summary(block, orders):
+    """Each column's tail power sums of |x| / peak, then its peak, as ``**`` gives them."""
+    peak = block.max(axis=0)
+    base = block / np.where(peak > 0.0, peak, 1.0)
+    sums = [squared_power(base, p).sum(axis=0) for p in orders if not math.isinf(p)]
+    return np.array(sums + [peak])
 
 
 def replay_loop(plant, b, a, dist, cfg):
@@ -942,7 +1035,7 @@ def replay_loop(plant, b, a, dist, cfg):
                 part_max[:, k] = mag.max(axis=1)
                 part_sq[k] = np.where(alive, np.einsum("ij,ij->j", x, x), 0.0).sum()
                 if k >= tail_start:
-                    tails[:, k - tail_start, lo:hi] = np.where(alive, mag, np.nan)
+                    tails[:, k - tail_start, lo:hi] = mag
                 x = plant.A @ x + plant.B * e
             for p in sums:
                 sums[p] += part[p]
@@ -959,7 +1052,7 @@ def replay_loop(plant, b, a, dist, cfg):
         }
         tail_stat[math.inf] = maxes[:, tail_start:].max(axis=1)
         mean_sq = sum_sq / counts
-    arrays = [mean_sq, counts, tails[0], tails[1]]
+    arrays = [mean_sq, counts] + [replay_summary(block, cfg.p_list) for block in tails]
     for p in cfg.p_list:
         arrays += [norms[p][0], norms[p][1]]
     # Growth: the tail window's average mean square against 4 times the
@@ -1159,19 +1252,27 @@ def heavy_tail(trajectories, tail_window=5, seed=4):
     return np.abs(np.random.default_rng(seed).standard_cauchy((tail_window, trajectories)))
 
 
-def synthetic_result(trajectories, tail_window=5):
-    """A stable SimulationResult around heavy_tail magnitudes."""
+def synthetic_tails(trajectories, tail_window=5):
+    """Error and output heavy_tail magnitudes, (2, tail_window, trajectories)."""
+    return np.stack([heavy_tail(trajectories, tail_window, seed) for seed in (4, 5)])
+
+
+def synthetic_result(trajectories, tail_window=5, orders=ORDERS):
+    """A stable SimulationResult around the synthetic_tails summaries."""
     cfg = fl.SimulationConfig(
         horizon=tail_window, trajectories=trajectories, burn_in=0,
-        tail_window=tail_window, p_list=ORDERS,
+        tail_window=tail_window, p_list=orders,
     )
-    tails = np.stack([heavy_tail(trajectories, tail_window, seed) for seed in (4, 5)])
+    tails = [
+        simulation._tail_summary(block, cfg.p_list)
+        for block in synthetic_tails(trajectories, tail_window)
+    ]
     return simulation.SimulationResult(
         config=cfg,
         error_norms={},
         output_norms={},
-        error_tail={p: 1.0 for p in ORDERS},
-        output_tail={p: 1.0 for p in ORDERS},
+        error_tail={p: 1.0 for p in cfg.p_list},
+        output_tail={p: 1.0 for p in cfg.p_list},
         mean_square_state=np.zeros(tail_window),
         stable=True,
         diverged=0,
@@ -1193,6 +1294,52 @@ def replayed_counts(seed_key, n, resamples):
     return np.stack([np.bincount(rng.integers(0, n, n), minlength=n) for _ in range(resamples)])
 
 
+def summary_stds(block, p, seed_key, resamples):
+    """The bootstrap std at order p alone, as ``verify_bound`` takes it, of a (tail, n) block."""
+    summary = simulation._tail_summary(block, (p,))
+    stats, scale = simulation._bootstrap_pass(summary, (p,), len(block), seed_key, resamples)
+    return float(np.std(stats[p])) * scale
+
+
+class TestTailSummary:
+    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, 7.0, 300.0, math.inf])
+    def test_columns_match_empirical_lp(self, p):
+        # Column j holds trajectory j's tail norm as peak (sum / tail)^(1/p).
+        tail = heavy_tail(200, tail_window=7)
+        tail[:, 3] = 0.0
+        summary = simulation._tail_summary(tail, (1.0, 2.0, 4.0, 7.0, 300.0, math.inf))
+        assert summary.shape == (6, 200)
+        peak = summary[-1]
+        assert peak.tobytes() == tail.max(axis=0).tobytes()
+        for j in range(200):
+            want = fl.empirical_lp(tail[:, j], p)
+            if math.isinf(p):
+                assert peak[j] == want
+                continue
+            row = (1.0, 2.0, 4.0, 7.0, 300.0).index(p)
+            got = peak[j] * (summary[row, j] / 7) ** (1.0 / p)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_zero_column(self):
+        # A zero peak divides by 1.0: the column's sums and peak are 0.
+        tail = heavy_tail(5)
+        tail[:, 2] = 0.0
+        summary = simulation._tail_summary(tail, ORDERS)
+        assert (summary[:, 2] == 0.0).all()
+        assert (summary[:, [0, 1, 3, 4]] > 0.0).all()
+        assert (simulation._tail_summary(np.zeros((3, 4)), ORDERS) == 0.0).all()
+
+    @pytest.mark.parametrize("c", [2.0**-600, 2.0**600], ids=["2^-600", "2^600"])
+    def test_scaling_is_exact(self, c):
+        # Sums of (|x| / peak)^p do not change, and peaks scale exactly.
+        tail = heavy_tail(TRAJECTORIES)
+        orders = (1.0, 2.0, 4.0, 7.0, 300.0, math.inf)
+        base = simulation._tail_summary(tail, orders)
+        scaled = simulation._tail_summary(c * tail, orders)
+        assert scaled[:-1].tobytes() == base[:-1].tobytes()
+        assert scaled[-1].tobytes() == (c * base[-1]).tobytes()
+
+
 class TestSlicedBootstrap:
     """The trajectory bootstrap of ``verify_bound``.
 
@@ -1210,7 +1357,8 @@ class TestSlicedBootstrap:
             fl.empirical_lp(np.repeat(tail, row, axis=1), p)
             for row in replayed_counts(key, TRAJECTORIES, 40)
         ]
-        stats, scale = simulation._bootstrap_pass(tail, (p,), key, 40)
+        summary = simulation._tail_summary(tail, (p,))
+        stats, scale = simulation._bootstrap_pass(summary, (p,), len(tail), key, 40)
         assert scale == tail.max()
         np.testing.assert_allclose(stats[p] * scale, expected, rtol=1e-12)
 
@@ -1220,14 +1368,14 @@ class TestSlicedBootstrap:
         # A power-of-two scale is exact in every step, so equality is exact.
         tail = heavy_tail(TRAJECTORIES)
         key = (0, _BOOTSTRAP_TAG)
-        base = simulation._bootstrap_stds(tail, (p,), key, 50)[p]
+        base = summary_stds(tail, p, key, 50)
         assert base > 0.0
-        assert simulation._bootstrap_stds(c * tail, (p,), key, 50)[p] == c * base
+        assert summary_stds(c * tail, p, key, 50) == c * base
 
     @pytest.mark.parametrize("p", [2.0, math.inf])
     def test_zero_block_has_zero_margin(self, p):
         zero = np.zeros((3, TRAJECTORIES))
-        assert simulation._bootstrap_stds(zero, (p,), (0, _BOOTSTRAP_TAG), 20)[p] == 0.0
+        assert summary_stds(zero, p, (0, _BOOTSTRAP_TAG), 20) == 0.0
 
     def test_repeat_calls_byte_identical(self):
         result = synthetic_result(TRAJECTORIES)
@@ -1241,19 +1389,19 @@ class TestSlicedBootstrap:
     def test_memoized_margins_match_one_order_passes(self):
         result = synthetic_result(TRAJECTORIES)
         key = (result.config.seed, _BOOTSTRAP_TAG)
-        for which, block in (("error", result.tail_abs_error), ("output", result.tail_abs_output)):
+        for which, block in zip(("error", "output"), synthetic_tails(TRAJECTORIES)):
             for p in ORDERS:
                 memo = fl.verify_bound(result, unit_report(p), which=which).margin_stderr
-                alone = simulation._bootstrap_stds(block, (p,), key, 200)[p]
+                alone = summary_stds(block, p, key, 200)
                 assert np.float64(memo).tobytes() == np.float64(alone).tobytes()
 
     def test_one_draw_per_signal_and_resamples(self, monkeypatch):
         draws = []
         bootstrap = simulation._bootstrap_pass
 
-        def counted(tail_abs, orders, seed_key, resamples):
+        def counted(summary, orders, tail, seed_key, resamples):
             draws.append(resamples)
-            return bootstrap(tail_abs, orders, seed_key, resamples)
+            return bootstrap(summary, orders, tail, seed_key, resamples)
 
         monkeypatch.setattr(simulation, "_bootstrap_pass", counted)
         result = synthetic_result(TRAJECTORIES)
@@ -1268,18 +1416,32 @@ class TestSlicedBootstrap:
         assert draws == [200, 50, 200]
 
     @pytest.mark.parametrize("p", [2.0, math.inf])
-    def test_memory_stays_below_half_the_tail_block(self, p):
-        # The per-trajectory sums grow with the number of trajectories by
-        # design, but no temporary is the size of the tail block.
-        for trajectories in (20000, 80000):
-            result = synthetic_result(trajectories, tail_window=20)
-            tracemalloc.start()
-            try:
-                fl.verify_bound(result, unit_report(p))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < result.tail_abs_error.nbytes / 2
+    def test_summary_bytes_do_not_grow_with_the_tail_window(self, p):
+        # A run keeps (finite orders + 1) floats per trajectory and signal,
+        # whatever the tail window.
+        sizes = []
+        for tail_window in (20, 200):
+            cfg = fl.SimulationConfig(
+                horizon=tail_window, trajectories=300, seed=1, p_list=(p,), burn_in=0,
+                tail_window=tail_window,
+            )
+            result = fl.run_closed_loop(
+                scalar_plant(0.5), ZeroController(), fl.GaussianIID(1.0), cfg
+            )
+            fl.verify_bound(result, unit_report(p))
+            sizes.append((result.tail_abs_error.nbytes, result.tail_abs_output.nbytes))
+        rows = 1 if math.isinf(p) else 2
+        assert sizes == [(rows * 300 * 8,) * 2] * 2
+
+    def test_summaries_past_an_array_rejected(self):
+        # Two signals' (len(p_list) + 1, trajectories) float64 summaries
+        # past sys.maxsize bytes are refused before anything runs.
+        with pytest.raises(fl.InvalidModelError, match="trajectories .* tail arrays"):
+            fl.SimulationConfig(horizon=400, trajectories=2**59)
+        # A one-step tail holds fewer floats than the summaries: 16 bytes
+        # of tail per trajectory, 32 of summaries.
+        with pytest.raises(fl.InvalidModelError, match="trajectories .* tail arrays"):
+            fl.SimulationConfig(horizon=400, trajectories=2**58 + 1, tail_window=1)
 
 
 def open_loop_certifications(dist, p, seeds, trajectories):
