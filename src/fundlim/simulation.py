@@ -139,12 +139,14 @@ class SimulationConfig:
                 f"got burn_in={burn_in}, tail_window={tail}, horizon={horizon}"
             )
         # No array can hold more than sys.maxsize bytes: reject such sizes
-        # here instead of failing inside numpy.
-        rows = max(2, min(_CHUNK, trajectories))
-        if horizon * rows * 8 > sys.maxsize:
+        # here instead of failing inside numpy. A chunk's largest arrays are
+        # its disturbance block, tail rows included, and the block's staging.
+        rows, cols = _block_rows(horizon, tail), min(_CHUNK, trajectories)
+        if max(rows * cols, _STAGING * horizon) * 8 > sys.maxsize:
             raise InvalidModelError(
-                f"horizon {horizon} is too large: a chunk's (horizon, {rows}) arrays "
-                f"would exceed {sys.maxsize} bytes"
+                f"horizon {horizon} is too large: a chunk's ({rows}, {cols}) disturbance "
+                f"block or its staging of up to ({_STAGING}, {horizon}) would exceed "
+                f"{sys.maxsize} bytes"
             )
         if 2 * (len(p_list) + 1) * trajectories * 8 > sys.maxsize:
             raise InvalidModelError(
@@ -263,17 +265,34 @@ def _zero_stats(cfg):
     return sums, maxes, np.zeros(horizon, dtype=np.int64), np.zeros(horizon)
 
 
-def _disturbance_block(dist, rng, horizon: int, count: int) -> np.ndarray:
-    """The chunk's (horizon, count) disturbance block: column j is trajectory j's draw.
+def _output_tail_row(horizon: int, tail: int) -> int:
+    """First row of a chunk's block that holds the tail's |y|; |e| starts at row 0.
+
+    Tail step j = k - (horizon - tail) writes rows j and this + j once step
+    k has read its disturbance row k: with 2 tail <= horizon both are rows
+    already read, and a longer tail keeps |y| in rows appended past the
+    horizon.
+    """
+    return tail if 2 * tail <= horizon else horizon
+
+
+def _block_rows(horizon: int, tail: int) -> int:
+    """Rows of a chunk's disturbance block: the horizon and any appended tail rows."""
+    return max(horizon, _output_tail_row(horizon, tail) + tail)
+
+
+def _disturbance_block(dist, rng, horizon: int, count: int, tail: int) -> np.ndarray:
+    """The chunk's (_block_rows, count) block: column j starts with trajectory j's draw.
 
     Trajectories draw in order into a (_STAGING, horizon) block that is
     transposed into place once full, so step k reads the contiguous row k.
     A model with ``sample_rows`` fills every staging block in one call, all
     _STAGING rows even when fewer trajectories remain, so a shorter run
     still draws a prefix of a longer one's rows. Any other model is called
-    as ``dist.sample(rng, horizon)`` once per trajectory.
+    as ``dist.sample(rng, horizon)`` once per trajectory. Rows appended
+    past the horizon, for a tail window longer than half of it, are unset.
     """
-    d = np.empty((horizon, count))
+    d = np.empty((_block_rows(horizon, tail), count))
     sample_rows = getattr(dist, "sample_rows", None)
     staging = np.empty((_STAGING if sample_rows else min(_STAGING, count), horizon))
     for lo in range(0, count, _STAGING):
@@ -288,7 +307,7 @@ def _disturbance_block(dist, rng, horizon: int, count: int) -> np.ndarray:
                         f"disturbance sample has shape {draw.shape}, expected ({horizon},)"
                     )
                 row[...] = draw
-        d[:, lo : lo + len(rows)] = rows.T
+        d[:horizon, lo : lo + len(rows)] = rows.T
     return d
 
 
@@ -344,21 +363,24 @@ def _simulate_chunk(model, controller, dist, cfg, span):
     Every work array of the step loop is allocated once per chunk: the
     disturbance block (step-major, so step k reads the contiguous row k),
     the state and its successor, which swap each step, and the magnitude,
-    power, mask and (2, tail_window, count) tail buffers, which each step
-    writes in place. Only the measurement ``y`` is a fresh array each step,
-    since the control law may keep it.
+    power and mask buffers, which each step writes in place. A tail step
+    keeps its |e| and |y| in rows of the block that the loop has already
+    read (``_output_tail_row``), so the block is the chunk's only large
+    array. Only the measurement ``y`` is a fresh array each step, since the
+    control law may keep it.
     """
     sums, maxes, counts, sum_sq_state = _zero_stats(cfg)
     m_lo, m_hi = span
     count_m = m_hi - m_lo
-    horizon = cfg.horizon
-    tail_start = horizon - cfg.tail_window
+    horizon, tail = cfg.horizon, cfg.tail_window
+    tail_start = horizon - tail
+    output_row = _output_tail_row(horizon, tail)
     A, B, C = model.A, model.B, model.C
     chunk = m_lo // _CHUNK
 
     with np.errstate(all="ignore"):
         d = _disturbance_block(
-            dist, _chunk_stream(cfg.seed, _DISTURBANCE, chunk), horizon, count_m
+            dist, _chunk_stream(cfg.seed, _DISTURBANCE, chunk), horizon, count_m, tail
         )
 
         x = np.zeros((model.n, count_m))
@@ -384,7 +406,6 @@ def _simulate_chunk(model, controller, dist, cfg, span):
         # Row 0 is |e|, row 1 is |y|.
         mag = np.empty((2, count_m))
         powered = np.empty_like(mag)
-        tail_mag = np.empty((2, cfg.tail_window, count_m))
         xsq = np.empty(count_m)
         x_finite = np.empty(x.shape, dtype=bool)
         finite = np.empty(count_m, dtype=bool)
@@ -423,12 +444,14 @@ def _simulate_chunk(model, controller, dist, cfg, span):
             np.copyto(xsq, 0.0, where=dead)
             sum_sq_state[k] = xsq.sum()
             if k >= tail_start:
-                tail_mag[:, k - tail_start] = mag
+                d[k - tail_start] = mag[0]
+                d[output_row + k - tail_start] = mag[1]
             np.matmul(A, x, out=x_next)
             np.multiply(B, e, out=be)
             np.add(x_next, be, out=x_next)
             x, x_next = x_next, x
-        summary = np.stack([_tail_summary(block, cfg.p_list) for block in tail_mag])
+        tails = (d[:tail], d[output_row : output_row + tail])
+        summary = np.stack([_tail_summary(block, cfg.p_list) for block in tails])
         return sums, maxes, counts, sum_sq_state, count_m - live, summary
 
 
@@ -533,25 +556,29 @@ def run_closed_loop(
     cancelled, and a chunk already running finishes before this returns.
     A worker holds one chunk's disturbance block, 8192 x horizon x 8 bytes
     (26 MB at horizon 400), stored step-major, a 64 x horizon staging
-    block, and the chunk's step-loop work buffers, (2, tail_window, 8192)
-    tail magnitudes among them, allocated once per chunk. The caller holds
-    the chunks' per-step statistics and tail summaries, which it adds and
-    joins in block order, so results are bit-identical for a given config
-    and numpy version, whatever the number of workers. A batch
-    controller's ``step_batch`` receives a fresh ``y`` each step, which it
-    may keep. Raises UnstableLoopError when every trajectory has left
-    float range by the final step.
+    block, and the chunk's small step-loop work buffers, allocated once per
+    chunk. The block also keeps the chunk's tail magnitudes, in rows the
+    loop has already read; a tail window longer than half the horizon adds
+    8192 x tail_window x 8 bytes of rows past it. Chunks that run in this
+    process hold their blocks here, one at a time. The caller holds the
+    chunks' per-step statistics, which it adds in block order, and one
+    array of tail summaries that each chunk's columns are copied into, so
+    results are bit-identical for a given config and numpy version,
+    whatever the number of workers. A batch controller's ``step_batch``
+    receives a fresh ``y`` each step, which it may keep. Raises
+    UnstableLoopError when every trajectory has left float range by the
+    final step.
     """
     horizon, tail, n = cfg.horizon, cfg.tail_window, cfg.trajectories
     sums, maxes, counts, sum_sq_state = _zero_stats(cfg)
     spans = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
     job = functools.partial(_simulate_chunk, model, controller, dist, cfg)
 
-    diverged, summaries = 0, []
+    # Each chunk's tail summaries land in their columns as the chunk arrives.
+    diverged, summaries = 0, np.empty((2, len(sums) + 1, n))
     with np.errstate(all="ignore"):
-        for part_sums, part_maxes, part_counts, part_sq, part_diverged, summary in _map_chunks(
-            job, spans
-        ):
+        for (lo, hi), part in zip(spans, _map_chunks(job, spans)):
+            part_sums, part_maxes, part_counts, part_sq, part_diverged, summary = part
             for p, total in sums.items():
                 total += part_sums[p]
             if maxes is not None:
@@ -559,8 +586,7 @@ def run_closed_loop(
             counts += part_counts
             sum_sq_state += part_sq
             diverged += part_diverged
-            summaries.append(summary)
-        summaries = np.concatenate(summaries, axis=2)
+            summaries[:, :, lo:hi] = summary
 
         # A trajectory never revives, so counts only fall along the horizon:
         # a live final step means every step has live trajectories.

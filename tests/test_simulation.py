@@ -180,6 +180,8 @@ class TestSimulationConfig:
         [
             (2**63, 1, "horizon"),
             (10**20, 100, "horizon"),
+            # A one-trajectory block fits; the 64-row staging block does not.
+            (2**58, 1, "horizon"),
             (20, 2**63, "tail array"),
             (20, 10**20, "tail array"),
         ],
@@ -187,6 +189,15 @@ class TestSimulationConfig:
     def test_sizes_past_an_array_rejected(self, horizon, trajectories, what):
         with pytest.raises(fl.InvalidModelError, match=what):
             fl.SimulationConfig(horizon=horizon, trajectories=trajectories)
+
+    def test_appended_tail_rows_count_toward_the_block_size(self):
+        # A chunk's (horizon, 8192) float64 block fits at horizon 2**47 - 1,
+        # but a tail window over half the horizon appends rows past it.
+        horizon = 2**47 - 1
+        settings = {"horizon": horizon, "trajectories": 10**6, "burn_in": 0}
+        fl.SimulationConfig(**settings, tail_window=horizon // 2)
+        with pytest.raises(fl.InvalidModelError, match="horizon .* too large"):
+            fl.SimulationConfig(**settings, tail_window=horizon // 2 + 1)
 
     @pytest.mark.parametrize(
         "name, value",
@@ -735,6 +746,48 @@ class TestChunkedAccumulation:
         assert chunked.error_norms[1.0].tobytes() == (sums / chunked.alive_counts).tobytes()
 
 
+class TestTailRows:
+    """A chunk keeps its tail magnitudes in disturbance rows it has already read."""
+
+    @pytest.mark.parametrize("tail", [1, 10, 25, 26, 50])
+    @pytest.mark.parametrize(
+        "controller", [ZeroController(), ScalarGain(0.0)], ids=["batch", "per_trajectory"]
+    )
+    def test_tail_summaries_match_recomputed_magnitudes(self, tail, controller):
+        # One chunk of 100 trajectories, whose last staging block is ragged.
+        # A zero command on plant 0.5 gives e = d and y_{k+1} = 0.5 y_k + e_k.
+        cfg = fl.SimulationConfig(
+            horizon=50, trajectories=100, seed=4, p_list=(1.0, 2.0, 4.0, math.inf),
+            burn_in=0, tail_window=tail,
+        )
+        result = fl.run_closed_loop(scalar_plant(0.5), controller, AR2, cfg)
+        e = disturbance_matrix(AR2, cfg.seed, cfg.trajectories, cfg.horizon).T
+        y = np.zeros_like(e)
+        for k in range(1, cfg.horizon):
+            y[k] = 0.5 * y[k - 1] + e[k - 1]
+        for summary, signal in ((result.tail_abs_error, e), (result.tail_abs_output, y)):
+            magnitudes = np.ascontiguousarray(np.abs(signal[cfg.horizon - tail :]))
+            want = simulation._tail_summary(magnitudes, cfg.p_list)
+            assert summary.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("tail", [40, 100])
+    def test_chunk_peak_stays_near_its_disturbance_block(self, tail):
+        # numpy reports its buffers to tracemalloc. The (200, 2048) block is
+        # the chunk's one large array: the tail magnitudes reuse its rows,
+        # where a (2, tail, 2048) buffer of their own would add 0.4 or 1.0
+        # block.
+        cfg = fl.SimulationConfig(horizon=200, trajectories=2048, seed=1, tail_window=tail)
+        args = (scalar_plant(0.5), StaticGain(0.2), fl.GaussianIID(1.0), cfg, (0, 2048))
+        simulation._simulate_chunk(*args)  # keeps one-time allocations out of the peak
+        tracemalloc.start()
+        try:
+            simulation._simulate_chunk(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * cfg.horizon * 2048 * 8
+
+
 def use_cpus(monkeypatch, cpus):
     """Make the simulator see an affinity mask of ``cpus`` CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
@@ -803,6 +856,11 @@ class TestChunkWorkers:
         stable_cfg = fl.SimulationConfig(
             horizon=50, trajectories=300, seed=3, p_list=(1.0, 2.0, math.inf)
         )
+        # A tail window just over half the horizon: |y| goes to appended rows.
+        wide_cfg = fl.SimulationConfig(
+            horizon=50, trajectories=300, seed=3, p_list=(1.0, 2.0, math.inf),
+            burn_in=0, tail_window=26,
+        )
         stable_dist = fl.GaussianIID(1.0)
         reports = [fl.error_bound_lti(p, fl.analyze_plant(scalar_plant(0.5)),
                                       fl.entropy_summary(stable_dist))
@@ -817,15 +875,16 @@ class TestChunkWorkers:
             stable = fl.run_closed_loop(
                 scalar_plant(0.5), StaticGain(0.2), stable_dist, stable_cfg
             )
-            certs = [fl.verify_bound(stable, report) for report in reports]
+            wide = fl.run_closed_loop(scalar_plant(0.5), StaticGain(0.2), stable_dist, wide_cfg)
+            certs = [fl.verify_bound(r, report) for r in (stable, wide) for report in reports]
             pids = set(log.read_text(encoding="utf-8").split())
-            return result_bytes(diverging), result_bytes(stable), certs, pids
+            return result_bytes(diverging), result_bytes(stable), result_bytes(wide), certs, pids
 
         serial, forked = run(1), run(2)
         assert 0 < serial[0][4] < cfg.trajectories
-        assert serial[:3] == forked[:3]
-        assert serial[3] == {str(os.getpid())}
-        assert len(forked[3]) == 2 and str(os.getpid()) not in forked[3]
+        assert serial[:4] == forked[:4]
+        assert serial[4] == {str(os.getpid())}
+        assert len(forked[4]) == 2 and str(os.getpid()) not in forked[4]
 
     @pytest.mark.parametrize(
         "dist, controller, error",
@@ -927,8 +986,9 @@ class TestChunkWorkers:
 
     def test_caller_holds_no_disturbance_block(self, monkeypatch):
         # Two full chunks: in-process, the caller allocates a chunk's
-        # (8192, horizon) block; with workers, only the small statistics
-        # and the tail summaries, which it receives and then concatenates.
+        # (8192, horizon) block; with workers, only the small statistics,
+        # the run's tail summaries and the chunks' summaries in flight,
+        # which it copies into their columns.
         cfg = fl.SimulationConfig(horizon=50, trajectories=2 * simulation._CHUNK, seed=1)
         block = simulation._CHUNK * cfg.horizon * 8
         peaks = []
