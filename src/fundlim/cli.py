@@ -41,7 +41,7 @@ from .errors import (
     read_utf8,
 )
 from .plant import AnalysisWarning, analyze_plant, load_plant
-from .simulation import SimulationConfig, check_resamples, run_closed_loop, verify_bound
+from .simulation import SimulationConfig, run_closed_loop, verify_bound
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -194,8 +194,6 @@ def _resolve_sim_config(args) -> SimulationConfig:
 
 
 def cmd_verify(args) -> int:
-    # verify_bound checks it too, but only after the whole simulation.
-    check_resamples(args.resamples)
     model = load_plant(args.plant)
     dist = load_disturbance(args.dist)
     controller = parse_controller(args.controller)
@@ -209,7 +207,6 @@ def cmd_verify(args) -> int:
         {
             "controller": args.controller,
             "which": args.which,
-            "resamples": args.resamples,
             "sim": cfg.to_dict(),
         },
     )
@@ -239,7 +236,7 @@ def cmd_verify(args) -> int:
     exit_code = EXIT_OK
     if result.stable:
         for report in reports:
-            cert = verify_bound(result, report, which=args.which, resamples=args.resamples)
+            cert = verify_bound(result, report, which=args.which)
             row = cert.to_dict()
             row["factors"] = report.to_dict()["factors"]
             results.append(row)
@@ -368,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--burn-in", dest="burn_in", type=int, default=None)
     verify.add_argument("--tail-window", dest="tail_window", type=int, default=None)
     verify.add_argument("--x0-std", dest="x0_std", type=float, default=None)
-    verify.add_argument("--resamples", type=int, default=200,
-                        help="bootstrap resamples for the certification margin")
     verify.add_argument("--sim-config", dest="sim_config", default=None,
                         help="JSON file with simulation settings (flags win)")
     verify.add_argument("--out", default=None)

@@ -23,9 +23,11 @@ workers.
 Per-step empirical L_p norms are aggregated across trajectories. The limsup
 is operationalized over a tail window at the end of the horizon: for finite
 p as the pooled norm of every magnitude in it, all steps and trajectories
-together, and for p = inf as their largest magnitude. Certification compares
-that tail statistic against a bound with a margin from a bootstrap over
-trajectories.
+together, and for p = inf as their largest magnitude. Both are read off
+per-trajectory tail summaries in units of the largest magnitude, so they do
+not overflow or underflow for the disturbance's units alone. Certification
+compares that tail statistic against a bound with a margin from the closed
+form of a bootstrap over trajectories: no resampling and no random draws.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numbers
 import os
 import pickle
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,8 +70,6 @@ _CHUNK = 8192
 # The sample maximum underestimates an essential supremum, so sup-norm
 # certification allows this much one-sided slack in the ratio.
 SUP_NORM_SLACK = 1e-3
-
-_BOOTSTRAP_TAG = 0xB007
 
 # Disturbance draws staged per transpose into the chunk's step-major block.
 _STAGING = 64
@@ -183,14 +183,18 @@ class SimulationResult:
     """Aggregated closed-loop statistics.
 
     ``error_norms``/``output_norms`` map each norm order to the per-step
-    empirical norm across trajectories (length horizon). ``error_tail`` and
-    ``output_tail`` hold the tail statistic: for finite p the pooled norm
-    over the tail window, (sum of the window's per-step power sums / sum of
-    its alive counts)^(1/p), and for p = inf the window's largest magnitude.
-    ``tail_abs_error``/``tail_abs_output`` hold each signal's tail summaries
-    for the bootstrap, one column per trajectory: row i is its tail sum of
-    (|x| / peak)^p for the i-th finite order of ``config.p_list``, the last
-    row its tail peak, with magnitudes 0 from the step it diverged.
+    empirical norm across trajectories (length horizon).
+    ``tail_abs_error``/``tail_abs_output`` hold each signal's tail summaries,
+    one column per trajectory: row i is its tail sum of (|x| / peak)^p for
+    the i-th finite order of ``config.p_list``, the last row its tail peak,
+    with magnitudes 0 from the step it diverged. ``error_tail`` and
+    ``output_tail`` hold the tail statistic read off them: for p = inf the
+    largest peak, and for finite p the pooled norm over the tail window,
+    scale (sum of row_j (peak_j / scale)^p / (tail_window n))^(1/p) with
+    scale the largest peak. It divides by tail_window x trajectories, not by
+    the window's alive counts: a diverged trajectory adds zeros, so the two
+    agree when ``diverged`` is 0, which ``stable`` and so ``verify_bound``
+    require.
     ``stable`` is False when any trajectory left float range (``diverged``
     counts them), when the mean-square state did, or when the mean-square
     state over the tail window averages more than 4 times its average over
@@ -200,8 +204,6 @@ class SimulationResult:
     how many trajectories were still finite at each step; it never
     increases, and its last entry is trajectories - diverged.
     Every field is the same whatever the number of worker processes.
-    ``verify_bound`` memoizes the bootstrap stds of every norm order here,
-    per signal and number of resamples.
     """
 
     config: SimulationConfig
@@ -215,7 +217,6 @@ class SimulationResult:
     alive_counts: np.ndarray
     tail_abs_error: np.ndarray
     tail_abs_output: np.ndarray
-    _margins: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def tail_start(self) -> int:
@@ -598,14 +599,10 @@ def run_closed_loop(
         norms = {p: (total / counts) ** (1.0 / p) for p, total in sums.items()}
         if maxes is not None:
             norms[math.inf] = maxes
-        # The pooled norm over the window; for p = inf the largest maximum.
-        window = slice(horizon - tail, None)
-        tail_stat = {
-            p: (total[:, window].sum(axis=1) / counts[window].sum()) ** (1.0 / p)
-            for p, total in sums.items()
-        }
-        if maxes is not None:
-            tail_stat[math.inf] = maxes[:, window].max(axis=1)
+        tails = []
+        for summary in summaries:
+            moments, scale = _tail_moments(summary, cfg.p_list, tail)
+            tails.append({p: stat * scale for p, (stat, _) in moments.items()})
         # Step 0 is x0, not the loop's response. With no baseline steps before
         # the tail window, the later half of [start, horizon) faces the earlier.
         start = max(cfg.burn_in, 1)
@@ -620,8 +617,8 @@ def run_closed_loop(
         config=cfg,
         error_norms={p: rows[0] for p, rows in norms.items()},
         output_norms={p: rows[1] for p, rows in norms.items()},
-        error_tail={p: float(rows[0]) for p, rows in tail_stat.items()},
-        output_tail={p: float(rows[1]) for p, rows in tail_stat.items()},
+        error_tail=tails[0],
+        output_tail=tails[1],
         mean_square_state=mean_sq,
         stable=bool(stable),
         diverged=diverged,
@@ -631,46 +628,44 @@ def run_closed_loop(
     )
 
 
-def _bootstrap_pass(summary: np.ndarray, orders, tail: int, seed_key, resamples: int):
-    """Tail statistic of each bootstrap resample for every order, and the scale.
+def _tail_moments(summary: np.ndarray, orders, tail: int):
+    """Each order's tail statistic and its closed-form std, and their scale.
 
     ``summary`` is a signal's ``_tail_summary`` for ``orders`` over ``tail``
-    steps; scale is its largest peak (1.0 if that is 0). Resample r picks n
-    of the n trajectories with replacement, ``rng.integers(0, n, n)``. Its
-    pooled norm is (sum of their rows times (peak / scale)^p / (tail n))^(1/p),
-    and for p = inf it is their largest peak / scale. Returns a dict from
-    each order to its (resamples,) statistics, in units of the scale. One
-    set of picks serves every order, and each order's arithmetic is the
-    same whatever other orders share the pass.
+    steps of n trajectories; scale is its largest peak (1.0 if that is 0).
+    Returns a dict from each order to (statistic, std) in units of the
+    scale. The std is the limit, as the number of resamples grows, of the
+    std of a bootstrap that picks n of the n trajectories with replacement
+    (Efron & Tibshirani 1993, "An Introduction to the Bootstrap").
+
+    For finite p, trajectory j's total T_j = row_j (peak_j / scale)^p is its
+    tail sum of (|x| / scale)^p, and the statistic is m^(1/p), m =
+    mean(T) / tail. A resample's mean of T has variance var(T) / n (the
+    population variance), and the delta method turns that into the std
+    (1/p) m^(1/p - 1) sqrt(var(T) / n) / tail. For p = inf the statistic
+    is the largest peak, and a resample's maximum is the k-th largest peak
+    v_k with probability (1 - (k-1)/n)^n - (1 - k/n)^n; the std is that
+    law's over the top min(64, n) peaks, which carry all but e^-64 of it.
     """
-    rng = np.random.default_rng(seed_key)
     n = summary.shape[1]
     scale = float(summary[-1].max()) or 1.0
     rel, work = summary[-1] / scale, np.empty(n)
-    totals = {p: row * _power(rel, p, work) for p, row in zip(orders, summary[:-1])}
+    moments = {}
+    for p, row in zip(orders, summary[:-1]):
+        total = row * _power(rel, p, work)
+        mean = float(total.mean())
+        stat = (mean / tail) ** (1.0 / p)
+        # stat / (p mean) is (1/p) m^(1/p - 1) / tail, defined at m = 0 too.
+        spread = math.sqrt(float(total.var()) / n) / (p * mean) if mean > 0.0 else 0.0
+        moments[p] = (stat, stat * spread)
     if math.inf in orders:
-        totals[math.inf] = rel
-    stats = {p: np.empty(resamples) for p in totals}
-    for r in range(resamples):
-        picks = rng.integers(0, n, n)
-        for p, total in totals.items():
-            picked = np.take(total, picks, out=work)
-            stats[p][r] = picked.max() if math.isinf(p) else picked.sum()
-    for p, values in stats.items():
-        if not math.isinf(p):
-            stats[p] = (values / (tail * n)) ** (1.0 / p)
-    return stats, scale
-
-
-def check_resamples(resamples: int) -> None:
-    """Raise InvalidModelError unless 1 <= resamples and its statistics fit an array."""
-    if resamples < 1:
-        raise InvalidModelError(f"resamples must be >= 1, got {resamples}")
-    if resamples * 8 > sys.maxsize:
-        raise InvalidModelError(
-            f"resamples {resamples} is too large: the (resamples,) statistics "
-            f"of a norm order would exceed {sys.maxsize} bytes"
-        )
+        k = min(64, n)
+        top = np.sort(np.partition(rel, n - k)[n - k :])[::-1]
+        edges = (1.0 - np.arange(len(top) + 1) / n) ** n
+        weights = edges[:-1] - edges[1:]
+        mean = float(weights @ top)
+        moments[math.inf] = (float(top[0]), math.sqrt(float(weights @ (top - mean) ** 2)))
+    return moments, scale
 
 
 @dataclass(frozen=True)
@@ -703,32 +698,26 @@ def verify_bound(
     result: SimulationResult,
     report: BoundReport,
     which: str = "error",
-    resamples: int = 200,
     sup_slack: float = SUP_NORM_SLACK,
 ) -> Certification:
     """Check a simulated loop against a lower bound.
 
     The ratio is tail norm / bound; the bound counts as satisfied when the
-    ratio is at least 1 minus three bootstrap standard errors. The bootstrap
-    resamples whole trajectories with replacement, ``resamples`` draws of n
-    picks each, deterministic in the simulation seed. It reads each
-    resample's pooled norm and maximum off the signal's tail summaries (see
-    ``SimulationResult``), so its extra memory is a few arrays of one float
-    per trajectory. One set of draws per signal and ``resamples`` serves
-    every norm order of ``result.config.p_list``: the first call computes
-    the std of each order in one pass and memoizes them on ``result``, and
-    later calls look theirs up. Each order's margin is the one a pass of
-    its own would give, bit for bit. The bootstrap works in units of the
-    largest tail magnitude, so it is scale-free: scaling the magnitudes by
-    a power of two scales the bootstrap std by exactly that factor. For
-    p = inf the sample maximum is a one-sided underestimate of the
-    essential supremum, so an extra ``sup_slack`` is allowed. Refuses to
-    certify unstable results; raises InvalidModelError for resamples < 1 or
-    too many to hold in one array.
+    ratio is at least 1 minus three standard errors. The standard error is
+    the closed-form limit of a bootstrap that resamples whole trajectories
+    with replacement (``_tail_moments``): for finite p the exact bootstrap
+    variance of the trajectories' mean tail total and the delta method, and
+    for p = inf the law of a resample's maximum over the largest peaks. It
+    is read off the signal's tail summaries (see ``SimulationResult``) with
+    no random draws, so it is deterministic and its extra memory is a few
+    arrays of one float per trajectory. It works in units of the largest
+    tail magnitude, so it is scale-free: scaling the magnitudes by a power
+    of two scales the std by exactly that factor. For p = inf the sample
+    maximum is a one-sided underestimate of the essential supremum, so an
+    extra ``sup_slack`` is allowed. Refuses to certify unstable results.
     """
     if which not in ("error", "output"):
         raise ValueError(f"which must be 'error' or 'output', got {which!r}")
-    check_resamples(resamples)
     if not result.stable:
         raise CertificationRefusedError(
             "simulation is flagged unstable; its tail statistics do not "
@@ -740,19 +729,12 @@ def verify_bound(
         raise InvalidNormOrderError(
             f"simulation did not record norms for p = {p}; extend p_list"
         )
-    stds = result._margins.get((which, resamples))
-    if stds is None:
-        cfg = result.config
-        summary = result.tail_abs_error if which == "error" else result.tail_abs_output
-        stats, scale = _bootstrap_pass(
-            summary, cfg.p_list, cfg.tail_window, (cfg.seed, _BOOTSTRAP_TAG), resamples
-        )
-        # np.std squares the statistics, so they stay in units of the scale.
-        stds = {order: float(np.std(values)) * scale for order, values in stats.items()}
-        result._margins[(which, resamples)] = stds
+    cfg = result.config
+    summary = result.tail_abs_error if which == "error" else result.tail_abs_output
+    moments, scale = _tail_moments(summary, cfg.p_list, cfg.tail_window)
     tail_norm = tails[p]
     ratio = tail_norm / report.bound_value
-    margin = stds[p] / report.bound_value
+    margin = moments[p][1] * scale / report.bound_value
     slack = 3.0 * margin
     if math.isinf(p):
         slack = max(slack, sup_slack)

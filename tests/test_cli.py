@@ -399,9 +399,11 @@ class TestVerify:
             "--controller", "zero", "--horizon", "40", "--traj", "500",
         )
         assert code in (EXIT_OK, EXIT_UNSATISFIED)
-        assert set(json.loads(out)) == {
+        payload = json.loads(out)
+        assert set(payload) == {
             "stable", "diverged", "which", "results", "warnings", "manifest"
         }
+        assert set(payload["manifest"]["parameters"]) == {"controller", "which", "sim"}
 
     def test_output_certification(self, capsys, tmp_path, gauss_dist):
         # Minimum-phase two-lag plant; certify the measurement floor under
@@ -514,31 +516,20 @@ class TestVerify:
         assert out == ""
         assert err.startswith("fundlim: ") and "seed" in err
 
-    @pytest.mark.parametrize("resamples", ["0", "-1"])
-    def test_resamples_below_one(self, capsys, stable_plant, gauss_dist, resamples):
-        code, out, err = run_cli(
-            capsys, "verify", "--plant", stable_plant, "--dist", gauss_dist,
-            "--horizon", "20", "--traj", "100", "--resamples", resamples,
-        )
-        assert code == EXIT_INPUT
-        assert out == ""
-        assert "resamples" in err
+    def test_resamples_flag_is_gone(self, capsys, stable_plant, gauss_dist):
+        # The margin has a closed form, so there is no number of resamples.
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "verify", "--plant", stable_plant, "--dist", gauss_dist,
+                "--horizon", "20", "--traj", "100", "--resamples", "200",
+            ])
+        assert exc.value.code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --resamples 200" in captured.err
+        assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("plant", ["stable_plant", "unstable_plant"])
-    def test_resamples_checked_before_simulation(self, capsys, monkeypatch, request, gauss_dist, plant):
-        def no_simulation(*args, **kwargs):
-            raise AssertionError("run_closed_loop called with --resamples 0")
-
-        monkeypatch.setattr("fundlim.cli.run_closed_loop", no_simulation)
-        code, out, err = run_cli(
-            capsys, "verify", "--plant", request.getfixturevalue(plant), "--dist", gauss_dist,
-            "--horizon", "20", "--traj", "100", "--resamples", "0",
-        )
-        assert code == EXIT_INPUT
-        assert out == ""
-        assert "resamples" in err
-
-    @pytest.mark.parametrize("flag", ["--traj", "--horizon", "--resamples"])
+    @pytest.mark.parametrize("flag", ["--traj", "--horizon"])
     @pytest.mark.parametrize("size", [2**63, 99999999999999999999])
     def test_oversize_sizes_are_input_errors(
         self, capsys, monkeypatch, stable_plant, gauss_dist, flag, size
@@ -548,7 +539,7 @@ class TestVerify:
             raise AssertionError(f"run_closed_loop called with {flag} {size}")
 
         monkeypatch.setattr("fundlim.cli.run_closed_loop", no_simulation)
-        sizes = {"--traj": "100", "--horizon": "20", "--resamples": "200"}
+        sizes = {"--traj": "100", "--horizon": "20"}
         sizes[flag] = str(size)
         code, out, err = run_cli(
             capsys, "verify", "--plant", stable_plant, "--dist", gauss_dist,

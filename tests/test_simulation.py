@@ -1,5 +1,6 @@
 """Closed-loop Monte Carlo engine: loop semantics, determinism, certification."""
 
+import itertools
 import math
 import multiprocessing
 import os
@@ -10,13 +11,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fundlim as fl
 from conftest import lfilter_ar_sample
 from fundlim import simulation
 from fundlim.bounds import BoundReport
 from fundlim.controllers import CausalController, StaticGain, ZeroController
-from fundlim.simulation import _BOOTSTRAP_TAG, _DISTURBANCE, _INITIAL_STATE, _chunk_stream
+from fundlim.simulation import _DISTURBANCE, _INITIAL_STATE, _chunk_stream
 
 # Scalar test plants have C B != 0; that analysis warning is covered in
 # test_plant and is noise here.
@@ -344,7 +347,6 @@ class TestDrawContract:
             _chunk_stream(seed, _INITIAL_STATE, 0).random(),
             _chunk_stream(seed, _DISTURBANCE, 1).random(),
             np.random.default_rng(seed).random(),
-            np.random.default_rng((seed, _BOOTSTRAP_TAG)).random(),
         ]
         assert len(set(firsts)) == len(firsts)
         # Why the chunk goes in the spawn key: SeedSequence pads its entropy
@@ -469,6 +471,53 @@ class TestScaling:
         # The summaries' power sums are scale-free and their peaks scale.
         np.testing.assert_array_equal(scaled.tail_abs_error[:-1], base.tail_abs_error[:-1])
         np.testing.assert_array_equal(scaled.tail_abs_error[-1], 2.0 * base.tail_abs_error[-1])
+
+
+def open_loop_verdict(dist, p, horizon, trajectories, seed=3, tail_window=None):
+    """``verify_bound`` of ``dist``'s own T1 floor on plant 0.5 with ``ZeroController``."""
+    plant = scalar_plant(0.5)
+    cfg = fl.SimulationConfig(
+        horizon=horizon, trajectories=trajectories, seed=seed, p_list=(p,),
+        tail_window=tail_window,
+    )
+    result = fl.run_closed_loop(plant, ZeroController(), dist, cfg)
+    report = fl.error_bound_lti(p, fl.analyze_plant(plant), fl.entropy_summary(dist))
+    return fl.verify_bound(result, report)
+
+
+class TestScaleFreeVerdict:
+    """The floor and the tail norm scale together, so the verdict has no units.
+
+    Scales stop at 1e6: at sigma = 1e153 the mean-square state leaves float
+    range and ``stable`` refuses the run, until it is taken scaled as well.
+    """
+
+    @given(
+        s=st.floats(min_value=1e-6, max_value=1e6),
+        p=st.sampled_from([1.0, 2.0, 7.0, 300.0, math.inf]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_verdict_does_not_change_under_scaling(self, s, p):
+        base = open_loop_verdict(fl.GaussianIID(1.0), p, 30, 200)
+        scaled = open_loop_verdict(fl.GaussianIID(1.0).scaled(s), p, 30, 200)
+        assert math.isfinite(scaled.ratio)
+        assert scaled.ratio == pytest.approx(base.ratio, rel=1e-9)
+        assert scaled.margin_stderr == pytest.approx(base.margin_stderr, rel=1e-9)
+        assert scaled.satisfied == base.satisfied
+
+    @pytest.mark.parametrize(
+        "sigma, p, ratio",
+        [(1e3, 300.0, 2.20806), (1e152, 2.0, 0.999635)],
+        ids=["p300-sigma1e3", "p2-sigma1e152"],
+    )
+    def test_large_scales_keep_a_finite_ratio(self, sigma, p, ratio):
+        # Pooled sums of |e|^p overflowed here, and the ratio read inf.
+        big = open_loop_verdict(fl.GaussianIID(sigma), p, 200, 4000, tail_window=40)
+        unit = open_loop_verdict(fl.GaussianIID(1.0), p, 200, 4000, tail_window=40)
+        assert big.ratio == pytest.approx(ratio, rel=1e-5)
+        assert big.ratio == pytest.approx(unit.ratio, rel=1e-9)
+        assert big.margin_stderr == pytest.approx(unit.margin_stderr, rel=1e-9)
+        assert big.satisfied and unit.satisfied
 
 
 class TestInstability:
@@ -1105,14 +1154,20 @@ def replay_loop(plant, b, a, dist, cfg):
             diverged += int((~alive).sum())
         norms = {p: (total / counts) ** (1.0 / p) for p, total in sums.items()}
         norms[math.inf] = maxes
-        # Pooled over the window for finite p, the largest maximum for inf.
-        tail_stat = {
-            p: (total[:, tail_start:].sum(axis=1) / counts[tail_start:].sum()) ** (1.0 / p)
-            for p, total in sums.items()
-        }
-        tail_stat[math.inf] = maxes[:, tail_start:].max(axis=1)
         mean_sq = sum_sq / counts
-    arrays = [mean_sq, counts] + [replay_summary(block, cfg.p_list) for block in tails]
+    summaries = [replay_summary(block, cfg.p_list) for block in tails]
+    # Pooled over the window for finite p, the largest peak for inf: off the
+    # summaries, in units of the largest peak, over tail_window x n entries.
+    tail_stat = {p: [] for p in cfg.p_list}
+    for summary in summaries:
+        scale = float(summary[-1].max()) or 1.0
+        rel = summary[-1] / scale
+        for p, row in zip(cfg.p_list, summary):
+            pooled = rel.max() if math.isinf(p) else (
+                (float((row * squared_power(rel, p)).mean()) / cfg.tail_window) ** (1.0 / p)
+            )
+            tail_stat[p].append(pooled * scale)
+    arrays = [mean_sq, counts] + summaries
     for p in cfg.p_list:
         arrays += [norms[p][0], norms[p][1]]
     # Growth: the tail window's average mean square against 4 times the
@@ -1178,7 +1233,7 @@ class TestBitIdentity:
             want = squared_power(mag, p).sum(axis=1)
             assert sums[p][:, 1].tobytes() == want.tobytes()
             np.testing.assert_allclose(sums[p][:, 1], (mag**p).sum(axis=1), rtol=1e-15, atol=0.0)
-            # In place, as the bootstrap takes them, the powers are the same.
+            # In place, as the tail statistic takes them, the powers are the same.
             own = mag.copy()
             assert simulation._power(own, p, own).sum(axis=1).tobytes() == want.tobytes()
 
@@ -1269,20 +1324,6 @@ class TestVerifyBound:
         with pytest.raises(ValueError):
             fl.verify_bound(stable_run, report, which="state")
 
-    @pytest.mark.parametrize("resamples", [0, -1])
-    def test_resamples_below_one_rejected(self, stable_run, resamples):
-        report = fl.error_bound_for_entropy(2.0, -8.0)
-        with pytest.raises(fl.InvalidModelError, match="resamples"):
-            fl.verify_bound(stable_run, report, resamples=resamples)
-
-    @pytest.mark.parametrize("resamples", [2**63, 10**20])
-    def test_resamples_past_an_array_rejected(self, stable_run, resamples):
-        report = fl.error_bound_p2(
-            fl.analyze_plant(scalar_plant(0.5)), fl.entropy_summary(fl.GaussianIID(1.0))
-        )
-        with pytest.raises(fl.InvalidModelError, match="resamples .* too large"):
-            fl.verify_bound(stable_run, report, resamples=resamples)
-
     def test_missing_norm_order_rejected(self, stable_run):
         report = fl.error_bound_for_entropy(3.0, 1.0)
         with pytest.raises(fl.InvalidNormOrderError):
@@ -1308,7 +1349,7 @@ ORDERS = (1.0, 2.0, 7.0, math.inf)
 
 
 def heavy_tail(trajectories, tail_window=5, seed=4):
-    # Cauchy magnitudes, so resamples that miss a large one differ visibly.
+    # Cauchy magnitudes, so a few trajectories stand out.
     return np.abs(np.random.default_rng(seed).standard_cauchy((tail_window, trajectories)))
 
 
@@ -1354,11 +1395,22 @@ def replayed_counts(seed_key, n, resamples):
     return np.stack([np.bincount(rng.integers(0, n, n), minlength=n) for _ in range(resamples)])
 
 
-def summary_stds(block, p, seed_key, resamples):
-    """The bootstrap std at order p alone, as ``verify_bound`` takes it, of a (tail, n) block."""
+def replayed_std(block, p, seed_key, resamples):
+    """Std of a trajectory bootstrap of a (tail, n) block, resample by resample.
+
+    Each resample is the block's trajectories repeated by their pick counts,
+    and its statistic one empirical norm over every step and trajectory.
+    """
+    counts = replayed_counts(seed_key, block.shape[1], resamples)
+    return float(np.std([fl.empirical_lp(np.repeat(block, row, axis=1), p) for row in counts]))
+
+
+def closed_form(block, p):
+    """The tail statistic and closed-form std at order p alone of a (tail, n) block."""
     summary = simulation._tail_summary(block, (p,))
-    stats, scale = simulation._bootstrap_pass(summary, (p,), len(block), seed_key, resamples)
-    return float(np.std(stats[p])) * scale
+    moments, scale = simulation._tail_moments(summary, (p,), len(block))
+    stat, std = moments[p]
+    return stat * scale, std * scale
 
 
 class TestTailSummary:
@@ -1400,42 +1452,59 @@ class TestTailSummary:
         assert scaled[-1].tobytes() == (c * base[-1]).tobytes()
 
 
-class TestSlicedBootstrap:
-    """The trajectory bootstrap of ``verify_bound``.
+class TestClosedFormMargin:
+    """The closed-form bootstrap margin of ``verify_bound``, ``_tail_moments``."""
 
-    The class keeps its name from the sliced bootstrap it replaced.
-    """
+    @pytest.mark.parametrize(
+        "law, p",
+        [
+            ("gauss", 1.0),
+            ("gauss", 2.0),
+            ("gauss", 7.0),
+            ("gauss", math.inf),
+            ("gengauss4", 4.0),
+        ],
+    )
+    def test_std_matches_a_resample_replay(self, law, p):
+        # The closed form is the limit of the replayed bootstrap as its
+        # resamples grow; 4000 of them read the std within about 2%.
+        rng = np.random.default_rng(0)
+        if law == "gauss":
+            block = np.abs(rng.standard_normal((4, 1024)))
+        else:
+            block = np.abs(fl.GeneralizedGaussianIID(4.0, 1.0).sample(rng, 4096)).reshape(4, 1024)
+        stat, std = closed_form(block, p)
+        assert stat == pytest.approx(fl.empirical_lp(block, p), rel=1e-13)
+        assert std == pytest.approx(replayed_std(block, p, (0, 7), 4000), rel=0.05)
 
-    @pytest.mark.parametrize("p", ORDERS)
-    def test_statistics_match_replay(self, p):
-        # Each resample built as whole trajectories repeated by their pick
-        # counts, and its tail statistic taken as one empirical norm over
-        # every step and trajectory of it.
-        tail = heavy_tail(TRAJECTORIES)
-        key = (3, _BOOTSTRAP_TAG)
-        expected = [
-            fl.empirical_lp(np.repeat(tail, row, axis=1), p)
-            for row in replayed_counts(key, TRAJECTORIES, 40)
-        ]
-        summary = simulation._tail_summary(tail, (p,))
-        stats, scale = simulation._bootstrap_pass(summary, (p,), len(tail), key, 40)
-        assert scale == tail.max()
-        np.testing.assert_allclose(stats[p] * scale, expected, rtol=1e-12)
+    def test_sup_std_is_the_exact_bootstrap_below_64_trajectories(self):
+        # With n < 64 every peak carries weight and the weights sum to 1:
+        # the std is that of the maximum over all n^n resamples.
+        peaks = np.array([[0.3, 1.7, 0.9, 1.2, 0.5]])
+        maxima = [peaks[0, list(picks)].max() for picks in itertools.product(range(5), repeat=5)]
+        stat, std = closed_form(peaks, math.inf)
+        assert stat == 1.7
+        assert std == pytest.approx(float(np.std(maxima)), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_one_trajectory_has_zero_std(self, p):
+        block = heavy_tail(1)
+        stat, std = closed_form(block, p)
+        assert stat == pytest.approx(fl.empirical_lp(block, p), rel=1e-13)
+        assert std == 0.0
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 7.0, 300.0, math.inf])
     @pytest.mark.parametrize("c", [2.0**-600, 2.0**600], ids=["2^-600", "2^600"])
     def test_margin_is_scale_free(self, c, p):
         # A power-of-two scale is exact in every step, so equality is exact.
         tail = heavy_tail(TRAJECTORIES)
-        key = (0, _BOOTSTRAP_TAG)
-        base = summary_stds(tail, p, key, 50)
-        assert base > 0.0
-        assert summary_stds(c * tail, p, key, 50) == c * base
+        base = closed_form(tail, p)
+        assert base[1] > 0.0
+        assert closed_form(c * tail, p) == (c * base[0], c * base[1])
 
     @pytest.mark.parametrize("p", [2.0, math.inf])
     def test_zero_block_has_zero_margin(self, p):
-        zero = np.zeros((3, TRAJECTORIES))
-        assert summary_stds(zero, p, (0, _BOOTSTRAP_TAG), 20) == 0.0
+        assert closed_form(np.zeros((3, TRAJECTORIES)), p) == (0.0, 0.0)
 
     def test_repeat_calls_byte_identical(self):
         result = synthetic_result(TRAJECTORIES)
@@ -1445,35 +1514,6 @@ class TestSlicedBootstrap:
                 b = fl.verify_bound(result, unit_report(p), which=which)
                 assert a.margin_stderr > 0.0
                 assert np.float64(a.margin_stderr).tobytes() == np.float64(b.margin_stderr).tobytes()
-
-    def test_memoized_margins_match_one_order_passes(self):
-        result = synthetic_result(TRAJECTORIES)
-        key = (result.config.seed, _BOOTSTRAP_TAG)
-        for which, block in zip(("error", "output"), synthetic_tails(TRAJECTORIES)):
-            for p in ORDERS:
-                memo = fl.verify_bound(result, unit_report(p), which=which).margin_stderr
-                alone = summary_stds(block, p, key, 200)
-                assert np.float64(memo).tobytes() == np.float64(alone).tobytes()
-
-    def test_one_draw_per_signal_and_resamples(self, monkeypatch):
-        draws = []
-        bootstrap = simulation._bootstrap_pass
-
-        def counted(summary, orders, tail, seed_key, resamples):
-            draws.append(resamples)
-            return bootstrap(summary, orders, tail, seed_key, resamples)
-
-        monkeypatch.setattr(simulation, "_bootstrap_pass", counted)
-        result = synthetic_result(TRAJECTORIES)
-        for p in ORDERS:
-            fl.verify_bound(result, unit_report(p))
-        assert draws == [200]
-        fl.verify_bound(result, unit_report(2.0), resamples=50)
-        fl.verify_bound(result, unit_report(math.inf), resamples=50)
-        assert draws == [200, 50]
-        for p in ORDERS:
-            fl.verify_bound(result, unit_report(p), which="output")
-        assert draws == [200, 50, 200]
 
     @pytest.mark.parametrize("p", [2.0, math.inf])
     def test_summary_bytes_do_not_grow_with_the_tail_window(self, p):
