@@ -7,116 +7,22 @@ models with closed-form entropy rates and spectra, the bound formulas
 themselves, a vectorized closed-loop simulator, and a batch CLI.
 """
 
-from .bounds import (
-    BoundReport,
-    cp_constant,
-    error_bound_for_entropy,
-    error_bound_generic,
-    error_bound_lti,
-    error_bound_p2,
-    error_bound_pinf,
-    error_bound_spectral,
-    output_bound,
-)
-from .controllers import CausalController, LinearFilter, StaticGain, ZeroController, parse_controller
-from .disturbance import (
-    DisturbanceModel,
-    EntropySummary,
-    GaussianAR,
-    GaussianIID,
-    GeneralizedGaussianIID,
-    SpectralDensity,
-    UniformIID,
-    disturbance_from_dict,
-    entropy_summary,
-    load_disturbance,
-    max_entropy_pdf,
-    max_entropy_value,
-    szego_entropy_rate,
-    szego_log_integral,
-)
-from .errors import (
-    CertificationRefusedError,
-    DegenerateRealizationError,
-    FundlimError,
-    InvalidModelError,
-    InvalidNormOrderError,
-    NonIntegrableSpectrumError,
-    UnstableLoopError,
-    ZeroTransferFunctionError,
-)
-from .plant import (
-    AnalysisWarning,
-    PlantCharacteristics,
-    StateSpaceModel,
-    analyze_plant,
-    analyze_poles,
-    compute_finite_zeros,
-    load_plant,
-    nmp_zero_product,
-    relative_degree_and_gain,
-)
-from .simulation import (
-    Certification,
-    SimulationConfig,
-    SimulationResult,
-    empirical_lp,
-    run_closed_loop,
-    verify_bound,
-)
+from . import bounds, controllers, disturbance, errors, plant, simulation
+from .bounds import *
+from .controllers import *
+from .disturbance import *
+from .errors import *
+from .plant import *
+from .simulation import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisWarning",
-    "BoundReport",
-    "CausalController",
-    "Certification",
-    "CertificationRefusedError",
-    "DegenerateRealizationError",
-    "DisturbanceModel",
-    "EntropySummary",
-    "FundlimError",
-    "GaussianAR",
-    "GaussianIID",
-    "GeneralizedGaussianIID",
-    "InvalidModelError",
-    "InvalidNormOrderError",
-    "LinearFilter",
-    "NonIntegrableSpectrumError",
-    "PlantCharacteristics",
-    "SimulationConfig",
-    "SimulationResult",
-    "SpectralDensity",
-    "StateSpaceModel",
-    "StaticGain",
-    "UniformIID",
-    "UnstableLoopError",
-    "ZeroController",
-    "ZeroTransferFunctionError",
-    "analyze_plant",
-    "analyze_poles",
-    "compute_finite_zeros",
-    "cp_constant",
-    "disturbance_from_dict",
-    "empirical_lp",
-    "entropy_summary",
-    "error_bound_for_entropy",
-    "error_bound_generic",
-    "error_bound_lti",
-    "error_bound_p2",
-    "error_bound_pinf",
-    "error_bound_spectral",
-    "load_disturbance",
-    "load_plant",
-    "max_entropy_pdf",
-    "max_entropy_value",
-    "nmp_zero_product",
-    "output_bound",
-    "parse_controller",
-    "relative_degree_and_gain",
-    "run_closed_loop",
-    "szego_entropy_rate",
-    "szego_log_integral",
-    "verify_bound",
-]
+# A public name is declared once, in its module's ``__all__``; the package
+# exports the union.
+__all__ = sorted(
+    {
+        name
+        for module in (bounds, controllers, disturbance, errors, plant, simulation)
+        for name in module.__all__
+    }
+)

@@ -30,7 +30,6 @@ from .plant import PlantCharacteristics
 
 __all__ = [
     "BoundReport",
-    "ROUTES",
     "cp_constant",
     "error_bound_for_entropy",
     "error_bound_generic",

@@ -3,6 +3,17 @@
 import json
 import math
 
+__all__ = [
+    "CertificationRefusedError",
+    "DegenerateRealizationError",
+    "FundlimError",
+    "InvalidModelError",
+    "InvalidNormOrderError",
+    "NonIntegrableSpectrumError",
+    "UnstableLoopError",
+    "ZeroTransferFunctionError",
+]
+
 
 class FundlimError(Exception):
     """Base class for every error raised by this package."""

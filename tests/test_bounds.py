@@ -160,6 +160,18 @@ class TestGenericBound:
         via_model = fl.error_bound_generic(2.0, ent(fl.GaussianIID(1.0)))
         assert direct.bound_value == pytest.approx(via_model.bound_value, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "route",
+        [
+            lambda: fl.error_bound_for_entropy(2.0, math.nan),
+            lambda: fl.error_bound_generic(2.0, fl.EntropySummary(math.inf, 0.0)),
+        ],
+        ids=["nan_entropy", "infinite_rate"],
+    )
+    def test_nonfinite_entropy_rejected(self, route):
+        with pytest.raises(fl.InvalidModelError, match="must be finite"):
+            route()
+
     def test_never_exceeds_plant_aware_bound(self):
         rng = np.random.default_rng(5)
         for _ in range(25):

@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -63,6 +64,20 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def spectrum_csv(omega, values):
+    return "".join(f"{float(w)!r},{float(s)!r}\n" for w, s in zip(omega, values))
+
+
+def uniform_omega(n=64):
+    return np.linspace(-math.pi, math.pi, n, endpoint=False)
+
+
+def with_entry(array, index, value):
+    array = np.array(array, dtype=float)
+    array[index] = value
+    return array
 
 
 class TestAnalyze:
@@ -516,6 +531,33 @@ class TestVerify:
         assert out == ""
         assert err.startswith("fundlim: ") and "seed" in err
 
+    @pytest.mark.parametrize(
+        "orders",
+        [["--p", "2,INF"], ["--p", "2,Infinity"], {"p_list": [2, "Infinity"]}],
+        ids=["INF", "Infinity", "sim_config"],
+    )
+    def test_infinity_spellings_give_the_same_reports(
+        self, capsys, tmp_path, stable_plant, gauss_dist, orders
+    ):
+        # float() reads every spelling of infinity, in a flag or a config file.
+        if isinstance(orders, dict):
+            cfg = tmp_path / "sim.json"
+            cfg.write_text(json.dumps(orders))
+            orders = ["--sim-config", str(cfg)]
+        reports = []
+        for tag, flags in (("inf", ["--p", "2,inf"]), ("other", orders)):
+            out_dir = tmp_path / tag
+            code, out, _ = run_cli(
+                capsys, "verify", "--plant", stable_plant, "--dist", gauss_dist,
+                "--horizon", "40", "--traj", "300", *flags, "--out", str(out_dir),
+            )
+            assert code == EXIT_OK
+            reports.append((
+                re.sub(r'"timestamp": "[^"]*"', "", out),
+                (out_dir / "verify_norms.csv").read_bytes(),
+            ))
+        assert reports[0] == reports[1]
+
     def test_resamples_flag_is_gone(self, capsys, stable_plant, gauss_dist):
         # The margin has a closed form, so there is no number of resamples.
         with pytest.raises(SystemExit) as exc:
@@ -734,6 +776,25 @@ class TestSzego:
         assert code == EXIT_INPUT
         assert "fewer than 16" in err
 
+    def test_closed_grid_matches_periodic_grid(self, capsys, tmp_path):
+        # Both endpoints of [-pi, pi]: the trapezoid rule halves the two
+        # equal end samples, which leaves the periodic mean.
+        model = fl.GaussianAR((0.5, -0.25), 1.3)
+        dist = tmp_path / "ar.json"
+        dist.write_text(json.dumps(model.to_dict()))
+        omega = np.linspace(-math.pi, math.pi, 1025)
+        closed = tmp_path / "closed.csv"
+        closed.write_text(spectrum_csv(omega, model.spectrum_value(omega)))
+        reports = []
+        for argv in (["--dist", str(dist), "--grid", "1024"], ["--spectrum-csv", str(closed)]):
+            code, out, _ = run_cli(capsys, "szego", *argv)
+            assert code == EXIT_OK
+            reports.append(json.loads(out))
+        periodic, from_csv = reports
+        assert from_csv["grid_points"] == 1025
+        for key in ("szego_log_integral_bits", "entropy_rate_bits"):
+            assert from_csv[key] == pytest.approx(periodic[key], rel=1e-13)
+
 
 class TestHugeDisturbanceScale:
     # 2^entropy rate and sigma^2 both leave the float range at sigma = 1e308.
@@ -776,6 +837,54 @@ class TestHugeDisturbanceScale:
         assert code == EXIT_INPUT
         assert out == ""
         assert "variance floor overflows the float range" in err
+
+
+class TestInputErrors:
+    # Each input names what is wrong with it and exits 2, with no traceback.
+    @pytest.mark.parametrize(
+        "argv, text, match",
+        [
+            (["analyze", "--plant"], "[[0.5], [1.0], [1.0]]", "plant file must hold a JSON object"),
+            (["analyze", "--plant"], '{"A": "x", "B": [1.0], "C": [1.0]}',
+             "plant matrices are malformed"),
+            (["analyze", "--plant"], '{"A": [[0.5]],', "plant file is not valid JSON"),
+            (["bound", "--dist"], "[1, 2]", "must be an object with a 'type' field"),
+            (["bound", "--dist"], '{"type": "iid_gaussian", "sigma": "x"}',
+             "disturbance parameters are malformed"),
+            (["bound", "--dist"], '{"type": "gauss_ar", "coeffs": [], "innovation_std": 1.0}',
+             "coeffs must contain at least one lag"),
+            (["bound", "--dist"], '{"type": "gauss_ar", "coeffs": [NaN], "innovation_std": 1.0}',
+             "coeffs contain NaN or Inf"),
+            (["bound", "--p", ",", "--dist"], '{"type": "iid_gaussian", "sigma": 1.0}',
+             "--p must name at least one norm order"),
+            (["szego", "--spectrum-csv"],
+             spectrum_csv(uniform_omega(), with_entry(np.ones(64), 5, math.nan)),
+             "spectrum contains NaN or Inf"),
+            (["szego", "--spectrum-csv"],
+             spectrum_csv(with_entry(uniform_omega(), 5, 0.0), np.ones(64)),
+             "spectrum grid must be strictly increasing"),
+            (["szego", "--spectrum-csv"],
+             spectrum_csv(uniform_omega(), with_entry(np.ones(64), 5, 2.0)),
+             "spectral density must be even in frequency"),
+            (["szego", "--spectrum-csv"],
+             spectrum_csv(np.linspace(-math.pi, math.pi - 0.5, 64), np.ones(64)),
+             "spectrum grid must cover one full period"),
+        ],
+        ids=[
+            "plant_list", "plant_matrix_not_numeric", "plant_not_json",
+            "dist_not_an_object", "dist_sigma_not_a_number", "ar_no_coeffs", "ar_nan_coeff",
+            "p_empty",
+            "spectrum_nan", "spectrum_not_increasing", "spectrum_uneven", "spectrum_short_period",
+        ],
+    )
+    def test_exits_two_with_a_message(self, capsys, tmp_path, argv, text, match):
+        path = tmp_path / "input"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("fundlim: ") and match in err
+        assert "Traceback" not in err
 
 
 class TestTopLevel:

@@ -473,6 +473,15 @@ class TestModelValidation:
             fl.GaussianAR((1.5, -0.4), 1.0)
         fl.GaussianAR((0.5, -0.25), 1.0)  # stable pair is fine
 
+    @pytest.mark.parametrize(
+        "coeffs, match",
+        [((), "at least one lag"), ((math.nan,), "NaN or Inf"), ((0.1, math.inf), "NaN or Inf")],
+        ids=["empty", "nan", "inf"],
+    )
+    def test_ar_coeffs_must_be_finite_and_nonempty(self, coeffs, match):
+        with pytest.raises(fl.InvalidModelError, match=match):
+            fl.GaussianAR(coeffs, 1.0)
+
     def test_ar_too_close_to_the_unit_circle_refused(self):
         # Roots 1e-6 inside the unit circle: the Yule-Walker system has
         # condition number 1.75e16, and its solve gives a variance of -4.5e15
@@ -579,6 +588,26 @@ class TestSpectra:
         with pytest.raises(fl.InvalidModelError):
             fl.SpectralDensity.from_samples(omega, np.full(64, -1.0))
 
+    @pytest.mark.parametrize(
+        "n_grid, n_values, edit, match",
+        [
+            (64, 63, None, "equal length"),
+            (15, 15, None, "equal length >= 16"),
+            (64, 64, ("value", 5, math.nan), "NaN or Inf"),
+            (64, 64, ("omega", 5, 0.0), "strictly increasing"),
+            (64, 64, ("value", 5, 2.0), "even in frequency"),
+        ],
+        ids=["mismatched", "short", "nan", "not_increasing", "uneven"],
+    )
+    def test_from_samples_rejects_malformed_tabulation(self, n_grid, n_values, edit, match):
+        omega = np.linspace(-math.pi, math.pi, n_grid, endpoint=False)
+        values = np.ones(n_values)
+        if edit is not None:
+            array, index, value = edit
+            (values if array == "value" else omega)[index] = value
+        with pytest.raises(fl.InvalidModelError, match=match):
+            fl.SpectralDensity.from_samples(omega, values)
+
 
 class TestSzego:
     def test_white_unit_spectrum(self):
@@ -660,6 +689,15 @@ class TestJsonInterface:
     def test_missing_field_rejected(self):
         with pytest.raises(fl.InvalidModelError):
             fl.disturbance_from_dict({"type": "iid_gaussian"})
+
+    @pytest.mark.parametrize(
+        "payload, match",
+        [([1, 2], "must be an object"), ({"type": "iid_gaussian", "sigma": "x"}, "malformed")],
+        ids=["not_an_object", "sigma_not_a_number"],
+    )
+    def test_malformed_description_rejected(self, payload, match):
+        with pytest.raises(fl.InvalidModelError, match=match):
+            fl.disturbance_from_dict(payload)
 
     def test_scaled_models(self):
         for model in (

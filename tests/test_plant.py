@@ -74,6 +74,21 @@ class TestModelValidation:
         with pytest.raises(fl.InvalidModelError):
             fl.load_plant(path)
 
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("[[0.5], [1.0], [1.0]]", "must hold a JSON object"),
+            ('{"A": "x", "B": [1.0], "C": [1.0]}', "malformed"),
+            ('{"A": [[0.5]],', "not valid JSON"),
+        ],
+        ids=["list", "matrix_not_numeric", "not_json"],
+    )
+    def test_load_rejects_malformed_file(self, tmp_path, text, match):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(fl.InvalidModelError, match=match):
+            fl.load_plant(path)
+
 
 class TestPoles:
     def test_oscillator_poles_match_characteristic_roots(self):
