@@ -251,17 +251,11 @@ def cmd_verify(args) -> int:
     _emit(payload, args.out, "verify_report.json")
 
     if args.out is not None:
-        header = ["k"]
-        for p in cfg.p_list:
-            header += [f"e_p{_p_tag(p)}", f"y_p{_p_tag(p)}"]
-        rows = []
-        for k in range(cfg.horizon):
-            row = [k]
-            for p in cfg.p_list:
-                row += [repr(float(result.error_norms[p][k])),
-                        repr(float(result.output_norms[p][k]))]
-            rows.append(row)
-        _write_csv(args.out, "verify_norms.csv", header, rows)
+        signals = (("e", result.error_norms), ("y", result.output_norms))
+        columns = {f"{s}_p{_p_tag(p)}": norms[p] for p in cfg.p_list for s, norms in signals}
+        values = (map(repr, column.tolist()) for column in columns.values())
+        rows = zip(range(cfg.horizon), *values)
+        _write_csv(args.out, "verify_norms.csv", ["k", *columns], rows)
     return exit_code
 
 

@@ -114,8 +114,14 @@ def _subbotin_variance(p: float, lp_norm: float) -> float:
 class SpectralDensity:
     """Power spectral density tabulated on a frequency grid covering one period.
 
-    The default constructors use N uniform points over [-pi, pi); values must
-    be nonnegative and, on uniform grids, symmetric in frequency.
+    The default constructors use N uniform points over [-pi, pi). Values
+    must be nonnegative. On a uniform grid, half-open (N points with step
+    2 pi / N) or closed (N + 1 points whose ends lie 2 pi apart), they must
+    also be even in frequency: the grid must map onto itself, modulo 2 pi,
+    under omega -> -omega, as [-pi, pi), [0, 2 pi) and the midpoints
+    -pi + pi/N + 2 pi i/N do; each value must match its mirror's; and a
+    closed grid's two end values must agree. A non-uniform grid is not
+    checked for evenness.
     """
 
     grid: np.ndarray
@@ -134,19 +140,34 @@ class SpectralDensity:
             raise InvalidModelError("spectral density must be nonnegative")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        if self._is_uniform_periodic():
-            n = grid.size
-            mirrored = values[(n - np.arange(n)) % n]
-            if not np.allclose(values, mirrored, rtol=1e-8, atol=1e-12):
-                raise InvalidModelError("spectral density must be even in frequency")
+        n = self._uniform_period()
+        if not n:
+            return
+        if grid.size > n and not np.isclose(values[-1], values[0], rtol=1e-8, atol=1e-12):
+            raise InvalidModelError("spectral density must agree at both ends of a closed grid")
+        # Point i is w0 + 2 pi i / n, whose mirror -w0 - 2 pi i / n is point
+        # (m - i) mod n when m = -n w0 / pi is whole.
+        offset = -n * grid[0] / math.pi
+        m = round(offset)
+        if abs(offset - m) > 1e-6:
+            raise InvalidModelError(
+                "uniform spectrum grid must map onto itself under omega -> -omega, "
+                "so that its evenness can be checked"
+            )
+        mirrored = values[(m - np.arange(grid.size)) % n]
+        if not np.allclose(values, mirrored, rtol=1e-8, atol=1e-12):
+            raise InvalidModelError("spectral density must be even in frequency")
 
-    def _is_uniform_periodic(self) -> bool:
-        # True for a uniform half-open grid [w0, w0 + 2*pi).
+    def _uniform_period(self) -> int:
+        # Points in one period of a uniform grid: all n of a half-open grid
+        # [w0, w0 + 2*pi), n - 1 of a closed one [w0, w0 + 2*pi]; else 0.
         steps = np.diff(self.grid)
         if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
-            return False
-        span = self.grid[-1] - self.grid[0] + steps[0]
-        return abs(span - 2.0 * math.pi) < 1e-9
+            return 0
+        span = self.grid[-1] - self.grid[0]
+        if abs(span + steps[0] - 2.0 * math.pi) < 1e-9:
+            return self.grid.size
+        return self.grid.size - 1 if abs(span - 2.0 * math.pi) <= 1e-6 else 0
 
     @classmethod
     def from_function(cls, fn: Callable, n_grid: int = DEFAULT_GRID) -> "SpectralDensity":
@@ -167,7 +188,7 @@ class SpectralDensity:
         mean); grids carrying both endpoints fall back to the composite
         trapezoid rule.
         """
-        if self._is_uniform_periodic():
+        if self._uniform_period() == self.grid.size:
             return float(np.mean(integrand))
         span = self.grid[-1] - self.grid[0]
         if abs(span - 2.0 * math.pi) > 1e-6:

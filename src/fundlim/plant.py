@@ -166,22 +166,20 @@ def analyze_poles(model: StateSpaceModel) -> tuple[np.ndarray, float]:
     return poles, product
 
 
-def relative_degree_and_gain(
-    model: StateSpaceModel, tol: float = TOL_MARKOV
-) -> tuple[int, float]:
+def relative_degree_and_gain(model: StateSpaceModel) -> tuple[int, float]:
     """First index i with C A^i B nonzero, and that Markov parameter.
 
     The zero test is relative: |C A^i B| must exceed
-    ``tol * ||C|| * ||A||^i * ||B||`` in spectral norms. If every Markov
-    parameter through i = n vanishes the transfer function is identically
-    zero and ZeroTransferFunctionError is raised.
+    ``TOL_MARKOV * ||C|| * ||A||^i * ||B||`` in spectral norms. If every
+    Markov parameter through i = n vanishes the transfer function is
+    identically zero and ZeroTransferFunctionError is raised.
     """
     norm_a = np.linalg.norm(model.A, 2)
     scale0 = np.linalg.norm(model.C, 2) * np.linalg.norm(model.B, 2)
     v = model.B
     for i in range(model.n + 1):
         markov = (model.C @ v).item()
-        if abs(markov) > tol * scale0 * norm_a**i:
+        if abs(markov) > TOL_MARKOV * scale0 * norm_a**i:
             return i, markov
         v = model.A @ v
     raise ZeroTransferFunctionError(
@@ -190,9 +188,7 @@ def relative_degree_and_gain(
     )
 
 
-def compute_finite_zeros(
-    model: StateSpaceModel, tol_inf: float = TOL_INF
-) -> np.ndarray:
+def compute_finite_zeros(model: StateSpaceModel) -> np.ndarray:
     """Finite invariant zeros of the SISO triple (A, B, C).
 
     Zeros are the eigenvalues of the zero dynamics: the closed loop
@@ -201,7 +197,7 @@ def compute_finite_zeros(
     relative degree and ``g = C A^d B`` the leading Markov parameter. That
     subspace has dimension ``n - 1 - d``, the degree of the numerator
     ``C adj(zI - A) B``, so the count is exact by construction. A zero with
-    ``|z| > 1 / tol_inf`` is indistinguishable from infinity at working
+    ``|z| > 1 / TOL_INF`` is indistinguishable from infinity at working
     precision and raises DegenerateRealizationError, as does an identically
     zero transfer function.
 
@@ -216,12 +212,10 @@ def compute_finite_zeros(
         raise DegenerateRealizationError(
             "the transfer function is identically zero, so it has no zeros"
         ) from None
-    return _zeros_for_degree(model, degree, gain, tol_inf)
+    return _zeros_for_degree(model, degree, gain)
 
 
-def _zeros_for_degree(
-    model: StateSpaceModel, degree: int, gain: float, tol_inf: float
-) -> np.ndarray:
+def _zeros_for_degree(model: StateSpaceModel, degree: int, gain: float) -> np.ndarray:
     # Body of compute_finite_zeros once the relative degree and gain are known.
     if degree >= model.n - 1:
         return np.zeros(0, dtype=complex)
@@ -232,7 +226,7 @@ def _zeros_for_degree(
     basis = np.linalg.svd(observability)[2][degree + 1 :].T
     closed = model.A - model.B @ (rows[-1] @ model.A) / gain
     zeros = np.linalg.eigvals(basis.T @ closed @ basis).astype(complex)
-    if np.any(np.abs(zeros) > 1.0 / tol_inf):
+    if np.any(np.abs(zeros) > 1.0 / TOL_INF):
         raise DegenerateRealizationError(
             "the zero dynamics put a zero at infinity to working precision"
         )
@@ -256,7 +250,7 @@ def analyze_plant(model: StateSpaceModel) -> PlantCharacteristics:
     """
     poles, pole_product = analyze_poles(model)
     degree, gain = relative_degree_and_gain(model)
-    zeros = _zeros_for_degree(model, degree, gain, TOL_INF)
+    zeros = _zeros_for_degree(model, degree, gain)
     if degree == 0:
         warnings.warn(
             "relative degree is 0: C B is nonzero, so the current disturbance "

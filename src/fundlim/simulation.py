@@ -20,7 +20,8 @@ workers, one per CPU of the affinity mask, and their partial statistics
 are added in block order, so the results do not depend on the number of
 workers.
 
-Per-step empirical L_p norms are aggregated across trajectories. The limsup
+Per-step empirical L_p norms are aggregated across trajectories from one
+statistic per norm order: sums of |x|^p, or maxima for p = inf. The limsup
 is operationalized over a tail window at the end of the horizon: for finite
 p as the pooled norm of every magnitude in it, all steps and trajectories
 together, and for p = inf as their largest magnitude. Both are read off
@@ -256,14 +257,14 @@ def _chunk_stream(seed: int, purpose: int, chunk: int) -> np.random.Generator:
 def _zero_stats(cfg):
     """A run's or a chunk's per-step statistics, zeroed.
 
-    One (2, horizon) sum per finite p, the (2, horizon) maxima (None without
-    p = inf), the alive counts and the sum of the squared state norms.
+    A dict from each order of ``cfg.p_list`` to its (2, horizon) statistic,
+    the sums of |x|^p for finite p and the maxima for p = inf; then the
+    alive counts and the sum of the squared state norms.
     """
     horizon = cfg.horizon
     # Every statistic keeps the error in row 0 and the output in row 1.
-    sums = {p: np.zeros((2, horizon)) for p in cfg.p_list if not math.isinf(p)}
-    maxes = np.zeros((2, horizon)) if math.inf in cfg.p_list else None
-    return sums, maxes, np.zeros(horizon, dtype=np.int64), np.zeros(horizon)
+    stats = {p: np.zeros((2, horizon)) for p in cfg.p_list}
+    return stats, np.zeros(horizon, dtype=np.int64), np.zeros(horizon)
 
 
 def _output_tail_row(horizon: int, tail: int) -> int:
@@ -328,10 +329,10 @@ def _power(base, p: float, out):
     return np.power(base, p, out=out)
 
 
-def _add_power_sums(sums, mag, powered, k):
-    """Set column k of every finite p's sums to the row sums of ``_power(mag, p)``."""
-    for p, total in sums.items():
-        total[:, k] = _power(mag, p, powered).sum(axis=1)
+def _add_power_sums(stats, mag, powered, k):
+    """Fill column k of each order's statistic: mag's row maxima for inf, else power sums."""
+    for p, stat in stats.items():
+        stat[:, k] = mag.max(axis=1) if math.isinf(p) else _power(mag, p, powered).sum(axis=1)
 
 
 def _tail_summary(block: np.ndarray, orders) -> np.ndarray:
@@ -356,10 +357,10 @@ def _tail_summary(block: np.ndarray, orders) -> np.ndarray:
 def _simulate_chunk(model, controller, dist, cfg, span):
     """Simulate the trajectories ``span`` and return their partial statistics.
 
-    Returns the chunk's ``_zero_stats`` arrays, filled with its per-step
-    statistics, how many of its trajectories diverged, and the stacked
-    ``_tail_summary`` of its error and output. It runs in a worker or in
-    the caller's process, so it sets its own floating-point error state.
+    Returns the chunk's ``_zero_stats``, filled with its per-step
+    statistics, and the stacked ``_tail_summary`` of its error and output.
+    It runs in a worker or in the caller's process, so it sets its own
+    floating-point error state.
 
     Every work array of the step loop is allocated once per chunk: the
     disturbance block (step-major, so step k reads the contiguous row k),
@@ -370,7 +371,7 @@ def _simulate_chunk(model, controller, dist, cfg, span):
     array. Only the measurement ``y`` is a fresh array each step, since the
     control law may keep it.
     """
-    sums, maxes, counts, sum_sq_state = _zero_stats(cfg)
+    stats, counts, sum_sq_state = _zero_stats(cfg)
     m_lo, m_hi = span
     count_m = m_hi - m_lo
     horizon, tail = cfg.horizon, cfg.tail_window
@@ -436,11 +437,8 @@ def _simulate_chunk(model, controller, dist, cfg, span):
             np.abs(e, out=mag[0])
             np.abs(y, out=mag[1])
             np.copyto(mag, 0.0, where=dead)
-            live = int(np.count_nonzero(alive))
-            counts[k] = live
-            _add_power_sums(sums, mag, powered, k)
-            if maxes is not None:
-                maxes[:, k] = mag.max(axis=1)
+            counts[k] = np.count_nonzero(alive)
+            _add_power_sums(stats, mag, powered, k)
             np.einsum("ij,ij->j", x, x, out=xsq)
             np.copyto(xsq, 0.0, where=dead)
             sum_sq_state[k] = xsq.sum()
@@ -453,7 +451,7 @@ def _simulate_chunk(model, controller, dist, cfg, span):
             x, x_next = x_next, x
         tails = (d[:tail], d[output_row : output_row + tail])
         summary = np.stack([_tail_summary(block, cfg.p_list) for block in tails])
-        return sums, maxes, counts, sum_sq_state, count_m - live, summary
+        return stats, counts, sum_sq_state, summary
 
 
 def _cpus() -> int:
@@ -562,47 +560,42 @@ def run_closed_loop(
     loop has already read; a tail window longer than half the horizon adds
     8192 x tail_window x 8 bytes of rows past it. Chunks that run in this
     process hold their blocks here, one at a time. The caller holds the
-    chunks' per-step statistics, which it adds in block order, and one
-    array of tail summaries that each chunk's columns are copied into, so
-    results are bit-identical for a given config and numpy version,
-    whatever the number of workers. A batch controller's ``step_batch``
-    receives a fresh ``y`` each step, which it may keep. Raises
-    UnstableLoopError when every trajectory has left float range by the
-    final step.
+    chunks' per-step statistics, one per norm order, which it merges in
+    block order (sums added, the maxima of p = inf taken), and one array of
+    tail summaries that each chunk's columns are copied into, so results
+    are bit-identical for a given config and numpy version, whatever the
+    number of workers. A batch controller's ``step_batch`` receives a fresh
+    ``y`` each step, which it may keep. Raises UnstableLoopError when every
+    trajectory has left float range by the final step.
     """
     horizon, tail, n = cfg.horizon, cfg.tail_window, cfg.trajectories
-    sums, maxes, counts, sum_sq_state = _zero_stats(cfg)
+    stats, counts, sum_sq_state = _zero_stats(cfg)
     spans = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
     job = functools.partial(_simulate_chunk, model, controller, dist, cfg)
 
-    # Each chunk's tail summaries land in their columns as the chunk arrives.
-    diverged, summaries = 0, np.empty((2, len(sums) + 1, n))
+    # Each chunk's ``_tail_summary`` rows land in their columns as it arrives.
+    summaries = np.empty((2, len(stats) + (math.inf not in stats), n))
     with np.errstate(all="ignore"):
         for (lo, hi), part in zip(spans, _map_chunks(job, spans)):
-            part_sums, part_maxes, part_counts, part_sq, part_diverged, summary = part
-            for p, total in sums.items():
-                total += part_sums[p]
-            if maxes is not None:
-                np.maximum(maxes, part_maxes, out=maxes)
+            part_stats, part_counts, part_sq, summaries[:, :, lo:hi] = part
+            for p, stat in stats.items():
+                (np.maximum if math.isinf(p) else np.add)(stat, part_stats[p], out=stat)
             counts += part_counts
             sum_sq_state += part_sq
-            diverged += part_diverged
-            summaries[:, :, lo:hi] = summary
 
         # A trajectory never revives, so counts only fall along the horizon:
-        # a live final step means every step has live trajectories.
+        # a live final step means every step has live trajectories, and the
+        # trajectories not alive at the end are those that diverged.
+        diverged = n - int(counts[-1])
         if counts[-1] == 0:
             raise UnstableLoopError(
                 "every trajectory diverged before the end of the horizon"
             )
         mean_sq = sum_sq_state / counts
-        norms = {p: (total / counts) ** (1.0 / p) for p, total in sums.items()}
-        if maxes is not None:
-            norms[math.inf] = maxes
-        tails = []
-        for summary in summaries:
-            moments, scale = _tail_moments(summary, cfg.p_list, tail)
-            tails.append({p: stat * scale for p, (stat, _) in moments.items()})
+        norms = {p: stat if math.isinf(p) else (stat / counts) ** (1.0 / p)
+                 for p, stat in stats.items()}
+        moments = [_tail_moments(summary, cfg.p_list, tail) for summary in summaries]
+        tails = [{p: stat for p, (stat, _) in signal.items()} for signal in moments]
         # Step 0 is x0, not the loop's response. With no baseline steps before
         # the tail window, the later half of [start, horizon) faces the earlier.
         start = max(cfg.burn_in, 1)
@@ -629,14 +622,15 @@ def run_closed_loop(
 
 
 def _tail_moments(summary: np.ndarray, orders, tail: int):
-    """Each order's tail statistic and its closed-form std, and their scale.
+    """Each order's tail statistic and its closed-form std.
 
     ``summary`` is a signal's ``_tail_summary`` for ``orders`` over ``tail``
-    steps of n trajectories; scale is its largest peak (1.0 if that is 0).
-    Returns a dict from each order to (statistic, std) in units of the
-    scale. The std is the limit, as the number of resamples grows, of the
-    std of a bootstrap that picks n of the n trajectories with replacement
-    (Efron & Tibshirani 1993, "An Introduction to the Bootstrap").
+    steps of n trajectories. Returns a dict from each order to (statistic,
+    std) in the signal's units: both are taken in units of the scale, its
+    largest peak (1.0 if that is 0), and multiplied by it last. The std is
+    the limit, as the number of resamples grows, of the std of a bootstrap
+    that picks n of the n trajectories with replacement (Efron & Tibshirani
+    1993, "An Introduction to the Bootstrap").
 
     For finite p, trajectory j's total T_j = row_j (peak_j / scale)^p is its
     tail sum of (|x| / scale)^p, and the statistic is m^(1/p), m =
@@ -665,7 +659,7 @@ def _tail_moments(summary: np.ndarray, orders, tail: int):
         weights = edges[:-1] - edges[1:]
         mean = float(weights @ top)
         moments[math.inf] = (float(top[0]), math.sqrt(float(weights @ (top - mean) ** 2)))
-    return moments, scale
+    return {p: (stat * scale, std * scale) for p, (stat, std) in moments.items()}
 
 
 @dataclass(frozen=True)
@@ -731,10 +725,10 @@ def verify_bound(
         )
     cfg = result.config
     summary = result.tail_abs_error if which == "error" else result.tail_abs_output
-    moments, scale = _tail_moments(summary, cfg.p_list, cfg.tail_window)
     tail_norm = tails[p]
     ratio = tail_norm / report.bound_value
-    margin = moments[p][1] * scale / report.bound_value
+    std = _tail_moments(summary, cfg.p_list, cfg.tail_window)[p][1]
+    margin = std / report.bound_value
     slack = 3.0 * margin
     if math.isinf(p):
         slack = max(slack, sup_slack)

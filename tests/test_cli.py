@@ -250,6 +250,38 @@ class TestVerify:
         assert csv_lines[0] == "k,e_p2,y_p2"
         assert len(csv_lines) == 61
 
+    @pytest.mark.parametrize(
+        "p_flag, header",
+        [
+            ("inf", "k,e_pinf,y_pinf"),
+            ("1,2,4,inf", "k,e_p1,y_p1,e_p2,y_p2,e_p4,y_p4,e_pinf,y_pinf"),
+        ],
+        ids=["inf", "1,2,4,inf"],
+    )
+    def test_norms_csv_has_a_column_pair_per_order(
+        self, capsys, tmp_path, stable_plant, gauss_dist, p_flag, header
+    ):
+        out_dir = tmp_path / "run"
+        code, _, _ = run_cli(
+            capsys, "verify", "--plant", stable_plant, "--dist", gauss_dist,
+            "--horizon", "30", "--traj", "300", "--seed", "2", "--p", p_flag,
+            "--out", str(out_dir),
+        )
+        assert code in (EXIT_OK, EXIT_UNSATISFIED)
+        cfg = fl.SimulationConfig(
+            horizon=30, trajectories=300, seed=2, p_list=[float(p) for p in p_flag.split(",")]
+        )
+        plant = fl.StateSpaceModel(A=[[0.5]], B=[1.0], C=[1.0])
+        result = fl.run_closed_loop(plant, fl.ZeroController(), fl.GaussianIID(1.0), cfg)
+        lines = (out_dir / "verify_norms.csv").read_text().splitlines()
+        assert lines[0] == header
+        columns = list(zip(*(line.split(",") for line in lines[1:])))
+        assert columns[0] == tuple(str(k) for k in range(30))
+        want = [norms[p] for p in cfg.p_list for norms in (result.error_norms, result.output_norms)]
+        assert len(columns) == 1 + len(want)
+        for column, norms in zip(columns[1:], want):
+            assert column == tuple(repr(float(v)) for v in norms)
+
     @pytest.mark.parametrize("shape", [300.0, 1e300, 1e308])
     def test_high_order_gengauss_is_certified(self, capsys, tmp_path, stable_plant, shape):
         # At 1e300 float64 cannot tell the density from the box on [-1, 1];
@@ -795,6 +827,23 @@ class TestSzego:
         for key in ("szego_log_integral_bits", "entropy_rate_bits"):
             assert from_csv[key] == pytest.approx(periodic[key], rel=1e-13)
 
+    def test_midpoint_grid_matches_periodic_grid(self, capsys, tmp_path):
+        # -pi + pi/1024 + 2 pi i/1024: point i's mirror is point 1023 - i.
+        model = fl.GaussianAR((0.5, -0.25), 1.0)
+        dist = tmp_path / "ar.json"
+        dist.write_text(json.dumps(model.to_dict()))
+        omega = -math.pi + math.pi / 1024 + 2.0 * math.pi * np.arange(1024) / 1024
+        midpoints = tmp_path / "midpoints.csv"
+        midpoints.write_text(spectrum_csv(omega, model.spectrum_value(omega)))
+        reports = []
+        for argv in (["--dist", str(dist), "--grid", "1024"], ["--spectrum-csv", str(midpoints)]):
+            code, out, _ = run_cli(capsys, "szego", *argv)
+            assert code == EXIT_OK
+            reports.append(json.loads(out))
+        periodic, from_csv = reports
+        key = "szego_log_integral_bits"
+        assert abs(from_csv[key] - periodic[key]) <= 1e-12
+
 
 class TestHugeDisturbanceScale:
     # 2^entropy rate and sigma^2 both leave the float range at sigma = 1e308.
@@ -869,12 +918,22 @@ class TestInputErrors:
             (["szego", "--spectrum-csv"],
              spectrum_csv(np.linspace(-math.pi, math.pi - 0.5, 64), np.ones(64)),
              "spectrum grid must cover one full period"),
+            (["szego", "--spectrum-csv"],
+             spectrum_csv(np.linspace(-math.pi, math.pi, 1025), with_entry(np.ones(1025), 5, 2.0)),
+             "spectral density must be even in frequency"),
+            (["szego", "--spectrum-csv"],
+             spectrum_csv(np.linspace(-math.pi, math.pi, 1025), with_entry(np.ones(1025), -1, 2.0)),
+             "spectral density must agree at both ends of a closed grid"),
+            (["szego", "--spectrum-csv"],
+             spectrum_csv(uniform_omega() + math.pi / 96, np.ones(64)),
+             "uniform spectrum grid must map onto itself under omega -> -omega"),
         ],
         ids=[
             "plant_list", "plant_matrix_not_numeric", "plant_not_json",
             "dist_not_an_object", "dist_sigma_not_a_number", "ar_no_coeffs", "ar_nan_coeff",
             "p_empty",
             "spectrum_nan", "spectrum_not_increasing", "spectrum_uneven", "spectrum_short_period",
+            "spectrum_closed_uneven", "spectrum_closed_ends_differ", "spectrum_grid_not_symmetric",
         ],
     )
     def test_exits_two_with_a_message(self, capsys, tmp_path, argv, text, match):

@@ -608,6 +608,34 @@ class TestSpectra:
         with pytest.raises(fl.InvalidModelError, match=match):
             fl.SpectralDensity.from_samples(omega, values)
 
+    @pytest.mark.parametrize(
+        "start", [-math.pi, -math.pi + math.pi / 1024, 0.0], ids=["minus_pi", "midpoints", "zero"]
+    )
+    def test_half_open_grids_symmetric_about_zero_match(self, start):
+        # Each grid holds the mirror of each of its points, modulo 2 pi.
+        model = fl.GaussianAR((0.5, -0.25), 1.0)
+        omega = start + 2.0 * math.pi * np.arange(1024) / 1024
+        spec = fl.SpectralDensity.from_samples(omega, model.spectrum_value(omega))
+        want = fl.szego_log_integral(model.power_spectrum(1024))
+        assert abs(fl.szego_log_integral(spec) - want) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "index, match",
+        [(5, "even in frequency"), (-1, "agree at both ends of a closed grid")],
+        ids=["raised_sample", "ends_differ"],
+    )
+    def test_closed_grid_must_be_even(self, index, match):
+        values = np.ones(1025)
+        values[index] = 2.0
+        with pytest.raises(fl.InvalidModelError, match=match):
+            fl.SpectralDensity.from_samples(np.linspace(-math.pi, math.pi, 1025), values)
+
+    def test_uniform_grid_not_symmetric_about_zero_rejected(self):
+        # A third of a step off the -pi grid: no point is any other's mirror.
+        omega = -math.pi + 2.0 * math.pi * (np.arange(64) + 1.0 / 3.0) / 64
+        with pytest.raises(fl.InvalidModelError, match="map onto itself under omega -> -omega"):
+            fl.SpectralDensity.from_samples(omega, np.ones(64))
+
 
 class TestSzego:
     def test_white_unit_spectrum(self):

@@ -1408,9 +1408,7 @@ def replayed_std(block, p, seed_key, resamples):
 def closed_form(block, p):
     """The tail statistic and closed-form std at order p alone of a (tail, n) block."""
     summary = simulation._tail_summary(block, (p,))
-    moments, scale = simulation._tail_moments(summary, (p,), len(block))
-    stat, std = moments[p]
-    return stat * scale, std * scale
+    return simulation._tail_moments(summary, (p,), len(block))[p]
 
 
 class TestTailSummary:
