@@ -39,6 +39,7 @@ import numbers
 import os
 import pickle
 import sys
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +67,7 @@ __all__ = [
 
 # Trajectories per vectorized block. Fixed (not configurable) so that
 # reduction order, and therefore every reported float, is reproducible.
-_CHUNK = 8192
+_CHUNK = 4096
 
 # The sample maximum underestimates an essential supremum, so sup-norm
 # certification allows this much one-sided slack in the ratio.
@@ -74,6 +75,9 @@ SUP_NORM_SLACK = 1e-3
 
 # Disturbance draws staged per transpose into the chunk's step-major block.
 _STAGING = 64
+
+# Chunks submitted to the worker pool ahead of the one being merged, per worker.
+_AHEAD = 2
 
 # Purposes of a chunk's random streams (the first word of their spawn key).
 _DISTURBANCE = 0
@@ -330,9 +334,19 @@ def _power(base, p: float, out):
 
 
 def _add_power_sums(stats, mag, powered, k):
-    """Fill column k of each order's statistic: mag's row maxima for inf, else power sums."""
+    """Fill column k of each order's statistic: mag's row maxima for inf, else power sums.
+
+    With p = 2 and 4 both present, p = 4 squares p = 2's squares: the same
+    two squares that ``_power`` takes.
+    """
+    square_twice = 2.0 in stats and 4.0 in stats
     for p, stat in stats.items():
-        stat[:, k] = mag.max(axis=1) if math.isinf(p) else _power(mag, p, powered).sum(axis=1)
+        if math.isinf(p):
+            stat[:, k] = mag.max(axis=1)
+        elif p != 4.0 or not square_twice:
+            stat[:, k] = _power(mag, p, powered).sum(axis=1)
+            if p == 2.0 and square_twice:
+                stats[4.0][:, k] = np.square(powered, out=powered).sum(axis=1)
 
 
 def _tail_summary(block: np.ndarray, orders) -> np.ndarray:
@@ -367,9 +381,12 @@ def _simulate_chunk(model, controller, dist, cfg, span):
     the state and its successor, which swap each step, and the magnitude,
     power and mask buffers, which each step writes in place. A tail step
     keeps its |e| and |y| in rows of the block that the loop has already
-    read (``_output_tail_row``), so the block is the chunk's only large
-    array. Only the measurement ``y`` is a fresh array each step, since the
-    control law may keep it.
+    read (``_output_tail_row``), so the block, 4096 x horizon x 8 bytes
+    (13 MB at horizon 400), is the chunk's only large array. Only the
+    measurement ``y`` is a fresh array each step, since the control law may
+    keep it. Steps skip the liveness masks until the first step whose
+    first-order sums or state-square total is not finite; that step and
+    every later one take the masked path, with the same floats.
     """
     stats, counts, sum_sq_state = _zero_stats(cfg)
     m_lo, m_hi = span
@@ -413,6 +430,8 @@ def _simulate_chunk(model, controller, dist, cfg, span):
         finite = np.empty(count_m, dtype=bool)
         alive = np.ones(count_m, dtype=bool)
         dead = np.empty(count_m, dtype=bool)
+        first = stats[cfg.p_list[0]]
+        masked = False
         for k in range(horizon):
             y = (C @ x).ravel()
             if steps is None:
@@ -424,24 +443,39 @@ def _simulate_chunk(model, controller, dist, cfg, span):
                     count=count_m,
                 )
             np.add(z, d[k], out=e)
-            np.isfinite(e, out=finite)
-            alive &= finite
-            np.isfinite(y, out=finite)
-            alive &= finite
-            np.isfinite(x, out=x_finite)
-            np.logical_and.reduce(x_finite, axis=0, out=finite)
-            alive &= finite
-            np.logical_not(alive, out=dead)
-            # Dead entries read 0, which adds 0 = 0**p (p >= 1) to every sum
-            # and cannot exceed a live magnitude in the max.
             np.abs(e, out=mag[0])
             np.abs(y, out=mag[1])
-            np.copyto(mag, 0.0, where=dead)
-            counts[k] = np.count_nonzero(alive)
-            _add_power_sums(stats, mag, powered, k)
             np.einsum("ij,ij->j", x, x, out=xsq)
-            np.copyto(xsq, 0.0, where=dead)
-            sum_sq_state[k] = xsq.sum()
+            if not masked:
+                # Until a trajectory dies, a step needs no liveness masks. A
+                # sum of non-negative terms is finite only when every term
+                # is, so finite first-order sums and state-square total mean
+                # that e, y and x are; else (a NaN, an inf or an overflowing
+                # sum) the step is redone below, as is every later step.
+                _add_power_sums(stats, mag, powered, k)
+                sum_sq_state[k] = xsq.sum()
+                counts[k] = count_m
+                masked = not (
+                    math.isfinite(first[0, k])
+                    and math.isfinite(first[1, k])
+                    and math.isfinite(sum_sq_state[k])
+                )
+            if masked:
+                np.isfinite(e, out=finite)
+                alive &= finite
+                np.isfinite(y, out=finite)
+                alive &= finite
+                np.isfinite(x, out=x_finite)
+                np.logical_and.reduce(x_finite, axis=0, out=finite)
+                alive &= finite
+                np.logical_not(alive, out=dead)
+                # Dead entries read 0, which adds 0 = 0**p (p >= 1) to every
+                # sum and cannot exceed a live magnitude in the max.
+                np.copyto(mag, 0.0, where=dead)
+                np.copyto(xsq, 0.0, where=dead)
+                counts[k] = np.count_nonzero(alive)
+                _add_power_sums(stats, mag, powered, k)
+                sum_sq_state[k] = xsq.sum()
             if k >= tail_start:
                 d[k - tail_start] = mag[0]
                 d[output_row + k - tail_start] = mag[1]
@@ -469,7 +503,9 @@ def _map_chunks(job, spans):
     in a ``ProcessPoolExecutor`` when the host can fork; else, or with one
     worker, they run here. Workers get ``job`` through the pool's
     initializer, which ``fork`` passes on without pickling it; only spans
-    and results are pickled.
+    and results are pickled. At most ``_AHEAD`` x workers jobs are submitted
+    ahead of the one being yielded, so finished results do not pile up in
+    the caller.
     """
     workers = min(_cpus(), len(spans))
     if workers > 1:
@@ -489,7 +525,13 @@ def _map_chunks(job, spans):
                 initargs=(job,),
             )
             try:
-                yield from pool.map(_run_job, spans)
+                pending = deque()
+                for span in spans:
+                    pending.append(pool.submit(_run_job, span))
+                    if len(pending) > _AHEAD * workers:
+                        yield pending.popleft().result()
+                while pending:
+                    yield pending.popleft().result()
             finally:
                 pool.shutdown(cancel_futures=True)
             return
@@ -553,13 +595,14 @@ def run_closed_loop(
     ``os._exit``, surfaces as ``concurrent.futures.process.BrokenProcessPool``
     (a RuntimeError). After a failure, chunks not yet started are
     cancelled, and a chunk already running finishes before this returns.
-    A worker holds one chunk's disturbance block, 8192 x horizon x 8 bytes
-    (26 MB at horizon 400), stored step-major, a 64 x horizon staging
+    A worker holds one chunk's disturbance block, 4096 x horizon x 8 bytes
+    (13 MB at horizon 400), stored step-major, a 64 x horizon staging
     block, and the chunk's small step-loop work buffers, allocated once per
     chunk. The block also keeps the chunk's tail magnitudes, in rows the
     loop has already read; a tail window longer than half the horizon adds
-    8192 x tail_window x 8 bytes of rows past it. Chunks that run in this
-    process hold their blocks here, one at a time. The caller holds the
+    4096 x tail_window x 8 bytes of rows past it. Chunks that run in this
+    process hold their blocks here, one at a time. At most two chunks per
+    worker are submitted ahead of the one being merged. The caller holds the
     chunks' per-step statistics, one per norm order, which it merges in
     block order (sums added, the maxima of p = inf taken), and one array of
     tail summaries that each chunk's columns are copied into, so results

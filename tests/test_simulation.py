@@ -1,10 +1,12 @@
 """Closed-loop Monte Carlo engine: loop semantics, determinism, certification."""
 
+import dataclasses
 import itertools
 import math
 import multiprocessing
 import os
 import pickle
+import sys
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -194,9 +196,10 @@ class TestSimulationConfig:
             fl.SimulationConfig(horizon=horizon, trajectories=trajectories)
 
     def test_appended_tail_rows_count_toward_the_block_size(self):
-        # A chunk's (horizon, 8192) float64 block fits at horizon 2**47 - 1,
-        # but a tail window over half the horizon appends rows past it.
-        horizon = 2**47 - 1
+        # A chunk's (horizon, _CHUNK) float64 block fits at the largest
+        # horizon with horizon x _CHUNK x 8 <= sys.maxsize, but a tail window
+        # over half the horizon appends rows past it.
+        horizon = sys.maxsize // (8 * simulation._CHUNK)
         settings = {"horizon": horizon, "trajectories": 10**6, "burn_in": 0}
         fl.SimulationConfig(**settings, tail_window=horizon // 2)
         with pytest.raises(fl.InvalidModelError, match="horizon .* too large"):
@@ -979,6 +982,29 @@ class TestChunkWorkers:
         assert "LocalError: no command for a block of 44" in str(caught.value.__cause__)
         assert multiprocessing.active_children() == []
 
+    def test_chunks_in_flight_are_bounded(self, monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
+
+        submitted = []
+        submit = ProcessPoolExecutor.submit
+
+        def counting_submit(pool, fn, *args, **kwargs):
+            submitted.append(args[0])
+            return submit(pool, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", counting_submit)
+        use_cpus(monkeypatch, 2)
+        spans = list(range(20))
+        results, ahead = [], []
+        for result in simulation._map_chunks(str, spans):
+            results.append(result)
+            ahead.append(len(submitted) - len(results))
+        assert results == [str(span) for span in spans]
+        assert submitted == spans
+        # Two chunks per worker wait behind each one yielded, until none are left.
+        assert ahead == [4] * 16 + [3, 2, 1, 0]
+        assert multiprocessing.active_children() == []
+
     def test_killed_worker_raises_and_leaves_no_child(self, monkeypatch):
         monkeypatch.setattr("fundlim.simulation._CHUNK", 64)
         cfg = fl.SimulationConfig(horizon=10, trajectories=300, seed=2)
@@ -1035,7 +1061,7 @@ class TestChunkWorkers:
 
     def test_caller_holds_no_disturbance_block(self, monkeypatch):
         # Two full chunks: in-process, the caller allocates a chunk's
-        # (8192, horizon) block; with workers, only the small statistics,
+        # (_CHUNK, horizon) block; with workers, only the small statistics,
         # the run's tail summaries and the chunks' summaries in flight,
         # which it copies into their columns.
         cfg = fl.SimulationConfig(horizon=50, trajectories=2 * simulation._CHUNK, seed=1)
@@ -1087,6 +1113,37 @@ def stable_pin_loop():
         horizon=60, trajectories=300, seed=7, p_list=(1.0, 2.0, 3.5, 4.0, math.inf), x0_std=1.0
     )
     return plant, "arma:0.1;-0.2", ((0.1,), (-0.2,)), fl.GeneralizedGaussianIID(4.0, 1.0), cfg
+
+
+def overflowing_pin_loop():
+    # The stable loop on a shape-300 disturbance with lp_norm 9: every entry
+    # stays finite, but |e|^300 and |y|^300 overflow from a few steps in, so
+    # chunks leave the unmasked path while no trajectory has died.
+    plant, spec, arma, _, _ = stable_pin_loop()
+    cfg = fl.SimulationConfig(
+        horizon=60, trajectories=300, seed=7, p_list=(300.0, math.inf), x0_std=1.0
+    )
+    return plant, spec, arma, fl.GeneralizedGaussianIID(300.0, 9.0), cfg
+
+
+@dataclasses.dataclass(frozen=True)
+class CappedGeneralizedGaussian(fl.GeneralizedGaussianIID):
+    """Generalized Gaussian draws, each one past ``limit`` in magnitude made infinite."""
+
+    limit: float = math.inf
+
+    def sample_rows(self, rng, out):
+        super().sample_rows(rng, out)
+        out[np.abs(out) > self.limit] = np.inf
+
+
+def dying_pin_loop():
+    # The stable loop with its largest draw made infinite: one trajectory
+    # dies mid-chunk, at that draw's step, and the rest live on.
+    plant, spec, arma, dist, cfg = stable_pin_loop()
+    peak = np.abs(disturbance_matrix(dist, cfg.seed, cfg.trajectories, cfg.horizon)).max()
+    capped = CappedGeneralizedGaussian(dist.shape, dist.lp_norm, np.nextafter(peak, 0.0))
+    return plant, spec, arma, capped, cfg
 
 
 def replay_summary(block, orders):
@@ -1199,7 +1256,11 @@ def replay_loop(plant, b, a, dist, cfg):
 
 class TestBitIdentity:
     @pytest.mark.parametrize("cpus", [1, 2])
-    @pytest.mark.parametrize("loop", [pin_loop, stable_pin_loop], ids=["diverging", "stable"])
+    @pytest.mark.parametrize(
+        "loop",
+        [pin_loop, stable_pin_loop, overflowing_pin_loop, dying_pin_loop],
+        ids=["diverging", "stable", "overflowing", "one_death"],
+    )
     def test_loop_matches_replay(self, monkeypatch, loop, cpus):
         monkeypatch.setattr("fundlim.simulation._CHUNK", 64)
         use_cpus(monkeypatch, cpus)
@@ -1208,6 +1269,13 @@ class TestBitIdentity:
         if loop is pin_loop:
             assert 0 < result.diverged < cfg.trajectories
             assert result.alive_counts[cfg.horizon - cfg.tail_window] > result.alive_counts[-1]
+        elif loop is overflowing_pin_loop:
+            assert result.stable
+            for norms in (result.error_norms[300.0], result.output_norms[300.0]):
+                assert math.isfinite(norms[0]) and np.isinf(norms).any()
+        elif loop is dying_pin_loop:
+            assert result.diverged == 1
+            assert result.alive_counts[0] == cfg.trajectories
         else:
             assert result.stable
         got, want = result_bytes(result), replay_loop(plant, b, a, dist, cfg)
