@@ -25,6 +25,7 @@ from .errors import (
     ZeroTransferFunctionError,
     check_order,
     finite_power,
+    json_order,
 )
 from .plant import PlantCharacteristics
 
@@ -90,7 +91,7 @@ class BoundReport:
         }
         factors.update({k: float(v) for k, v in self.details.items()})
         payload = {
-            "p": "inf" if math.isinf(self.p) else float(self.p),
+            "p": json_order(self.p),
             "theorem": self.theorem_tag,
             "bound": float(self.bound_value),
             "factors": factors,

@@ -24,16 +24,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import ROUTES, error_bound_lti, output_bound
+# verify takes its floors from ROUTES; entropy_summary, error_bound_lti and
+# output_bound stay attributes of this module for bench/child.py to wrap.
+from .bounds import ROUTES, entropy_summary, error_bound_lti, output_bound  # noqa: F401
 from .controllers import parse_controller
 from .disturbance import (
     SpectralDensity,
-    entropy_summary,
     load_disturbance,
     szego_entropy_rate,
     szego_log_integral,
 )
-from .errors import FundlimError, UnstableLoopError, read_json, read_utf8
+from .errors import FundlimError, UnstableLoopError, from_fields, read_json, read_utf8
 from .plant import AnalysisWarning, analyze_plant, load_plant
 from .simulation import SimulationConfig, run_closed_loop, verify_bound
 
@@ -154,34 +155,24 @@ def cmd_bound(args) -> int:
 
 
 def _resolve_sim_config(args) -> SimulationConfig:
-    file_cfg = {}
+    # Three layers by field name, lowest first: the CLI's own defaults, the
+    # --sim-config file, then the flags, whose dests are the field names.
+    # SimulationConfig holds every other default.
+    settings = {"horizon": 200, "trajectories": 10000}
     if args.sim_config is not None:
         file_cfg = read_json(args.sim_config, "simulation config")
         if not isinstance(file_cfg, dict):
             raise FundlimError("simulation config file must hold a JSON object")
-        # Its keys are the field names of SimulationConfig.
-        unknown = sorted(set(file_cfg) - {f.name for f in dataclasses.fields(SimulationConfig)})
-        if unknown:
-            raise FundlimError(f"simulation config has unknown keys: {', '.join(unknown)}")
-
-    # SimulationConfig checks the values' types.
-    def pick(flag_value, key, fallback):
-        return flag_value if flag_value is not None else file_cfg.get(key, fallback)
-
-    if args.p is not None:
-        p_list = _parse_p_list(args.p)
-    else:
-        p_list = _parse_p_list(file_cfg.get("p_list", "2"), "p_list of --sim-config")
-
-    return SimulationConfig(
-        horizon=pick(args.horizon, "horizon", 200),
-        trajectories=pick(args.traj, "trajectories", 10000),
-        seed=pick(args.seed, "seed", 0),
-        p_list=p_list,
-        burn_in=pick(args.burn_in, "burn_in", None),
-        tail_window=pick(args.tail_window, "tail_window", None),
-        x0_std=pick(args.x0_std, "x0_std", 0.0),
-    )
+        settings.update(file_cfg)
+    for field in dataclasses.fields(SimulationConfig):
+        if getattr(args, field.name) is not None:
+            settings[field.name] = getattr(args, field.name)
+    # Norm orders come as a comma list or a JSON list; a file's are read
+    # only when --p is absent.
+    if "p_list" in settings:
+        source = "--p" if args.p_list is not None else "p_list of --sim-config"
+        settings["p_list"] = _parse_p_list(settings["p_list"], source)
+    return from_fields(SimulationConfig, settings, "simulation config", "simulation settings")
 
 
 def cmd_verify(args) -> int:
@@ -190,7 +181,6 @@ def cmd_verify(args) -> int:
     controller = parse_controller(args.controller)
     cfg = _resolve_sim_config(args)
     chars, notes = _captured_analysis(model)
-    ent = entropy_summary(dist)
 
     manifest = _manifest(
         "verify",
@@ -203,9 +193,9 @@ def cmd_verify(args) -> int:
     )
 
     # Before the simulation, so a floor that cannot be evaluated is an input
-    # error, not an unstable loop.
-    bound = output_bound if args.which == "output" else error_bound_lti
-    reports = [bound(p, chars, ent) for p in cfg.p_list]
+    # error, not an unstable loop. Neither route reads a spectrum grid.
+    _, _, build = ROUTES["T2" if args.which == "output" else "T1"]
+    reports = [build(p, chars, dist, None) for p in cfg.p_list]
     # An unstable report names the floors it could not certify.
     floors = [report.to_dict() for report in reports]
 
@@ -344,9 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--which", default="error", choices=("error", "output"),
                         help="certify the error signal (T1) or the measurement (T2)")
     verify.add_argument("--horizon", type=int, default=None)
-    verify.add_argument("--traj", type=int, default=None)
+    verify.add_argument("--traj", dest="trajectories", type=int, default=None)
     verify.add_argument("--seed", type=int, default=None)
-    verify.add_argument("--p", default=None, help="comma list of norm orders")
+    verify.add_argument("--p", dest="p_list", default=None, help="comma list of norm orders")
     verify.add_argument("--burn-in", dest="burn_in", type=int, default=None)
     verify.add_argument("--tail-window", dest="tail_window", type=int, default=None)
     verify.add_argument("--x0-std", dest="x0_std", type=float, default=None)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .errors import (
     NonIntegrableSpectrumError,
     check_order,
     finite_power,
+    from_fields,
     read_json,
 )
 
@@ -237,7 +238,12 @@ class EntropySummary:
 
 
 class DisturbanceModel(ABC):
-    """Zero-mean scalar disturbance with closed-form information quantities."""
+    """Zero-mean scalar disturbance with closed-form information quantities.
+
+    A built-in model is a dataclass whose JSON is ``{"type": tag}`` plus its fields.
+    """
+
+    tag: ClassVar[str]
 
     @abstractmethod
     def sample(self, seed: int | np.random.Generator, length: int) -> np.ndarray:
@@ -277,9 +283,12 @@ class DisturbanceModel(ABC):
     def scaled(self, factor: float) -> "DisturbanceModel":
         """Model of the amplitude-scaled process factor * d."""
 
-    @abstractmethod
     def to_dict(self) -> dict:
-        """JSON-ready description."""
+        """JSON-ready description: ``type`` and the dataclass fields."""
+        return {"type": self.tag} | {
+            name: [float(v) for v in value] if isinstance(value, tuple) else float(value)
+            for name, value in asdict(self).items()
+        }
 
     def power_spectrum(self, n_grid: int = DEFAULT_GRID) -> SpectralDensity:
         """Tabulate the power spectral density on N uniform points over [-pi, pi)."""
@@ -524,6 +533,8 @@ class _RowSampled(DisturbanceModel):
 class GaussianIID(DisturbanceModel):
     """IID N(0, sigma^2) disturbance."""
 
+    tag = "iid_gaussian"
+
     sigma: float
 
     def __post_init__(self) -> None:
@@ -548,13 +559,12 @@ class GaussianIID(DisturbanceModel):
     def scaled(self, factor: float) -> "GaussianIID":
         return GaussianIID(sigma=factor * self.sigma)
 
-    def to_dict(self) -> dict:
-        return {"type": "iid_gaussian", "sigma": float(self.sigma)}
-
 
 @dataclass(frozen=True)
 class UniformIID(_RowSampled):
     """IID uniform disturbance on [-half_width, half_width]."""
+
+    tag = "iid_uniform"
 
     half_width: float
 
@@ -584,9 +594,6 @@ class UniformIID(_RowSampled):
     def scaled(self, factor: float) -> "UniformIID":
         return UniformIID(half_width=factor * self.half_width)
 
-    def to_dict(self) -> dict:
-        return {"type": "iid_uniform", "half_width": float(self.half_width)}
-
 
 @dataclass(frozen=True)
 class GeneralizedGaussianIID(_RowSampled):
@@ -608,6 +615,8 @@ class GeneralizedGaussianIID(_RowSampled):
     about 1e17), the same table is the float64 box, uniform on
     [-lp_norm p^(1/p), lp_norm p^(1/p)].
     """
+
+    tag = "iid_gengauss"
 
     shape: float
     lp_norm: float
@@ -639,13 +648,6 @@ class GeneralizedGaussianIID(_RowSampled):
     def scaled(self, factor: float) -> "GeneralizedGaussianIID":
         return GeneralizedGaussianIID(shape=self.shape, lp_norm=factor * self.lp_norm)
 
-    def to_dict(self) -> dict:
-        return {
-            "type": "iid_gengauss",
-            "shape": float(self.shape),
-            "lp_norm": float(self.lp_norm),
-        }
-
 
 # The largest condition number of a Yule-Walker system whose solve is
 # trusted. Its relative error is up to about condition * 1.1e-16, and near
@@ -665,6 +667,8 @@ class GaussianAR(_RowSampled):
     one whose Yule-Walker system has a condition number above 1e12, or
     whose solved variance is not finite and positive.
     """
+
+    tag = "gauss_ar"
 
     coeffs: tuple
     innovation_std: float
@@ -756,13 +760,6 @@ class GaussianAR(_RowSampled):
     def scaled(self, factor: float) -> "GaussianAR":
         return GaussianAR(coeffs=self.coeffs, innovation_std=factor * self.innovation_std)
 
-    def to_dict(self) -> dict:
-        return {
-            "type": "gauss_ar",
-            "coeffs": [float(c) for c in self.coeffs],
-            "innovation_std": float(self.innovation_std),
-        }
-
 
 def entropy_summary(model: DisturbanceModel) -> EntropySummary:
     """Collect the entropy quantities of a stationary disturbance model."""
@@ -773,10 +770,7 @@ def entropy_summary(model: DisturbanceModel) -> EntropySummary:
 
 
 _MODEL_TAGS = {
-    "iid_gaussian": lambda d: GaussianIID(sigma=d["sigma"]),
-    "iid_uniform": lambda d: UniformIID(half_width=d["half_width"]),
-    "iid_gengauss": lambda d: GeneralizedGaussianIID(shape=d["shape"], lp_norm=d["lp_norm"]),
-    "gauss_ar": lambda d: GaussianAR(coeffs=d["coeffs"], innovation_std=d["innovation_std"]),
+    model.tag: model for model in (GaussianIID, UniformIID, GeneralizedGaussianIID, GaussianAR)
 }
 
 
@@ -785,20 +779,12 @@ def disturbance_from_dict(payload: dict) -> DisturbanceModel:
     if not isinstance(payload, dict) or "type" not in payload:
         raise InvalidModelError("disturbance description must be an object with a 'type' field")
     tag = payload["type"]
-    builder = _MODEL_TAGS.get(tag)
-    if builder is None:
+    model = _MODEL_TAGS.get(tag) if isinstance(tag, str) else None
+    if model is None:
         known = ", ".join(sorted(_MODEL_TAGS))
         raise InvalidModelError(f"unknown disturbance type {tag!r} (known: {known})")
-    try:
-        return builder(payload)
-    except KeyError as exc:
-        raise InvalidModelError(
-            f"disturbance type {tag!r} is missing field {exc.args[0]!r}"
-        ) from exc
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, InvalidModelError):
-            raise
-        raise InvalidModelError(f"disturbance parameters are malformed: {exc}") from exc
+    params = {key: value for key, value in payload.items() if key != "type"}
+    return from_fields(model, params, f"disturbance type {tag!r}", "disturbance parameters")
 
 
 def load_disturbance(path) -> DisturbanceModel:

@@ -1,5 +1,6 @@
 """Exception types shared across the toolkit."""
 
+import dataclasses
 import json
 import math
 
@@ -33,6 +34,34 @@ def check_order(p: float) -> float:
     if math.isnan(p) or p < 1.0:
         raise InvalidNormOrderError(f"norm order must satisfy p >= 1, got {p}")
     return p
+
+
+def json_order(p: float):
+    """A norm order as JSON: ``"inf"`` for math.inf, else a float."""
+    return "inf" if math.isinf(p) else float(p)
+
+
+def from_fields(cls, payload: dict, owner: str, values: str):
+    """Build the dataclass ``cls`` from the entries of ``payload`` named by its fields.
+
+    Raises InvalidModelError naming ``owner`` ("plant file") for a key that
+    is not a field or a field without a default that is absent, and naming
+    ``values`` ("plant matrices") for a TypeError or ValueError of ``cls``;
+    ``cls``'s own FundlimErrors pass through.
+    """
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(payload) - {f.name for f in fields})
+    if unknown:
+        raise InvalidModelError(f"{owner} has unknown keys: {', '.join(unknown)}")
+    for f in fields:
+        if f.name not in payload and f.default is f.default_factory is dataclasses.MISSING:
+            raise InvalidModelError(f"{owner} is missing field {f.name!r}")
+    try:
+        return cls(**payload)
+    except (TypeError, ValueError) as exc:
+        if isinstance(exc, FundlimError):
+            raise
+        raise InvalidModelError(f"{values} are malformed: {exc}") from exc
 
 
 def finite_power(base: float, exponent: float, what: str) -> float:

@@ -9,7 +9,7 @@ Markov gain.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from .errors import (
     DegenerateRealizationError,
     InvalidModelError,
     ZeroTransferFunctionError,
+    from_fields,
     read_json,
 )
 
@@ -96,29 +97,22 @@ class StateSpaceModel:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "StateSpaceModel":
-        try:
-            return cls(payload["A"], payload["B"], payload["C"])
-        except KeyError as exc:
-            raise InvalidModelError(f"plant file is missing field {exc.args[0]!r}") from exc
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, InvalidModelError):
-                raise
-            raise InvalidModelError(f"plant matrices are malformed: {exc}") from exc
+        """Build a plant from a JSON object whose keys are exactly its fields."""
+        if not isinstance(payload, dict):
+            raise InvalidModelError("plant file must hold a JSON object")
+        return from_fields(cls, payload, "plant file", "plant matrices")
 
     def to_dict(self) -> dict:
-        return {
-            "A": self.A.tolist(),
-            "B": self.B.ravel().tolist(),
-            "C": self.C.ravel().tolist(),
-        }
+        """JSON-ready description: A as a list of rows, B and C flat."""
+        def entry(value: np.ndarray) -> list:
+            return value.tolist() if value is self.A else value.ravel().tolist()
+
+        return {f.name: entry(getattr(self, f.name)) for f in fields(self)}
 
 
 def load_plant(path) -> StateSpaceModel:
     """Read a plant from a JSON file with fields A, B, C."""
-    payload = read_json(path, "plant file")
-    if not isinstance(payload, dict):
-        raise InvalidModelError("plant file must hold a JSON object")
-    return StateSpaceModel.from_dict(payload)
+    return StateSpaceModel.from_dict(read_json(path, "plant file"))
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ import os
 import pickle
 import sys
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,6 +53,7 @@ from .errors import (
     InvalidNormOrderError,
     UnstableLoopError,
     check_order,
+    json_order,
 )
 from .plant import StateSpaceModel
 
@@ -172,14 +173,10 @@ class SimulationConfig:
         object.__setattr__(self, "x0_std", x0_std)
 
     def to_dict(self) -> dict:
+        """The fields, with ``"inf"`` for math.inf in ``p_list``."""
         return {
-            "horizon": self.horizon,
-            "trajectories": self.trajectories,
-            "seed": self.seed,
-            "p_list": ["inf" if math.isinf(p) else p for p in self.p_list],
-            "burn_in": self.burn_in,
-            "tail_window": self.tail_window,
-            "x0_std": self.x0_std,
+            name: [json_order(p) for p in value] if isinstance(value, tuple) else value
+            for name, value in asdict(self).items()
         }
 
 
@@ -720,7 +717,7 @@ class Certification:
 
     def to_dict(self) -> dict:
         return {
-            "p": "inf" if math.isinf(self.p) else float(self.p),
+            "p": json_order(self.p),
             "which": self.which,
             "theorem": self.theorem_tag,
             "bound": float(self.bound_value),
@@ -732,10 +729,7 @@ class Certification:
 
 
 def verify_bound(
-    result: SimulationResult,
-    report: BoundReport,
-    which: str = "error",
-    sup_slack: float = SUP_NORM_SLACK,
+    result: SimulationResult, report: BoundReport, which: str = "error"
 ) -> Certification:
     """Check a simulated loop against a lower bound.
 
@@ -751,7 +745,7 @@ def verify_bound(
     tail magnitude, so it is scale-free: scaling the magnitudes by a power
     of two scales the std by exactly that factor. For p = inf the sample
     maximum is a one-sided underestimate of the essential supremum, so an
-    extra ``sup_slack`` is allowed. Refuses to certify unstable results.
+    extra ``SUP_NORM_SLACK`` is allowed. Refuses to certify unstable results.
     """
     if which not in ("error", "output"):
         raise ValueError(f"which must be 'error' or 'output', got {which!r}")
@@ -774,7 +768,7 @@ def verify_bound(
     margin = std / report.bound_value
     slack = 3.0 * margin
     if math.isinf(p):
-        slack = max(slack, sup_slack)
+        slack = max(slack, SUP_NORM_SLACK)
     return Certification(
         p=p,
         which=which,

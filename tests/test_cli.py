@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, report files."""
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -19,6 +20,7 @@ from fundlim.cli import (
     EXIT_OK,
     EXIT_UNSATISFIED,
     EXIT_UNSTABLE,
+    _resolve_sim_config,
     build_parser,
     main,
 )
@@ -483,6 +485,42 @@ class TestVerify:
         assert sim["trajectories"] == 77  # file fills the rest
         assert sim["p_list"] == [2.0, "inf"]
 
+    def test_each_sim_setting_is_a_flag_dest(self):
+        names = [f.name for f in dataclasses.fields(fl.SimulationConfig)]
+        bare = vars(build_parser().parse_args(["verify", "--plant", "p", "--dist", "d"]))
+        assert all(bare[name] is None for name in names)
+        flags = ["--horizon", "7", "--traj", "5", "--seed", "3", "--p", "1,inf",
+                 "--burn-in", "1", "--tail-window", "2", "--x0-std", "0.5"]
+        args = build_parser().parse_args(["verify", "--plant", "p", "--dist", "d", *flags])
+        assert [getattr(args, name) for name in names] == [7, 5, 3, "1,inf", 1, 2, 0.5]
+
+    @pytest.mark.parametrize(
+        "file_settings, flags, expected",
+        [
+            ({}, [], {"horizon": 200, "trajectories": 10000}),
+            ({"horizon": 30, "seed": 4, "p_list": "1,inf"}, [],
+             {"horizon": 30, "trajectories": 10000, "seed": 4, "p_list": (1.0, math.inf)}),
+            ({"horizon": 30, "trajectories": 77, "seed": 4, "p_list": [2, "inf"], "burn_in": 3,
+              "tail_window": 5, "x0_std": 0.25},
+             ["--horizon", "40", "--traj", "50", "--seed", "6", "--p", "4", "--burn-in", "2",
+              "--tail-window", "9", "--x0-std", "0.5"],
+             {"horizon": 40, "trajectories": 50, "seed": 6, "p_list": (4.0,), "burn_in": 2,
+              "tail_window": 9, "x0_std": 0.5}),
+            ({"horizon": 30, "p_list": ["abc"]}, ["--p", "2"], {"horizon": 30, "trajectories": 10000}),
+            ({"p_list": 2, "x0_std": 0.25}, ["--p", "inf", "--horizon", "20"],
+             {"horizon": 20, "trajectories": 10000, "p_list": (math.inf,), "x0_std": 0.25}),
+        ],
+        ids=["defaults", "file_over_defaults", "flags_over_file",
+             "flag_p_skips_a_bad_file_p_list", "flag_p_skips_a_scalar_file_p_list"],
+    )
+    def test_sim_setting_precedence(self, tmp_path, file_settings, flags, expected):
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps(file_settings))
+        args = build_parser().parse_args(
+            ["verify", "--plant", "p", "--dist", "d", "--sim-config", str(cfg), *flags]
+        )
+        assert _resolve_sim_config(args) == fl.SimulationConfig(**expected)
+
     def test_bad_sim_config(self, capsys, tmp_path, stable_plant, gauss_dist):
         cfg = tmp_path / "sim.json"
         cfg.write_text("[1, 2]")
@@ -897,9 +935,20 @@ class TestInputErrors:
             (["analyze", "--plant"], '{"A": "x", "B": [1.0], "C": [1.0]}',
              "plant matrices are malformed"),
             (["analyze", "--plant"], '{"A": [[0.5]],', "plant file is not valid JSON"),
+            (["analyze", "--plant"], '{"A": [[0.5]], "B": [1.0]}',
+             "plant file is missing field 'C'"),
+            (["analyze", "--plant"], '{"A": [[0.5]], "B": [1.0], "C": [1.0], "D": [[7]]}',
+             "plant file has unknown keys: D"),
             (["bound", "--dist"], "[1, 2]", "must be an object with a 'type' field"),
             (["bound", "--dist"], '{"type": "iid_gaussian", "sigma": "x"}',
              "disturbance parameters are malformed"),
+            (["bound", "--dist"], '{"type": "iid_gaussian"}',
+             "disturbance type 'iid_gaussian' is missing field 'sigma'"),
+            (["bound", "--dist"], '{"type": "iid_gaussian", "sigma": 1.0, "shape": 4}',
+             "disturbance type 'iid_gaussian' has unknown keys: shape"),
+            (["bound", "--dist"], '{"type": "pink_noise"}', "unknown disturbance type 'pink_noise'"),
+            (["bound", "--dist"], '{"type": ["iid_gaussian"], "sigma": 1.0}',
+             "unknown disturbance type"),
             (["bound", "--dist"], '{"type": "gauss_ar", "coeffs": [], "innovation_std": 1.0}',
              "coeffs must contain at least one lag"),
             (["bound", "--dist"], '{"type": "gauss_ar", "coeffs": [NaN], "innovation_std": 1.0}',
@@ -929,8 +978,11 @@ class TestInputErrors:
              "uniform spectrum grid must map onto itself under omega -> -omega"),
         ],
         ids=[
-            "plant_list", "plant_matrix_not_numeric", "plant_not_json",
-            "dist_not_an_object", "dist_sigma_not_a_number", "ar_no_coeffs", "ar_nan_coeff",
+            "plant_list", "plant_matrix_not_numeric", "plant_not_json", "plant_missing_field",
+            "plant_stray_key",
+            "dist_not_an_object", "dist_sigma_not_a_number", "dist_missing_field",
+            "dist_stray_key", "dist_unknown_type", "dist_type_a_list", "ar_no_coeffs",
+            "ar_nan_coeff",
             "p_empty",
             "spectrum_nan", "spectrum_not_increasing", "spectrum_uneven", "spectrum_short_period",
             "spectrum_closed_uneven", "spectrum_closed_ends_differ", "spectrum_grid_not_symmetric",
@@ -944,6 +996,19 @@ class TestInputErrors:
         assert out == ""
         assert err.startswith("fundlim: ") and match in err
         assert "Traceback" not in err
+
+    def test_stray_keys_in_both_bound_inputs(self, capsys, tmp_path):
+        plant = tmp_path / "plant.json"
+        plant.write_text('{"A": [[0.5]], "B": [1.0], "C": [1.0], "D": [[7]]}')
+        dist = tmp_path / "dist.json"
+        dist.write_text('{"type": "iid_gaussian", "sigma": 1.0, "shape": 4}')
+        code, out, err = run_cli(capsys, "bound", "--plant", str(plant), "--dist", str(dist))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == "fundlim: disturbance type 'iid_gaussian' has unknown keys: shape\n"
+        dist.write_text('{"type": "iid_gaussian", "sigma": 1.0}')
+        code, out, err = run_cli(capsys, "bound", "--plant", str(plant), "--dist", str(dist))
+        assert (code, out, err) == (EXIT_INPUT, "", "fundlim: plant file has unknown keys: D\n")
 
 
 class TestTopLevel:

@@ -1,5 +1,6 @@
 """Disturbance models: densities, entropies, samplers, spectra, Szego route."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -14,7 +15,7 @@ from scipy import integrate, special, stats
 
 import fundlim as fl
 from conftest import lfilter_ar_sample
-from fundlim.disturbance import GAUSSIAN_ENTROPY_BITS, _ziggurat
+from fundlim.disturbance import _MODEL_TAGS, GAUSSIAN_ENTROPY_BITS, _ziggurat
 
 
 class TestMaxEntropyDensity:
@@ -691,17 +692,38 @@ class TestSzego:
             fl.szego_entropy_rate(spec, -0.1)
 
 
+JSON_MODELS = [
+    fl.GaussianIID(1.5),
+    fl.UniformIID(0.25),
+    fl.GeneralizedGaussianIID(3.0, 2.0),
+    fl.GaussianAR((0.5, -0.25), 1.1),
+]
+
+
 class TestJsonInterface:
     def test_round_trips(self):
-        models = [
-            fl.GaussianIID(1.5),
-            fl.UniformIID(0.25),
-            fl.GeneralizedGaussianIID(3.0, 2.0),
-            fl.GaussianAR((0.5, -0.25), 1.1),
-        ]
-        for model in models:
+        for model in JSON_MODELS:
             again = fl.disturbance_from_dict(json.loads(json.dumps(model.to_dict())))
             assert again == model
+
+    @pytest.mark.parametrize("model", JSON_MODELS, ids=lambda m: m.tag)
+    def test_keys_are_type_and_the_fields(self, model):
+        payload = model.to_dict()
+        assert set(payload) == {"type"} | {f.name for f in dataclasses.fields(model)}
+        assert payload["type"] == model.tag
+
+    def test_registry_holds_the_four_built_in_models(self):
+        assert _MODEL_TAGS == {
+            "iid_gaussian": fl.GaussianIID,
+            "iid_uniform": fl.UniformIID,
+            "iid_gengauss": fl.GeneralizedGaussianIID,
+            "gauss_ar": fl.GaussianAR,
+        }
+
+    def test_to_dict_writes_floats(self):
+        payload = fl.GaussianAR([0, 0.5], 2).to_dict()
+        assert payload == {"type": "gauss_ar", "coeffs": [0.0, 0.5], "innovation_std": 2.0}
+        assert all(type(v) is float for v in payload["coeffs"] + [payload["innovation_std"]])
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "dist.json"
@@ -715,13 +737,20 @@ class TestJsonInterface:
             fl.disturbance_from_dict({"type": "pink_noise"})
 
     def test_missing_field_rejected(self):
-        with pytest.raises(fl.InvalidModelError):
+        with pytest.raises(fl.InvalidModelError, match="'iid_gaussian' is missing field 'sigma'"):
             fl.disturbance_from_dict({"type": "iid_gaussian"})
 
     @pytest.mark.parametrize(
         "payload, match",
-        [([1, 2], "must be an object"), ({"type": "iid_gaussian", "sigma": "x"}, "malformed")],
-        ids=["not_an_object", "sigma_not_a_number"],
+        [
+            ([1, 2], "must be an object"),
+            ({"type": "iid_gaussian", "sigma": "x"}, "malformed"),
+            ({"type": "iid_gaussian", "sigma": 1.0, "shape": 4}, "has unknown keys: shape"),
+            ({"type": "iid_uniform", "half_width": 1.0, "sigma": 1.0, "Type": "x"},
+             "has unknown keys: Type, sigma"),
+            ({"type": ["iid_gaussian"], "sigma": 1.0}, "unknown disturbance type"),
+        ],
+        ids=["not_an_object", "sigma_not_a_number", "stray_key", "two_stray_keys", "type_a_list"],
     )
     def test_malformed_description_rejected(self, payload, match):
         with pytest.raises(fl.InvalidModelError, match=match):

@@ -71,8 +71,14 @@ class TestModelValidation:
     def test_load_rejects_missing_field(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"A": [[1.0]], "B": [1.0]}')
-        with pytest.raises(fl.InvalidModelError):
+        with pytest.raises(fl.InvalidModelError, match="plant file is missing field 'C'"):
             fl.load_plant(path)
+
+    def test_to_dict_writes_a_matrix_and_two_flat_vectors(self):
+        assert oscillator().to_dict() == {
+            "A": [[0.0, -4.0], [1.0, 0.0]], "B": [1.0, 0.0], "C": [0.0, 1.0]
+        }
+        assert scalar_plant(0.5).to_dict() == {"A": [[0.5]], "B": [1.0], "C": [1.0]}
 
     @pytest.mark.parametrize(
         "text, match",
@@ -80,8 +86,10 @@ class TestModelValidation:
             ("[[0.5], [1.0], [1.0]]", "must hold a JSON object"),
             ('{"A": "x", "B": [1.0], "C": [1.0]}', "malformed"),
             ('{"A": [[0.5]],', "not valid JSON"),
+            ('{"A": [[0.5]], "B": [1.0], "C": [1.0], "D": [[7]]}', "plant file has unknown keys: D"),
+            ('{"A": [[0.5]], "B": [1.0], "c": [1.0]}', "plant file has unknown keys: c"),
         ],
-        ids=["list", "matrix_not_numeric", "not_json"],
+        ids=["list", "matrix_not_numeric", "not_json", "stray_key", "misspelled_key"],
     )
     def test_load_rejects_malformed_file(self, tmp_path, text, match):
         path = tmp_path / "bad.json"

@@ -160,6 +160,15 @@ class TestSimulationConfig:
         assert cfg.p_list == (1.0, 2.0, math.inf)
         assert cfg.to_dict()["p_list"] == [1.0, 2.0, "inf"]
 
+    def test_to_dict_keys_are_the_fields(self):
+        cfg = fl.SimulationConfig(horizon=10, trajectories=1, p_list=(math.inf,))
+        payload = cfg.to_dict()
+        assert list(payload) == [f.name for f in dataclasses.fields(fl.SimulationConfig)]
+        assert payload == {
+            "horizon": 10, "trajectories": 1, "seed": 0, "p_list": ["inf"],
+            "burn_in": 2, "tail_window": 2, "x0_std": 0.0,
+        }
+
     def test_tail_window_floor_of_one(self):
         cfg = fl.SimulationConfig(horizon=3, trajectories=1)
         assert cfg.tail_window == 1
@@ -1352,7 +1361,7 @@ class TestVerifyBound:
         b = fl.verify_bound(stable_run, report)
         assert a.margin_stderr == b.margin_stderr
 
-    def test_sup_norm_slack_floor(self, stable_run):
+    def test_sup_norm_slack_floor(self, stable_run, monkeypatch):
         def shaped(ratio):
             tail = stable_run.error_tail[math.inf]
             return BoundReport(
@@ -1378,11 +1387,11 @@ class TestVerifyBound:
         assert far.ratio == pytest.approx(far_ratio, rel=1e-12)
         assert 3.0 * far.margin_stderr < gap
         assert not far.satisfied
-        # The floor is a parameter: widening it flips the same comparison,
-        # once it covers the gap and not before.
-        assert fl.verify_bound(stable_run, shaped(far_ratio), sup_slack=0.5).satisfied
-        assert fl.verify_bound(stable_run, shaped(far_ratio), sup_slack=1.01 * gap).satisfied
-        assert not fl.verify_bound(stable_run, shaped(far_ratio), sup_slack=0.99 * gap).satisfied
+        # The floor is read at call time: widening it flips the same
+        # comparison, once it covers the gap and not before.
+        for slack, satisfied in ((0.5, True), (1.01 * gap, True), (0.99 * gap, False)):
+            monkeypatch.setattr(simulation, "SUP_NORM_SLACK", slack)
+            assert fl.verify_bound(stable_run, shaped(far_ratio)).satisfied is satisfied
 
     def test_output_side_selector(self, stable_run):
         report = fl.error_bound_for_entropy(2.0, -8.0)  # tiny bound, trivially met
