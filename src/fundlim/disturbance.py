@@ -11,6 +11,7 @@ spectral route.
 from __future__ import annotations
 
 import math
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
@@ -22,6 +23,7 @@ from .errors import (
     InvalidModelError,
     NonIntegrableSpectrumError,
     check_order,
+    check_whole,
     finite_power,
     from_fields,
     read_json,
@@ -49,8 +51,15 @@ GAUSSIAN_ENTROPY_BITS = 0.5 * math.log2(2.0 * math.pi * math.e)
 DEFAULT_GRID = 4096
 
 
+def _number(value, name: str) -> float:
+    """``value`` as a float; a bool, a string or any other non-number raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _check_positive(value: float, name: str) -> float:
-    value = float(value)
+    value = _number(value, name)
     if not math.isfinite(value) or value <= 0.0:
         raise InvalidModelError(f"{name} must be a finite positive number, got {value}")
     return value
@@ -198,7 +207,7 @@ class SpectralDensity:
 
 
 def _check_grid(n_grid: int) -> int:
-    n_grid = int(n_grid)
+    n_grid = check_whole("grid size", n_grid)
     if n_grid < 16 or n_grid % 2:
         raise InvalidModelError(f"grid size must be even and >= 16, got {n_grid}")
     return n_grid
@@ -302,7 +311,7 @@ class DisturbanceModel(ABC):
 
 
 def _sample_length(length: int) -> int:
-    length = int(length)
+    length = check_whole("sample length", length)
     if length < 1:
         raise InvalidModelError(f"sample length must be >= 1, got {length}")
     return length
@@ -538,7 +547,7 @@ class GaussianIID(DisturbanceModel):
     sigma: float
 
     def __post_init__(self) -> None:
-        _check_positive(self.sigma, "sigma")
+        object.__setattr__(self, "sigma", _check_positive(self.sigma, "sigma"))
 
     def sample(self, seed: int | np.random.Generator, length: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
@@ -569,7 +578,7 @@ class UniformIID(_RowSampled):
     half_width: float
 
     def __post_init__(self) -> None:
-        _check_positive(self.half_width, "half_width")
+        object.__setattr__(self, "half_width", _check_positive(self.half_width, "half_width"))
 
     def sample_rows(self, rng: np.random.Generator, out: np.ndarray) -> None:
         # The floats of rng.uniform(-1.0, 1.0, out.shape), which is
@@ -622,13 +631,14 @@ class GeneralizedGaussianIID(_RowSampled):
     lp_norm: float
 
     def __post_init__(self) -> None:
-        p = float(self.shape)
+        p = _number(self.shape, "shape")
         if not math.isfinite(p) or p < 1.0:
             raise InvalidModelError(f"shape must be finite and >= 1, got {p}")
-        _check_positive(self.lp_norm, "lp_norm")
+        object.__setattr__(self, "shape", p)
+        object.__setattr__(self, "lp_norm", _check_positive(self.lp_norm, "lp_norm"))
 
     def sample_rows(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        _ziggurat(float(self.shape)).fill(rng, out.reshape(-1))
+        _ziggurat(self.shape).fill(rng, out.reshape(-1))
         # Last: the table holds the unit-scale law, and most draws times
         # lp_norm stay finite even for lp_norm near float max.
         out *= self.lp_norm
@@ -674,12 +684,13 @@ class GaussianAR(_RowSampled):
     innovation_std: float
 
     def __post_init__(self) -> None:
-        coeffs = tuple(float(c) for c in np.atleast_1d(np.asarray(self.coeffs, dtype=float)))
+        coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=object))
+        coeffs = tuple(_number(c, "a lag coefficient") for c in coeffs)
         if len(coeffs) == 0:
             raise InvalidModelError("coeffs must contain at least one lag coefficient")
         if not all(math.isfinite(c) for c in coeffs):
             raise InvalidModelError("coeffs contain NaN or Inf")
-        _check_positive(self.innovation_std, "innovation_std")
+        innovation_std = _check_positive(self.innovation_std, "innovation_std")
         roots = np.roots([1.0] + [-c for c in coeffs])
         if roots.size and np.max(np.abs(roots)) >= 1.0:
             raise InvalidModelError(
@@ -687,6 +698,7 @@ class GaussianAR(_RowSampled):
                 "lies on or outside the unit circle"
             )
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "innovation_std", innovation_std)
         self._unit_lag_covariance  # refuses a system float64 cannot solve
 
     @property

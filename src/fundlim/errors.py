@@ -1,8 +1,9 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the input checks and readers that raise them."""
 
 import dataclasses
 import json
 import math
+import operator
 
 __all__ = [
     "CertificationRefusedError",
@@ -34,6 +35,21 @@ def check_order(p: float) -> float:
     if math.isnan(p) or p < 1.0:
         raise InvalidNormOrderError(f"norm order must satisfy p >= 1, got {p}")
     return p
+
+
+def check_whole(name: str, value) -> int:
+    """``value`` as an int: an integer (numpy's or any ``__index__`` type) or a whole float.
+
+    A bool, a fraction, a string or any other value raises InvalidModelError.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidModelError(f"{name} must be a whole number, got {value!r}")
 
 
 def json_order(p: float):

@@ -20,8 +20,9 @@ workers, one per CPU of the affinity mask, and their partial statistics
 are added in block order, so the results do not depend on the number of
 workers.
 
-Per-step empirical L_p norms are aggregated across trajectories from one
-statistic per norm order: sums of |x|^p, or maxima for p = inf. The limsup
+Per-step empirical L_p norms are aggregated across trajectories in the
+row layout of the tail summaries: a sum of |x|^p per finite order, then
+the peak |x|, which gives the norm for p = inf. The limsup
 is operationalized over a tail window at the end of the horizon: for finite
 p as the pooled norm of every magnitude in it, all steps and trajectories
 together, and for p = inf as their largest magnitude. Both are read off
@@ -53,6 +54,7 @@ from .errors import (
     InvalidNormOrderError,
     UnstableLoopError,
     check_order,
+    check_whole,
     json_order,
 )
 from .plant import StateSpaceModel
@@ -89,19 +91,6 @@ _INITIAL_STATE = 1
 _GROWTH = 4.0
 
 
-def _whole(name: str, value) -> int:
-    """``value`` as an int: an integer, numpy's included, or a whole float.
-
-    A bool, a fraction, a string or any other value raises InvalidModelError.
-    """
-    whole = isinstance(value, numbers.Integral) or (
-        isinstance(value, float) and value.is_integer()
-    )
-    if isinstance(value, bool) or not whole:
-        raise InvalidModelError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     """Closed-loop Monte Carlo settings.
@@ -124,21 +113,21 @@ class SimulationConfig:
     x0_std: float = 0.0
 
     def __post_init__(self) -> None:
-        horizon = _whole("horizon", self.horizon)
-        trajectories = _whole("trajectories", self.trajectories)
+        horizon = check_whole("horizon", self.horizon)
+        trajectories = check_whole("trajectories", self.trajectories)
         if horizon < 1:
             raise InvalidModelError(f"horizon must be >= 1, got {horizon}")
         if trajectories < 1:
             raise InvalidModelError(f"trajectories must be >= 1, got {trajectories}")
-        seed = _whole("seed", self.seed)
+        seed = check_whole("seed", self.seed)
         if seed < 0:
             raise InvalidModelError(f"seed must be >= 0, got {seed}")
         p_list = tuple(sorted({check_order(p) for p in self.p_list}))
         if not p_list:
             raise InvalidNormOrderError("p_list must name at least one norm order")
-        burn_in = horizon // 5 if self.burn_in is None else _whole("burn_in", self.burn_in)
+        burn_in = horizon // 5 if self.burn_in is None else check_whole("burn_in", self.burn_in)
         tail = max(1, horizon // 5) if self.tail_window is None else self.tail_window
-        tail = _whole("tail_window", tail)
+        tail = check_whole("tail_window", tail)
         if burn_in < 0 or tail < 1 or burn_in + tail > horizon:
             raise InvalidModelError(
                 f"need burn_in >= 0, tail_window >= 1, burn_in + tail_window <= horizon; "
@@ -258,14 +247,14 @@ def _chunk_stream(seed: int, purpose: int, chunk: int) -> np.random.Generator:
 def _zero_stats(cfg):
     """A run's or a chunk's per-step statistics, zeroed.
 
-    A dict from each order of ``cfg.p_list`` to its (2, horizon) statistic,
-    the sums of |x|^p for finite p and the maxima for p = inf; then the
-    alive counts and the sum of the squared state norms.
+    A (2, finite orders + 1, horizon) array, the error's and then the
+    output's, in ``_tail_summary``'s row layout: per step, the sum of |x|^p
+    for each finite order of ``cfg.p_list``, then the peak |x|, even without
+    p = inf in the run. Then the alive counts and the sum of the squared
+    state norms.
     """
-    horizon = cfg.horizon
-    # Every statistic keeps the error in row 0 and the output in row 1.
-    stats = {p: np.zeros((2, horizon)) for p in cfg.p_list}
-    return stats, np.zeros(horizon, dtype=np.int64), np.zeros(horizon)
+    horizon, rows = cfg.horizon, sum(not math.isinf(p) for p in cfg.p_list) + 1
+    return np.zeros((2, rows, horizon)), np.zeros(horizon, dtype=np.int64), np.zeros(horizon)
 
 
 def _output_tail_row(horizon: int, tail: int) -> int:
@@ -330,20 +319,21 @@ def _power(base, p: float, out):
     return np.power(base, p, out=out)
 
 
-def _add_power_sums(stats, mag, powered, k):
-    """Fill column k of each order's statistic: mag's row maxima for inf, else power sums.
+def _add_power_sums(stats, orders, mag, powered, k):
+    """Fill column k of ``stats`` (see ``_zero_stats``) from the (2, count) ``mag``.
 
-    With p = 2 and 4 both present, p = 4 squares p = 2's squares: the same
-    two squares that ``_power`` takes.
+    Row i takes the sums of ``_power(mag, p)`` for the i-th finite p of
+    ``orders`` (sorted, inf last), the last row mag's maxima. A p = 4 just
+    after p = 2 squares its squares, as ``_power`` squares twice.
     """
-    square_twice = 2.0 in stats and 4.0 in stats
-    for p, stat in stats.items():
-        if math.isinf(p):
-            stat[:, k] = mag.max(axis=1)
-        elif p != 4.0 or not square_twice:
-            stat[:, k] = _power(mag, p, powered).sum(axis=1)
-            if p == 2.0 and square_twice:
-                stats[4.0][:, k] = np.square(powered, out=powered).sum(axis=1)
+    before = None
+    for row, p in enumerate(orders[: stats.shape[1] - 1]):
+        if (before, p) == (2.0, 4.0):
+            stats[:, row, k] = np.square(powered, out=powered).sum(axis=1)
+        else:
+            stats[:, row, k] = _power(mag, p, powered).sum(axis=1)
+        before = p
+    stats[:, -1, k] = mag.max(axis=1)
 
 
 def _tail_summary(block: np.ndarray, orders) -> np.ndarray:
@@ -381,9 +371,10 @@ def _simulate_chunk(model, controller, dist, cfg, span):
     read (``_output_tail_row``), so the block, 4096 x horizon x 8 bytes
     (13 MB at horizon 400), is the chunk's only large array. Only the
     measurement ``y`` is a fresh array each step, since the control law may
-    keep it. Steps skip the liveness masks until the first step whose
-    first-order sums or state-square total is not finite; that step and
-    every later one take the masked path, with the same floats.
+    keep it. While the chunk's trajectories all live, a step skips the
+    liveness masks if its peaks and state-square total are finite, as they
+    are only when every entry of e, y and x is, and is redone with them if
+    not; from a death on, every step is masked. The floats are the same.
     """
     stats, counts, sum_sq_state = _zero_stats(cfg)
     m_lo, m_hi = span
@@ -427,7 +418,7 @@ def _simulate_chunk(model, controller, dist, cfg, span):
         finite = np.empty(count_m, dtype=bool)
         alive = np.ones(count_m, dtype=bool)
         dead = np.empty(count_m, dtype=bool)
-        first = stats[cfg.p_list[0]]
+        peaks = stats[:, -1]
         masked = False
         for k in range(horizon):
             y = (C @ x).ravel()
@@ -444,17 +435,12 @@ def _simulate_chunk(model, controller, dist, cfg, span):
             np.abs(y, out=mag[1])
             np.einsum("ij,ij->j", x, x, out=xsq)
             if not masked:
-                # Until a trajectory dies, a step needs no liveness masks. A
-                # sum of non-negative terms is finite only when every term
-                # is, so finite first-order sums and state-square total mean
-                # that e, y and x are; else (a NaN, an inf or an overflowing
-                # sum) the step is redone below, as is every later step.
-                _add_power_sums(stats, mag, powered, k)
+                _add_power_sums(stats, cfg.p_list, mag, powered, k)
                 sum_sq_state[k] = xsq.sum()
                 counts[k] = count_m
                 masked = not (
-                    math.isfinite(first[0, k])
-                    and math.isfinite(first[1, k])
+                    math.isfinite(peaks[0, k])
+                    and math.isfinite(peaks[1, k])
                     and math.isfinite(sum_sq_state[k])
                 )
             if masked:
@@ -471,8 +457,9 @@ def _simulate_chunk(model, controller, dist, cfg, span):
                 np.copyto(mag, 0.0, where=dead)
                 np.copyto(xsq, 0.0, where=dead)
                 counts[k] = np.count_nonzero(alive)
-                _add_power_sums(stats, mag, powered, k)
+                _add_power_sums(stats, cfg.p_list, mag, powered, k)
                 sum_sq_state[k] = xsq.sum()
+                masked = counts[k] < count_m
             if k >= tail_start:
                 d[k - tail_start] = mag[0]
                 d[output_row + k - tail_start] = mag[1]
@@ -600,8 +587,9 @@ def run_closed_loop(
     4096 x tail_window x 8 bytes of rows past it. Chunks that run in this
     process hold their blocks here, one at a time. At most two chunks per
     worker are submitted ahead of the one being merged. The caller holds the
-    chunks' per-step statistics, one per norm order, which it merges in
-    block order (sums added, the maxima of p = inf taken), and one array of
+    per-step statistics in the tail summaries' row layout (a sum of |x|^p
+    per finite order, then the peak |x|), which it merges in block order
+    (the sums added, the larger peak taken), and one array of
     tail summaries that each chunk's columns are copied into, so results
     are bit-identical for a given config and numpy version, whatever the
     number of workers. A batch controller's ``step_batch`` receives a fresh
@@ -614,12 +602,13 @@ def run_closed_loop(
     job = functools.partial(_simulate_chunk, model, controller, dist, cfg)
 
     # Each chunk's ``_tail_summary`` rows land in their columns as it arrives.
-    summaries = np.empty((2, len(stats) + (math.inf not in stats), n))
+    summaries = np.empty(stats.shape[:2] + (n,))
+    sums, peaks = stats[:, :-1], stats[:, -1]
     with np.errstate(all="ignore"):
         for (lo, hi), part in zip(spans, _map_chunks(job, spans)):
             part_stats, part_counts, part_sq, summaries[:, :, lo:hi] = part
-            for p, stat in stats.items():
-                (np.maximum if math.isinf(p) else np.add)(stat, part_stats[p], out=stat)
+            sums += part_stats[:, :-1]
+            np.maximum(peaks, part_stats[:, -1], out=peaks)
             counts += part_counts
             sum_sq_state += part_sq
 
@@ -632,8 +621,9 @@ def run_closed_loop(
                 "every trajectory diverged before the end of the horizon"
             )
         mean_sq = sum_sq_state / counts
-        norms = {p: stat if math.isinf(p) else (stat / counts) ** (1.0 / p)
-                 for p, stat in stats.items()}
+        norms = {p: (row / counts) ** (1.0 / p) for row, p in zip(sums.swapaxes(0, 1), cfg.p_list)}
+        if math.inf in cfg.p_list:
+            norms[math.inf] = peaks
         moments = [_tail_moments(summary, cfg.p_list, tail) for summary in summaries]
         tails = [{p: stat for p, (stat, _) in signal.items()} for signal in moments]
         # Step 0 is x0, not the loop's response. With no baseline steps before

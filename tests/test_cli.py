@@ -997,6 +997,32 @@ class TestInputErrors:
         assert err.startswith("fundlim: ") and match in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["bound", "verify"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"type": "iid_gaussian", "sigma": "1.0"}',
+            '{"type": "iid_gaussian", "sigma": true}',
+            '{"type": "iid_uniform", "half_width": "1.0"}',
+            '{"type": "iid_gengauss", "shape": "4", "lp_norm": 1.0}',
+            '{"type": "gauss_ar", "coeffs": [0.5], "innovation_std": "1.0"}',
+            '{"type": "gauss_ar", "coeffs": ["0.5"], "innovation_std": 1.0}',
+        ],
+        ids=[
+            "sigma_string", "sigma_bool", "half_width_string", "shape_string", "std_string",
+            "coeff_string",
+        ],
+    )
+    def test_string_or_bool_number_exits_two(self, capsys, tmp_path, stable_plant, command, text):
+        dist = tmp_path / "dist.json"
+        dist.write_text(text)
+        argv = [command, "--plant", stable_plant, "--dist", str(dist), "--traj", "10"]
+        code, out, err = run_cli(capsys, *(argv if command == "verify" else argv[:-2]))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("fundlim: disturbance parameters are malformed: ")
+        assert "Traceback" not in err
+
     def test_stray_keys_in_both_bound_inputs(self, capsys, tmp_path):
         plant = tmp_path / "plant.json"
         plant.write_text('{"A": [[0.5]], "B": [1.0], "C": [1.0], "D": [[7]]}')

@@ -18,6 +18,14 @@ from conftest import lfilter_ar_sample
 from fundlim.disturbance import _MODEL_TAGS, GAUSSIAN_ENTROPY_BITS, _ziggurat
 
 
+JSON_MODELS = [
+    fl.GaussianIID(1.5),
+    fl.UniformIID(0.25),
+    fl.GeneralizedGaussianIID(3.0, 2.0),
+    fl.GaussianAR((0.5, -0.25), 1.1),
+]
+
+
 class TestMaxEntropyDensity:
     def test_gaussian_member_peak(self):
         assert fl.max_entropy_pdf(2.0, 1.0, 0.0) == pytest.approx(
@@ -230,6 +238,18 @@ class TestSamplers:
     def test_rejects_bad_length(self):
         with pytest.raises(fl.InvalidModelError):
             fl.GaussianIID(1.0).sample(0, 0)
+
+    @pytest.mark.parametrize("model", JSON_MODELS, ids=lambda model: model.tag)
+    @pytest.mark.parametrize("length", [2.5, True, "3"])
+    def test_length_must_be_whole(self, model, length):
+        with pytest.raises(fl.InvalidModelError, match="sample length must be a whole number"):
+            model.sample(0, length)
+
+    @pytest.mark.parametrize("model", JSON_MODELS, ids=lambda model: model.tag)
+    def test_whole_float_and_numpy_lengths_accepted(self, model):
+        want = model.sample(3, 5)
+        for length in (5.0, np.int64(5), np.uint8(5)):
+            assert model.sample(3, length).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "model, draw",
@@ -583,6 +603,12 @@ class TestSpectra:
             fl.GaussianIID(1.0).power_spectrum(15)
         with pytest.raises(fl.InvalidModelError):
             fl.GaussianIID(1.0).power_spectrum(17)
+        for n_grid in (100.7, True, "64"):
+            with pytest.raises(fl.InvalidModelError, match="grid size must be a whole number"):
+                fl.GaussianIID(1.0).power_spectrum(n_grid)
+        want = fl.GaussianIID(1.0).power_spectrum(64).grid
+        for n_grid in (64.0, np.int32(64)):
+            assert fl.GaussianIID(1.0).power_spectrum(n_grid).grid.tobytes() == want.tobytes()
 
     def test_from_samples_rejects_negative(self):
         omega = np.linspace(-math.pi, math.pi, 64, endpoint=False)
@@ -692,14 +718,6 @@ class TestSzego:
             fl.szego_entropy_rate(spec, -0.1)
 
 
-JSON_MODELS = [
-    fl.GaussianIID(1.5),
-    fl.UniformIID(0.25),
-    fl.GeneralizedGaussianIID(3.0, 2.0),
-    fl.GaussianAR((0.5, -0.25), 1.1),
-]
-
-
 class TestJsonInterface:
     def test_round_trips(self):
         for model in JSON_MODELS:
@@ -749,12 +767,42 @@ class TestJsonInterface:
             ({"type": "iid_uniform", "half_width": 1.0, "sigma": 1.0, "Type": "x"},
              "has unknown keys: Type, sigma"),
             ({"type": ["iid_gaussian"], "sigma": 1.0}, "unknown disturbance type"),
+            ({"type": "iid_gaussian", "sigma": "1.0"}, "malformed: sigma must be a number"),
+            ({"type": "iid_gaussian", "sigma": True}, "malformed: sigma must be a number"),
+            ({"type": "iid_uniform", "half_width": "1.0"},
+             "malformed: half_width must be a number"),
+            ({"type": "iid_gengauss", "shape": "4", "lp_norm": 1.0},
+             "malformed: shape must be a number"),
+            ({"type": "iid_gengauss", "shape": 4.0, "lp_norm": True},
+             "malformed: lp_norm must be a number"),
+            ({"type": "gauss_ar", "coeffs": [0.5], "innovation_std": "1.0"},
+             "malformed: innovation_std must be a number"),
+            ({"type": "gauss_ar", "coeffs": ["0.5"], "innovation_std": 1.0},
+             "malformed: a lag coefficient must be a number"),
+            ({"type": "gauss_ar", "coeffs": [0.5, True], "innovation_std": 1.0},
+             "malformed: a lag coefficient must be a number"),
+            ({"type": "gauss_ar", "coeffs": [[0.5]], "innovation_std": 1.0},
+             "malformed: a lag coefficient must be a number"),
         ],
-        ids=["not_an_object", "sigma_not_a_number", "stray_key", "two_stray_keys", "type_a_list"],
+        ids=[
+            "not_an_object", "sigma_not_a_number", "stray_key", "two_stray_keys", "type_a_list",
+            "sigma_string", "sigma_bool", "half_width_string", "shape_string", "lp_norm_bool",
+            "innovation_std_string", "coeff_string", "coeff_bool", "coeffs_nested",
+        ],
     )
     def test_malformed_description_rejected(self, payload, match):
         with pytest.raises(fl.InvalidModelError, match=match):
             fl.disturbance_from_dict(payload)
+
+    def test_numpy_numbers_stored_as_floats(self):
+        model = fl.GeneralizedGaussianIID(np.int64(4), np.float32(0.5))
+        assert (type(model.shape), type(model.lp_norm)) == (float, float)
+        assert model == fl.GeneralizedGaussianIID(4.0, 0.5)
+        assert type(fl.GaussianIID(np.float64(2.0)).sigma) is float
+        model = fl.GaussianAR(np.array([0.5, -0.25], dtype=np.float32), np.int8(2))
+        assert model.coeffs == (0.5, -0.25) and model.innovation_std == 2.0
+        assert all(type(c) is float for c in model.coeffs + (model.innovation_std,))
+        assert fl.GaussianAR(0.5, 1.0).coeffs == (0.5,)
 
     def test_scaled_models(self):
         for model in (

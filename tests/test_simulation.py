@@ -1304,15 +1304,33 @@ class TestBitIdentity:
         rng = np.random.default_rng(int(p * 10))
         mag = np.abs(rng.standard_normal((2, 1000))) * 10.0 ** rng.integers(-40, 40, (2, 1000))
         mag[:, ::7] = 0.0
-        sums = {p: np.zeros((2, 3))}
+        stats = np.zeros((2, 2, 3))
         with np.errstate(over="ignore", under="ignore"):
-            simulation._add_power_sums(sums, mag, np.empty_like(mag), 1)
+            simulation._add_power_sums(stats, (p,), mag, np.empty_like(mag), 1)
             want = squared_power(mag, p).sum(axis=1)
-            assert sums[p][:, 1].tobytes() == want.tobytes()
-            np.testing.assert_allclose(sums[p][:, 1], (mag**p).sum(axis=1), rtol=1e-15, atol=0.0)
+            assert stats[:, 0, 1].tobytes() == want.tobytes()
+            np.testing.assert_allclose(stats[:, 0, 1], (mag**p).sum(axis=1), rtol=1e-15, atol=0.0)
             # In place, as the tail statistic takes them, the powers are the same.
             own = mag.copy()
             assert simulation._power(own, p, own).sum(axis=1).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "orders", [(1.0, 2.0, 4.0, math.inf), (2.0, 3.5, 4.0), (2.0, 4.0, 7.0)]
+    )
+    def test_power_sums_fill_the_summary_rows(self, orders):
+        # A row per finite order, p = 4 squared from p = 2's squares or not,
+        # then the peaks, whether or not p = inf is in the run.
+        rng = np.random.default_rng(5)
+        mag = np.abs(rng.standard_normal((2, 1000))) * 10.0 ** rng.integers(-20, 20, (2, 1000))
+        finite = [p for p in orders if not math.isinf(p)]
+        stats = np.zeros((2, len(finite) + 1, 3))
+        with np.errstate(over="ignore", under="ignore"):
+            simulation._add_power_sums(stats, orders, mag, np.empty_like(mag), 2)
+            for row, p in enumerate(finite):
+                want = squared_power(mag, p).sum(axis=1)
+                assert stats[:, row, 2].tobytes() == want.tobytes()
+        assert stats[:, -1, 2].tobytes() == mag.max(axis=1).tobytes()
+        assert not stats[:, :, :2].any()
 
     @pytest.mark.parametrize("p", [2.0**52, 1e300])
     def test_large_whole_orders_take_pow(self, p):
@@ -1323,6 +1341,56 @@ class TestBitIdentity:
             want = mag**p
             got = simulation._power(mag, p, np.empty_like(mag))
         assert got.tobytes() == want.tobytes()
+
+
+def masked_steps(monkeypatch, run):
+    """``run()``'s result and its masked steps, on one CPU.
+
+    Only a masked step calls ``np.logical_not``, once.
+    """
+    use_cpus(monkeypatch, 1)
+    calls = []
+    logical_not = np.logical_not
+
+    def spy(*args, **kwargs):
+        calls.append(None)
+        return logical_not(*args, **kwargs)
+
+    monkeypatch.setattr(np, "logical_not", spy)
+    return run(), len(calls)
+
+
+class TestLivenessMasks:
+    def test_overflowing_sums_with_every_entry_finite_stay_unmasked(self, monkeypatch):
+        # |e|^300 overflows at every step, with no trajectory dead.
+        cfg = fl.SimulationConfig(horizon=100, trajectories=2000, p_list=(300.0, math.inf))
+        result, steps = masked_steps(monkeypatch, lambda: fl.run_closed_loop(
+            scalar_plant(0.5), ZeroController(), fl.GeneralizedGaussianIID(300.0, 1e6), cfg
+        ))
+        assert result.diverged == 0
+        assert np.isinf(result.error_norms[300.0]).all()
+        assert steps == 0
+
+    def test_a_death_masks_every_later_step(self, monkeypatch):
+        plant, spec, _, dist, cfg = dying_pin_loop()
+        result, steps = masked_steps(monkeypatch, lambda: fl.run_closed_loop(
+            plant, fl.parse_controller(spec), dist, cfg
+        ))
+        death = int(np.argmax(result.alive_counts < cfg.trajectories))
+        assert result.diverged == 1 and death > 0
+        assert steps == cfg.horizon - death
+
+    def test_orders_without_inf_report_no_inf(self):
+        loop = (scalar_plant(0.5), StaticGain(0.2), fl.GaussianIID(1.0))
+        cfg = fl.SimulationConfig(horizon=40, trajectories=300, p_list=(1.0, 2.0))
+        result = fl.run_closed_loop(*loop, cfg)
+        for norms in (result.error_norms, result.output_norms, result.error_tail):
+            assert list(norms) == [1.0, 2.0]
+        # The peak row kept for it changes no other order's floats.
+        with_inf = fl.run_closed_loop(*loop, dataclasses.replace(cfg, p_list=(1.0, 2.0, math.inf)))
+        for p in (1.0, 2.0):
+            assert result.error_norms[p].tobytes() == with_inf.error_norms[p].tobytes()
+            assert result.output_norms[p].tobytes() == with_inf.output_norms[p].tobytes()
 
 
 @pytest.fixture(scope="module")
