@@ -374,7 +374,9 @@ def _simulate_chunk(model, controller, dist, cfg, span):
     keep it. While the chunk's trajectories all live, a step skips the
     liveness masks if its peaks and state-square total are finite, as they
     are only when every entry of e, y and x is, and is redone with them if
-    not; from a death on, every step is masked. The floats are the same.
+    not. A masked step masks the next one too while a trajectory is dead or
+    its state-square total is not finite, which a redo would find again;
+    from a death on, every step is masked. The floats are the same.
     """
     stats, counts, sum_sq_state = _zero_stats(cfg)
     m_lo, m_hi = span
@@ -459,7 +461,7 @@ def _simulate_chunk(model, controller, dist, cfg, span):
                 counts[k] = np.count_nonzero(alive)
                 _add_power_sums(stats, cfg.p_list, mag, powered, k)
                 sum_sq_state[k] = xsq.sum()
-                masked = counts[k] < count_m
+                masked = counts[k] < count_m or not math.isfinite(sum_sq_state[k])
             if k >= tail_start:
                 d[k - tail_start] = mag[0]
                 d[output_row + k - tail_start] = mag[1]
@@ -490,6 +492,16 @@ def _map_chunks(job, spans):
     and results are pickled. At most ``_AHEAD`` x workers jobs are submitted
     ahead of the one being yielded, so finished results do not pile up in
     the caller.
+
+    Before it forks, the caller imports ``numpy.random``, which numpy loads
+    only on first use and whose start-up loads OpenSSL's libcrypto
+    (``secrets``, ``hmac``): each worker inherits the loaded module instead
+    of running that start-up at its first chunk. It is not imported with
+    the package, as that would cost every fresh process 13-20 ms, those
+    that never draw included. Measured as ``VmHWM`` on 2 CPUs, a worker's
+    peak fell from 46.4 to 41.3 MB on the ``scalar_controller`` benchmark
+    inputs and from 49.9 to 44.8 MB on ``cli_nmp_output``, and the caller,
+    now the larger, rose from 37.2 to 41.9 MB and from 41.7 to 46.1 MB.
     """
     workers = min(_cpus(), len(spans))
     if workers > 1:
@@ -501,6 +513,9 @@ def _map_chunks(job, spans):
             and not multiprocessing.current_process().daemon
         ):
             from concurrent.futures import ProcessPoolExecutor
+
+            # Loaded once here, not once per worker (see above).
+            import numpy.random  # noqa: F401
 
             pool = ProcessPoolExecutor(
                 workers,
@@ -582,7 +597,12 @@ def run_closed_loop(
     A worker holds one chunk's disturbance block, 4096 x horizon x 8 bytes
     (13 MB at horizon 400), stored step-major, a 64 x horizon staging
     block, and the chunk's small step-loop work buffers, allocated once per
-    chunk. The block also keeps the chunk's tail magnitudes, in rows the
+    chunk. The caller imports ``numpy.random`` just before it forks the
+    workers, so that they inherit the loaded module instead of each loading
+    OpenSSL's libcrypto at its first chunk; on 2 CPUs a worker then peaks
+    at 41.3 MB and the caller at 41.9 MB on the ``scalar_controller``
+    benchmark inputs, and at 44.8 and 46.1 MB on ``cli_nmp_output``
+    (``VmHWM``). The block also keeps the chunk's tail magnitudes, in rows the
     loop has already read; a tail window longer than half the horizon adds
     4096 x tail_window x 8 bytes of rows past it. Chunks that run in this
     process hold their blocks here, one at a time. At most two chunks per
@@ -670,21 +690,34 @@ def _tail_moments(summary: np.ndarray, orders, tail: int):
     is the largest peak, and a resample's maximum is the k-th largest peak
     v_k with probability (1 - (k-1)/n)^n - (1 - k/n)^n; the std is that
     law's over the top min(64, n) peaks, which carry all but e^-64 of it.
+
+    The peaks in units of the scale, each finite order's totals and then
+    their deviations from the mean all live in one reused buffer. The mean
+    and variance take ``ndarray.mean``'s and ``ndarray.var``'s steps (a sum
+    over n, the deviations squared in place, their sum over n), so they are
+    those methods' floats without their temporaries.
     """
     n = summary.shape[1]
-    scale = float(summary[-1].max()) or 1.0
-    rel, work = summary[-1] / scale, np.empty(n)
+    peaks = summary[-1]
+    scale = float(peaks.max()) or 1.0
+    work = np.empty(n)
     moments = {}
     for p, row in zip(orders, summary[:-1]):
-        total = row * _power(rel, p, work)
-        mean = float(total.mean())
+        np.divide(peaks, scale, out=work)
+        np.multiply(row, _power(work, p, work), out=work)
+        mean = float(np.add.reduce(work) / n)
+        np.subtract(work, mean, out=work)
+        np.square(work, out=work)
+        var = float(np.add.reduce(work) / n)
         stat = (mean / tail) ** (1.0 / p)
         # stat / (p mean) is (1/p) m^(1/p - 1) / tail, defined at m = 0 too.
-        spread = math.sqrt(float(total.var()) / n) / (p * mean) if mean > 0.0 else 0.0
+        spread = math.sqrt(var / n) / (p * mean) if mean > 0.0 else 0.0
         moments[p] = (stat, stat * spread)
     if math.inf in orders:
         k = min(64, n)
-        top = np.sort(np.partition(rel, n - k)[n - k :])[::-1]
+        np.divide(peaks, scale, out=work)
+        work.partition(n - k)
+        top = np.sort(work[n - k :])[::-1]
         edges = (1.0 - np.arange(len(top) + 1) / n) ** n
         weights = edges[:-1] - edges[1:]
         mean = float(weights @ top)

@@ -6,10 +6,12 @@ import math
 import multiprocessing
 import os
 import pickle
+import subprocess
 import sys
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1089,6 +1091,38 @@ class TestChunkWorkers:
         summaries = result.tail_abs_error.nbytes + result.tail_abs_output.nbytes
         assert peaks[0] > block > 4 * (peaks[1] - 2 * summaries)
 
+    @pytest.mark.skipif(
+        simulation._cpus() < 2, reason="workers need two CPUs in the affinity mask"
+    )
+    def test_workers_start_with_numpy_random_loaded(self, tmp_path):
+        # numpy loads numpy.random lazily: the caller imports it before it
+        # forks, so no worker runs its start-up (OpenSSL's libcrypto) again.
+        log = tmp_path / "workers"
+        probe = "\n".join([
+            "import sys",
+            "import fundlim as fl",
+            "from fundlim import simulation",
+            "install = simulation._install_job",
+            "def recording(job):",
+            f"    with open({str(log)!r}, 'a', encoding='utf-8') as fh:",
+            "        fh.write(f\"{'numpy.random' in sys.modules}\\n\")",
+            "    install(job)",
+            "simulation._install_job = recording",
+            "print('numpy.random' in sys.modules)",
+            "cfg = fl.SimulationConfig(horizon=5, trajectories=2 * simulation._CHUNK + 1)",
+            "fl.run_closed_loop(fl.StateSpaceModel([[0.5]], [1.0], [1.0]),",
+            "                   fl.StaticGain(0.2), fl.GaussianIID(1.0), cfg)",
+        ])
+        src = str(Path(fl.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-W", "ignore", "-c", probe],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert done.stdout.split() == ["False"]
+        assert log.read_text(encoding="utf-8").split() == ["True", "True"]
+
     def test_runs_inside_a_daemonic_pool_worker(self, monkeypatch):
         monkeypatch.setattr("fundlim.simulation._CHUNK", 64)
         use_cpus(monkeypatch, 2)
@@ -1343,21 +1377,26 @@ class TestBitIdentity:
         assert got.tobytes() == want.tobytes()
 
 
+def counted_calls(monkeypatch, owner, name, run):
+    """``run()``'s result and how many times it called ``owner.name``, on one CPU."""
+    use_cpus(monkeypatch, 1)
+    calls = []
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return run(), len(calls)
+
+
 def masked_steps(monkeypatch, run):
     """``run()``'s result and its masked steps, on one CPU.
 
     Only a masked step calls ``np.logical_not``, once.
     """
-    use_cpus(monkeypatch, 1)
-    calls = []
-    logical_not = np.logical_not
-
-    def spy(*args, **kwargs):
-        calls.append(None)
-        return logical_not(*args, **kwargs)
-
-    monkeypatch.setattr(np, "logical_not", spy)
-    return run(), len(calls)
+    return counted_calls(monkeypatch, np, "logical_not", run)
 
 
 class TestLivenessMasks:
@@ -1370,6 +1409,20 @@ class TestLivenessMasks:
         assert result.diverged == 0
         assert np.isinf(result.error_norms[300.0]).all()
         assert steps == 0
+
+    def test_an_overflowing_state_total_keeps_the_steps_masked(self, monkeypatch):
+        # Every entry of x stays finite, but from step 1 on the chunk's sum
+        # of x^2 overflows: step 1 is redone with the masks, and every later
+        # step keeps them, one _add_power_sums pass each.
+        cfg = fl.SimulationConfig(horizon=200, trajectories=4000, p_list=(2.0, math.inf))
+        result, passes = counted_calls(
+            monkeypatch, simulation, "_add_power_sums", lambda: fl.run_closed_loop(
+                scalar_plant(0.5), ZeroController(), fl.GaussianIID(1e153), cfg
+            )
+        )
+        assert result.diverged == 0 and not result.stable
+        assert np.isinf(result.mean_square_state[1:]).all()
+        assert passes == cfg.horizon + 1
 
     def test_a_death_masks_every_later_step(self, monkeypatch):
         plant, spec, _, dist, cfg = dying_pin_loop()
@@ -1556,6 +1609,28 @@ def closed_form(block, p):
     return simulation._tail_moments(summary, (p,), len(block))[p]
 
 
+def reference_moments(summary, orders, tail):
+    """``_tail_moments`` with a fresh total per order, its mean and var by ndarray methods."""
+    n = summary.shape[1]
+    scale = float(summary[-1].max()) or 1.0
+    rel, work = summary[-1] / scale, np.empty(n)
+    moments = {}
+    for p, row in zip(orders, summary[:-1]):
+        total = row * simulation._power(rel, p, work)
+        mean = float(total.mean())
+        stat = (mean / tail) ** (1.0 / p)
+        spread = math.sqrt(float(total.var()) / n) / (p * mean) if mean > 0.0 else 0.0
+        moments[p] = (stat, stat * spread)
+    if math.inf in orders:
+        k = min(64, n)
+        top = np.sort(np.partition(rel, n - k)[n - k :])[::-1]
+        edges = (1.0 - np.arange(len(top) + 1) / n) ** n
+        weights = edges[:-1] - edges[1:]
+        mean = float(weights @ top)
+        moments[math.inf] = (float(top[0]), math.sqrt(float(weights @ (top - mean) ** 2)))
+    return {p: (stat * scale, std * scale) for p, (stat, std) in moments.items()}
+
+
 class TestTailSummary:
     @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, 7.0, 300.0, math.inf])
     def test_columns_match_empirical_lp(self, p):
@@ -1648,6 +1723,28 @@ class TestClosedFormMargin:
     @pytest.mark.parametrize("p", [2.0, math.inf])
     def test_zero_block_has_zero_margin(self, p):
         assert closed_form(np.zeros((3, TRAJECTORIES)), p) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+    @pytest.mark.parametrize("n", [1, 2, TRAJECTORIES])
+    @pytest.mark.parametrize("zeros", [0, 1, 7], ids=["no_zero", "zero_first", "zeros_spread"])
+    def test_in_place_moments_match_fresh_arrays(self, scale, n, zeros):
+        # One reused buffer per call: the floats of a fresh total per
+        # order and of ndarray.mean and ndarray.var, byte for byte.
+        orders = (1.0, 1.5, 2.0, 4.0, 7.0, math.inf)
+        block = scale * heavy_tail(n)
+        block[:, ::7][:, :zeros] = 0.0
+        summary = simulation._tail_summary(block, orders)
+        got = simulation._tail_moments(summary, orders, len(block))
+        want = reference_moments(summary, orders, len(block))
+        assert list(got) == list(want)
+        assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
+        assert summary.tobytes() == simulation._tail_summary(block, orders).tobytes()
+
+    def test_in_place_moments_of_zero_peaks_match_fresh_arrays(self):
+        orders = (1.0, 1.5, 7.0, math.inf)
+        summary = simulation._tail_summary(np.zeros((4, 5)), orders)
+        got = simulation._tail_moments(summary, orders, 4)
+        assert got == reference_moments(summary, orders, 4) == {p: (0.0, 0.0) for p in orders}
 
     def test_repeat_calls_byte_identical(self):
         result = synthetic_result(TRAJECTORIES)
