@@ -16,6 +16,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import sys
 import warnings
 from datetime import datetime, timezone
@@ -82,7 +83,12 @@ def _manifest(command: str, inputs: dict, parameters: dict) -> dict:
 
 def _emit(payload: dict, out_dir, filename: str) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # Nobody reads stdout: the report files and the exit code still
+        # count. Later writes, the flush at exit included, go to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if out_dir is not None:
         path = Path(out_dir)
         path.mkdir(parents=True, exist_ok=True)

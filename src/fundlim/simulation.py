@@ -41,7 +41,7 @@ import os
 import pickle
 import sys
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -179,13 +179,15 @@ class SimulationResult:
     one column per trajectory: row i is its tail sum of (|x| / peak)^p for
     the i-th finite order of ``config.p_list``, the last row its tail peak,
     with magnitudes 0 from the step it diverged. ``error_tail`` and
-    ``output_tail`` hold the tail statistic read off them: for p = inf the
-    largest peak, and for finite p the pooled norm over the tail window,
-    scale (sum of row_j (peak_j / scale)^p / (tail_window n))^(1/p) with
-    scale the largest peak. It divides by tail_window x trajectories, not by
-    the window's alive counts: a diverged trajectory adds zeros, so the two
-    agree when ``diverged`` is 0, which ``stable`` and so ``verify_bound``
-    require.
+    ``output_tail`` map each order to the tail statistic read off them: for
+    p = inf the largest peak, and for finite p the pooled norm over the tail
+    window, scale (sum of row_j (peak_j / scale)^p / (tail_window n))^(1/p)
+    with scale the largest peak. It divides by tail_window x trajectories,
+    not by the window's alive counts: a diverged trajectory adds zeros, so
+    the two agree when ``diverged`` is 0, which ``stable`` and so
+    ``verify_bound`` require. Each signal's statistics and their margins
+    (``_tail_moments``) are read off its summaries once, on first use, and
+    kept; the two properties are read-only copies of them.
     ``stable`` is False when any trajectory left float range (``diverged``
     counts them), when the mean-square state did, or when the mean-square
     state over the tail window averages more than 4 times its average over
@@ -200,18 +202,34 @@ class SimulationResult:
     config: SimulationConfig
     error_norms: dict
     output_norms: dict
-    error_tail: dict
-    output_tail: dict
     mean_square_state: np.ndarray
     stable: bool
     diverged: int
     alive_counts: np.ndarray
     tail_abs_error: np.ndarray
     tail_abs_output: np.ndarray
+    # ``_tail_moments`` per signal, "error" or "output", filled by ``_moments``.
+    _tail_moments_of: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def tail_start(self) -> int:
         return self.config.horizon - self.config.tail_window
+
+    @property
+    def error_tail(self) -> dict:
+        return {p: stat for p, (stat, _) in self._moments("error").items()}
+
+    @property
+    def output_tail(self) -> dict:
+        return {p: stat for p, (stat, _) in self._moments("output").items()}
+
+    def _moments(self, which: str) -> dict:
+        """``_tail_moments`` of the ``which`` signal's summaries, taken on first use."""
+        cfg, cache = self.config, self._tail_moments_of
+        if which not in cache:
+            summary = self.tail_abs_error if which == "error" else self.tail_abs_output
+            cache[which] = _tail_moments(summary, cfg.p_list, cfg.tail_window)
+        return cache[which]
 
 
 def empirical_lp(samples, p: float) -> float:
@@ -320,11 +338,12 @@ def _power(base, p: float, out):
 
 
 def _add_power_sums(stats, orders, mag, powered, k):
-    """Fill column k of ``stats`` (see ``_zero_stats``) from the (2, count) ``mag``.
+    """Fill column k of the sum rows of ``stats`` (see ``_zero_stats``) from ``mag``.
 
-    Row i takes the sums of ``_power(mag, p)`` for the i-th finite p of
-    ``orders`` (sorted, inf last), the last row mag's maxima. A p = 4 just
-    after p = 2 squares its squares, as ``_power`` squares twice.
+    ``mag`` is (2, count). Row i takes the sums of ``_power(mag, p)`` for
+    the i-th finite p of ``orders`` (sorted, inf last); the peak row is the
+    caller's. A p = 4 just after p = 2 squares its squares, as ``_power``
+    squares twice.
     """
     before = None
     for row, p in enumerate(orders[: stats.shape[1] - 1]):
@@ -333,7 +352,6 @@ def _add_power_sums(stats, orders, mag, powered, k):
         else:
             stats[:, row, k] = _power(mag, p, powered).sum(axis=1)
         before = p
-    stats[:, -1, k] = mag.max(axis=1)
 
 
 def _tail_summary(block: np.ndarray, orders) -> np.ndarray:
@@ -371,12 +389,16 @@ def _simulate_chunk(model, controller, dist, cfg, span):
     read (``_output_tail_row``), so the block, 4096 x horizon x 8 bytes
     (13 MB at horizon 400), is the chunk's only large array. Only the
     measurement ``y`` is a fresh array each step, since the control law may
-    keep it. While the chunk's trajectories all live, a step skips the
-    liveness masks if its peaks and state-square total are finite, as they
-    are only when every entry of e, y and x is, and is redone with them if
-    not. A masked step masks the next one too while a trajectory is dead or
-    its state-square total is not finite, which a redo would find again;
-    from a death on, every step is masked. The floats are the same.
+    keep it; the controller's step, batch or one call per trajectory, is
+    picked once per chunk.
+
+    Each step is one pass. It takes its |e| and |y| peaks and its
+    state-square total first. They are finite only when every entry of e, y
+    and x is, so while every trajectory lives and all three are finite the
+    step skips the liveness masks. Otherwise it masks the dead entries and
+    takes the peaks and the total again; from a death on, every step of the
+    chunk is masked. Then it adds its power sums, once. The floats are
+    those of a loop that masks every step.
     """
     stats, counts, sum_sq_state = _zero_stats(cfg)
     m_lo, m_hi = span
@@ -401,13 +423,18 @@ def _simulate_chunk(model, controller, dist, cfg, span):
         law = controller.clone()
         if _has_batch_interface(law):
             law.reset_batch(count_m)
-            steps = None
+            step = law.step_batch
         else:
             # One instance per trajectory, and its bound step fetched once.
             laws = [law] + [controller.clone() for _ in range(count_m - 1)]
             for each in laws:
                 each.reset()
             steps = [each.step for each in laws]
+
+            def step(y):
+                return np.fromiter(
+                    [call(v) for call, v in zip(steps, y.tolist())], dtype=float, count=count_m
+                )
 
         x_next = np.empty_like(x)
         be = np.empty_like(x)
@@ -421,31 +448,17 @@ def _simulate_chunk(model, controller, dist, cfg, span):
         alive = np.ones(count_m, dtype=bool)
         dead = np.empty(count_m, dtype=bool)
         peaks = stats[:, -1]
-        masked = False
+        counts.fill(count_m)
+        died = False
         for k in range(horizon):
             y = (C @ x).ravel()
-            if steps is None:
-                z = np.asarray(law.step_batch(y), dtype=float)
-            else:
-                z = np.fromiter(
-                    [step(v) for step, v in zip(steps, y.tolist())],
-                    dtype=float,
-                    count=count_m,
-                )
-            np.add(z, d[k], out=e)
+            np.add(np.asarray(step(y), dtype=float), d[k], out=e)
             np.abs(e, out=mag[0])
             np.abs(y, out=mag[1])
             np.einsum("ij,ij->j", x, x, out=xsq)
-            if not masked:
-                _add_power_sums(stats, cfg.p_list, mag, powered, k)
-                sum_sq_state[k] = xsq.sum()
-                counts[k] = count_m
-                masked = not (
-                    math.isfinite(peaks[0, k])
-                    and math.isfinite(peaks[1, k])
-                    and math.isfinite(sum_sq_state[k])
-                )
-            if masked:
+            mag.max(axis=1, out=peaks[:, k])
+            sum_sq_state[k] = xsq.sum()
+            if died or not all(map(math.isfinite, (peaks[0, k], peaks[1, k], sum_sq_state[k]))):
                 np.isfinite(e, out=finite)
                 alive &= finite
                 np.isfinite(y, out=finite)
@@ -458,10 +471,11 @@ def _simulate_chunk(model, controller, dist, cfg, span):
                 # sum and cannot exceed a live magnitude in the max.
                 np.copyto(mag, 0.0, where=dead)
                 np.copyto(xsq, 0.0, where=dead)
-                counts[k] = np.count_nonzero(alive)
-                _add_power_sums(stats, cfg.p_list, mag, powered, k)
+                mag.max(axis=1, out=peaks[:, k])
                 sum_sq_state[k] = xsq.sum()
-                masked = counts[k] < count_m or not math.isfinite(sum_sq_state[k])
+                counts[k] = np.count_nonzero(alive)
+                died = counts[k] < count_m
+            _add_power_sums(stats, cfg.p_list, mag, powered, k)
             if k >= tail_start:
                 d[k - tail_start] = mag[0]
                 d[output_row + k - tail_start] = mag[1]
@@ -597,14 +611,10 @@ def run_closed_loop(
     A worker holds one chunk's disturbance block, 4096 x horizon x 8 bytes
     (13 MB at horizon 400), stored step-major, a 64 x horizon staging
     block, and the chunk's small step-loop work buffers, allocated once per
-    chunk. The caller imports ``numpy.random`` just before it forks the
-    workers, so that they inherit the loaded module instead of each loading
-    OpenSSL's libcrypto at its first chunk; on 2 CPUs a worker then peaks
-    at 41.3 MB and the caller at 41.9 MB on the ``scalar_controller``
-    benchmark inputs, and at 44.8 and 46.1 MB on ``cli_nmp_output``
-    (``VmHWM``). The block also keeps the chunk's tail magnitudes, in rows the
-    loop has already read; a tail window longer than half the horizon adds
-    4096 x tail_window x 8 bytes of rows past it. Chunks that run in this
+    chunk; the workers inherit a loaded ``numpy.random`` (see
+    ``_map_chunks``). The block also keeps the chunk's tail magnitudes, in
+    rows the loop has already read; a tail window longer than half the
+    horizon adds 4096 x tail_window x 8 bytes of rows past it. Chunks that run in this
     process hold their blocks here, one at a time. At most two chunks per
     worker are submitted ahead of the one being merged. The caller holds the
     per-step statistics in the tail summaries' row layout (a sum of |x|^p
@@ -644,8 +654,6 @@ def run_closed_loop(
         norms = {p: (row / counts) ** (1.0 / p) for row, p in zip(sums.swapaxes(0, 1), cfg.p_list)}
         if math.inf in cfg.p_list:
             norms[math.inf] = peaks
-        moments = [_tail_moments(summary, cfg.p_list, tail) for summary in summaries]
-        tails = [{p: stat for p, (stat, _) in signal.items()} for signal in moments]
         # Step 0 is x0, not the loop's response. With no baseline steps before
         # the tail window, the later half of [start, horizon) faces the earlier.
         start = max(cfg.burn_in, 1)
@@ -660,8 +668,6 @@ def run_closed_loop(
         config=cfg,
         error_norms={p: rows[0] for p, rows in norms.items()},
         output_norms={p: rows[1] for p, rows in norms.items()},
-        error_tail=tails[0],
-        output_tail=tails[1],
         mean_square_state=mean_sq,
         stable=bool(stable),
         diverged=diverged,
@@ -763,9 +769,11 @@ def verify_bound(
     variance of the trajectories' mean tail total and the delta method, and
     for p = inf the law of a resample's maximum over the largest peaks. It
     is read off the signal's tail summaries (see ``SimulationResult``) with
-    no random draws, so it is deterministic and its extra memory is a few
-    arrays of one float per trajectory. It works in units of the largest
-    tail magnitude, so it is scale-free: scaling the magnitudes by a power
+    no random draws, so it is deterministic, and its extra memory is one
+    float per trajectory. The tail norm and its std come from the same pass,
+    run once per signal, on first use, and kept with the result, so every
+    order certified on that signal reuses it. It works in units of the
+    largest tail magnitude, so it is scale-free: scaling the magnitudes by a power
     of two scales the std by exactly that factor. For p = inf the sample
     maximum is a one-sided underestimate of the essential supremum, so an
     extra ``SUP_NORM_SLACK`` is allowed. Refuses to certify unstable results.
@@ -778,16 +786,12 @@ def verify_bound(
             "estimate a stationary norm"
         )
     p = report.p
-    tails = result.error_tail if which == "error" else result.output_tail
-    if p not in tails:
+    if p not in result.config.p_list:
         raise InvalidNormOrderError(
             f"simulation did not record norms for p = {p}; extend p_list"
         )
-    cfg = result.config
-    summary = result.tail_abs_error if which == "error" else result.tail_abs_output
-    tail_norm = tails[p]
+    tail_norm, std = result._moments(which)[p]
     ratio = tail_norm / report.bound_value
-    std = _tail_moments(summary, cfg.p_list, cfg.tail_window)[p][1]
     margin = std / report.bound_value
     slack = 3.0 * margin
     if math.isinf(p):

@@ -25,6 +25,18 @@ def ent(dist):
     return fl.entropy_summary(dist)
 
 
+def hand_built_chars(pole_product=1.0, markov_gain=1.0):
+    """Characteristics set field by field, past what ``analyze_plant`` returns."""
+    return fl.PlantCharacteristics(
+        poles=np.array([0.5 + 0.0j]),
+        unstable_pole_product=pole_product,
+        finite_zeros=np.array([], dtype=complex),
+        nmp_zero_product=1.0,
+        relative_degree=1,
+        markov_gain=markov_gain,
+    )
+
+
 class TestNormConstant:
     def test_frozen_values(self):
         assert fl.cp_constant(2.0) == pytest.approx(0.24197072451914337, abs=1e-15)
@@ -139,6 +151,12 @@ class TestOutputBound:
         with pytest.raises(fl.ZeroTransferFunctionError):
             fl.output_bound(2.0, fl.analyze_plant(model), ent(fl.GaussianIID(1.0)))
 
+    @pytest.mark.parametrize("gain", [0.0, -0.0])
+    def test_zero_gain_characteristics_rejected(self, gain):
+        # analyze_plant refuses such a plant first; the bound checks on its own.
+        with pytest.raises(fl.ZeroTransferFunctionError, match="nonzero leading Markov gain"):
+            fl.output_bound(2.0, hand_built_chars(markov_gain=gain), ent(fl.GaussianIID(1.0)))
+
     def test_negative_gain_enters_by_magnitude(self):
         chars_neg = fl.analyze_plant(companion_realization([-1.0, 0.5], [1.0, 0.0, 0.0]))
         chars_pos = fl.analyze_plant(companion_realization([1.0, -0.5], [1.0, 0.0, 0.0]))
@@ -146,6 +164,18 @@ class TestOutputBound:
         a = fl.output_bound(2.0, chars_neg, gauss)
         b = fl.output_bound(2.0, chars_pos, gauss)
         assert a.bound_value == pytest.approx(b.bound_value, rel=1e-12)
+
+
+class TestReportGuards:
+    @pytest.mark.parametrize("factor", [0.5, 0.0, math.inf, math.nan])
+    def test_plant_factor_below_one_or_not_finite_rejected(self, factor):
+        # A pole product is >= 1 by construction; hand-built ones are checked.
+        with pytest.raises(fl.InvalidModelError, match="plant factor must be finite and >= 1"):
+            fl.error_bound_lti(2.0, hand_built_chars(pole_product=factor), ent(fl.GaussianIID(1.0)))
+
+    def test_unit_plant_factor_accepted(self):
+        report = fl.error_bound_lti(2.0, hand_built_chars(), ent(fl.GaussianIID(1.0)))
+        assert report.plant_factor == 1.0
 
 
 class TestGenericBound:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import fundlim as fl
+from fundlim import simulation
 from fundlim.bounds import ROUTES
 from fundlim.cli import (
     EXIT_INPUT,
@@ -174,6 +175,19 @@ class TestBound:
         (report,) = payload["reports"]
         # One-step prediction floor of the AR spectrum: the innovation variance.
         assert report["variance_floor"] == pytest.approx(1.0, rel=1e-6)
+
+    def test_output_floor_whose_entropy_factor_overflows(self, capsys, tmp_path):
+        # |gain| 1e300 times 2^h of sigma 1e10 overflows, with both finite.
+        plant = tmp_path / "big_gain.json"
+        plant.write_text(json.dumps({"A": [[0.5]], "B": [1e300], "C": [1.0]}))
+        dist = tmp_path / "wide.json"
+        dist.write_text(json.dumps({"type": "iid_gaussian", "sigma": 1e10}))
+        code, out, err = run_cli(
+            capsys, "bound", "--theorem", "T2", "--plant", str(plant), "--dist", str(dist)
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "entropy factor must be finite and positive, got inf" in err
 
     def test_plant_needing_theorem_without_plant(self, capsys, gauss_dist):
         code, _, err = run_cli(capsys, "bound", "--dist", gauss_dist, "--theorem", "T1")
@@ -748,6 +762,66 @@ class TestVerify:
         assert first_payload == second_payload
         assert first_csv == second_csv
 
+    def test_one_tail_moments_pass_for_the_certified_signal(
+        self, capsys, monkeypatch, stable_plant, gauss_dist
+    ):
+        # The run computes no tail statistic; the four certifications of the
+        # output share one pass over its summaries, and the error's is never
+        # taken.
+        calls = []
+        moments = simulation._tail_moments
+
+        def spy(*args):
+            calls.append(None)
+            return moments(*args)
+
+        monkeypatch.setattr(simulation, "_tail_moments", spy)
+        cfg = fl.SimulationConfig(horizon=50, trajectories=500, p_list=(1.0, 2.0, 4.0, math.inf))
+        fl.run_closed_loop(
+            fl.load_plant(stable_plant), fl.parse_controller("gain:0.2"),
+            fl.load_disturbance(gauss_dist), cfg,
+        )
+        assert calls == []
+        code, out, _ = run_cli(
+            capsys, "verify", "--plant", stable_plant, "--dist", gauss_dist,
+            "--controller", "gain:0.2", "--which", "output", "--p", "1,2,4,inf",
+            "--traj", "500", "--horizon", "50",
+        )
+        assert code in (EXIT_OK, EXIT_UNSATISFIED)
+        assert len(json.loads(out)["results"]) == 4
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "plant, expected",
+        [("stable_plant", EXIT_OK), ("unstable_plant", EXIT_UNSTABLE)],
+    )
+    def test_closed_stdout_keeps_the_exit_code_and_the_files(
+        self, request, tmp_path, gauss_dist, plant, expected
+    ):
+        # Nobody reads the report on stdout: the run still writes its files
+        # and ends with its own exit code, not an input error.
+        out_dir = tmp_path / "out"
+        src = str(Path(fl.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "fundlim.cli", "verify",
+                 "--plant", request.getfixturevalue(plant), "--dist", gauss_dist,
+                 "--controller", "zero", "--horizon", "100", "--traj", "200",
+                 "--out", str(out_dir)],
+                stdout=write, stderr=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONPATH": path},
+            )
+        finally:
+            os.close(write)
+        assert done.returncode == expected, done.stderr
+        assert done.stderr == ""
+        report = json.loads((out_dir / "verify_report.json").read_text(encoding="utf-8"))
+        assert report["stable"] is (expected == EXIT_OK)
+        assert (out_dir / "verify_norms.csv").exists()
+
     def test_reports_do_not_depend_on_blas_threads(self, tmp_path):
         # The loop's matrix products write into preallocated buffers; one
         # BLAS thread and the default pool must give the same reports.
@@ -838,6 +912,32 @@ class TestSzego:
         spec.write_text("0,1\n")
         code, _, err = run_cli(capsys, "szego", "--dist", ar_dist, "--spectrum-csv", str(spec))
         assert code == EXIT_INPUT
+
+    def test_blank_rows_skipped(self, capsys, tmp_path):
+        # An empty line and a row of empty fields, before and among the pairs.
+        omega = uniform_omega(32)
+        rows = spectrum_csv(omega, np.full(32, 2.0)).splitlines(keepends=True)
+        path = tmp_path / "blank.csv"
+        path.write_text("\n,\n" + "".join(rows[:16]) + "\n,\n" + "".join(rows[16:]) + ",\n")
+        code, out, _ = run_cli(capsys, "szego", "--spectrum-csv", str(path))
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["grid_points"] == 32
+        assert payload["szego_log_integral_bits"] == 1.0
+
+    def test_non_uniform_grid_takes_the_trapezoid_rule(self, capsys, tmp_path):
+        # Uneven steps from -pi to pi: no periodic mean, no evenness check.
+        inner = np.sort(np.random.default_rng(1).uniform(-math.pi, math.pi, 40))
+        omega = np.concatenate(([-math.pi], inner, [math.pi]))
+        values = 1.0 + 0.5 * np.cos(omega)
+        path = tmp_path / "uneven.csv"
+        path.write_text(spectrum_csv(omega, values))
+        code, out, _ = run_cli(capsys, "szego", "--spectrum-csv", str(path))
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["grid_points"] == 42
+        want = float(np.trapezoid(np.log2(values), omega) / (2.0 * math.pi))
+        assert payload["szego_log_integral_bits"] == want
 
     def test_short_csv_rejected(self, capsys, tmp_path):
         path = tmp_path / "short.csv"

@@ -1352,8 +1352,9 @@ class TestBitIdentity:
         "orders", [(1.0, 2.0, 4.0, math.inf), (2.0, 3.5, 4.0), (2.0, 4.0, 7.0)]
     )
     def test_power_sums_fill_the_summary_rows(self, orders):
-        # A row per finite order, p = 4 squared from p = 2's squares or not,
-        # then the peaks, whether or not p = inf is in the run.
+        # A row per finite order, p = 4 squared from p = 2's squares or not.
+        # The peak row, kept whether or not p = inf is in the run, is the
+        # step loop's to fill.
         rng = np.random.default_rng(5)
         mag = np.abs(rng.standard_normal((2, 1000))) * 10.0 ** rng.integers(-20, 20, (2, 1000))
         finite = [p for p in orders if not math.isinf(p)]
@@ -1363,7 +1364,7 @@ class TestBitIdentity:
             for row, p in enumerate(finite):
                 want = squared_power(mag, p).sum(axis=1)
                 assert stats[:, row, 2].tobytes() == want.tobytes()
-        assert stats[:, -1, 2].tobytes() == mag.max(axis=1).tobytes()
+        assert not stats[:, -1].any()
         assert not stats[:, :, :2].any()
 
     @pytest.mark.parametrize("p", [2.0**52, 1e300])
@@ -1412,17 +1413,19 @@ class TestLivenessMasks:
 
     def test_an_overflowing_state_total_keeps_the_steps_masked(self, monkeypatch):
         # Every entry of x stays finite, but from step 1 on the chunk's sum
-        # of x^2 overflows: step 1 is redone with the masks, and every later
-        # step keeps them, one _add_power_sums pass each.
+        # of x^2 overflows: each of those steps checks the liveness masks,
+        # finds every trajectory alive, and still takes one _add_power_sums
+        # pass, as every other step does.
         cfg = fl.SimulationConfig(horizon=200, trajectories=4000, p_list=(2.0, math.inf))
-        result, passes = counted_calls(
+        (result, passes), steps = masked_steps(monkeypatch, lambda: counted_calls(
             monkeypatch, simulation, "_add_power_sums", lambda: fl.run_closed_loop(
                 scalar_plant(0.5), ZeroController(), fl.GaussianIID(1e153), cfg
             )
-        )
+        ))
         assert result.diverged == 0 and not result.stable
         assert np.isinf(result.mean_square_state[1:]).all()
-        assert passes == cfg.horizon + 1
+        assert passes == cfg.horizon
+        assert steps == cfg.horizon - 1
 
     def test_a_death_masks_every_later_step(self, monkeypatch):
         plant, spec, _, dist, cfg = dying_pin_loop()
@@ -1570,8 +1573,6 @@ def synthetic_result(trajectories, tail_window=5, orders=ORDERS):
         config=cfg,
         error_norms={},
         output_norms={},
-        error_tail={p: 1.0 for p in cfg.p_list},
-        output_tail={p: 1.0 for p in cfg.p_list},
         mean_square_state=np.zeros(tail_window),
         stable=True,
         diverged=0,
@@ -1747,13 +1748,33 @@ class TestClosedFormMargin:
         assert got == reference_moments(summary, orders, 4) == {p: (0.0, 0.0) for p in orders}
 
     def test_repeat_calls_byte_identical(self):
-        result = synthetic_result(TRAJECTORIES)
+        # Two results over the same summaries, so each takes its own pass.
+        first, second = synthetic_result(TRAJECTORIES), synthetic_result(TRAJECTORIES)
         for p in ORDERS:
             for which in ("error", "output"):
-                a = fl.verify_bound(result, unit_report(p), which=which)
-                b = fl.verify_bound(result, unit_report(p), which=which)
+                a = fl.verify_bound(first, unit_report(p), which=which)
+                b = fl.verify_bound(second, unit_report(p), which=which)
                 assert a.margin_stderr > 0.0
                 assert np.float64(a.margin_stderr).tobytes() == np.float64(b.margin_stderr).tobytes()
+
+    def test_one_moments_pass_per_signal_on_first_use(self, monkeypatch):
+        result = synthetic_result(TRAJECTORIES)
+        with pytest.raises(AttributeError):
+            result.error_tail = {}
+
+        def certify_all():
+            return {
+                (p, which): fl.verify_bound(result, unit_report(p), which=which)
+                for p in ORDERS for which in ("error", "output")
+            }
+
+        certs, calls = counted_calls(monkeypatch, simulation, "_tail_moments", certify_all)
+        assert calls == 2
+        for which, tails in (("error", result.error_tail), ("output", result.output_tail)):
+            assert tails == {p: certs[p, which].tail_norm for p in ORDERS}
+        # The copies handed out do not reach the kept statistics.
+        result.error_tail.clear()
+        assert list(result.error_tail) == list(ORDERS)
 
     @pytest.mark.parametrize("p", [2.0, math.inf])
     def test_summary_bytes_do_not_grow_with_the_tail_window(self, p):
