@@ -20,16 +20,17 @@ workers, one per CPU of the affinity mask, and their partial statistics
 are added in block order, so the results do not depend on the number of
 workers.
 
-Per-step empirical L_p norms are aggregated across trajectories in the
-row layout of the tail summaries: a sum of |x|^p per finite order, then
-the peak |x|, which gives the norm for p = inf. The limsup
-is operationalized over a tail window at the end of the horizon: for finite
-p as the pooled norm of every magnitude in it, all steps and trajectories
-together, and for p = inf as their largest magnitude. Both are read off
-per-trajectory tail summaries in units of the largest magnitude, so they do
-not overflow or underflow for the disturbance's units alone. Certification
-compares that tail statistic against a bound with a margin from the closed
-form of a bootstrap over trajectories: no resampling and no random draws.
+Per-step empirical L_p norms are aggregated across trajectories: per step,
+a sum of |x|^p per finite order, then the peak |x|, which gives the norm
+for p = inf. The limsup is operationalized over a tail window at the end of
+the horizon: for finite p as the pooled norm of every magnitude in it, all
+steps and trajectories together, and for p = inf as their largest
+magnitude. Each chunk reduces its tail window to a few moments in units of
+its largest magnitude, and the caller merges them in block order, so they
+do not overflow or underflow for the disturbance's units alone and the
+caller keeps nothing per trajectory. Certification compares that tail
+statistic against a bound with a margin from the closed form of a
+bootstrap over trajectories: no resampling and no random draws.
 """
 
 from __future__ import annotations
@@ -81,6 +82,10 @@ _STAGING = 64
 
 # Chunks submitted to the worker pool ahead of the one being merged, per worker.
 _AHEAD = 2
+
+# Largest tail peaks kept per signal for the p = inf margin: a resample's
+# maximum falls below the 64th largest with probability at most e^-64.
+_TOP = 64
 
 # Purposes of a chunk's random streams (the first word of their spawn key).
 _DISTURBANCE = 0
@@ -143,11 +148,8 @@ class SimulationConfig:
                 f"block or its staging of up to ({_STAGING}, {horizon}) would exceed "
                 f"{sys.maxsize} bytes"
             )
-        if 2 * (len(p_list) + 1) * trajectories * 8 > sys.maxsize:
-            raise InvalidModelError(
-                f"trajectories {trajectories} is too large: the per-trajectory "
-                f"tail arrays would exceed {sys.maxsize} bytes"
-            )
+        if trajectories > np.iinfo(np.int64).max:
+            raise InvalidModelError(f"trajectories {trajectories} is too large to count in int64")
         if isinstance(self.x0_std, bool) or not isinstance(self.x0_std, numbers.Real):
             raise InvalidModelError(f"x0_std must be a number, got {self.x0_std!r}")
         x0_std = float(self.x0_std)
@@ -169,25 +171,27 @@ class SimulationConfig:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationResult:
     """Aggregated closed-loop statistics.
 
     ``error_norms``/``output_norms`` map each norm order to the per-step
     empirical norm across trajectories (length horizon).
-    ``tail_abs_error``/``tail_abs_output`` hold each signal's tail summaries,
-    one column per trajectory: row i is its tail sum of (|x| / peak)^p for
-    the i-th finite order of ``config.p_list``, the last row its tail peak,
-    with magnitudes 0 from the step it diverged. ``error_tail`` and
-    ``output_tail`` map each order to the tail statistic read off them: for
-    p = inf the largest peak, and for finite p the pooled norm over the tail
-    window, scale (sum of row_j (peak_j / scale)^p / (tail_window n))^(1/p)
-    with scale the largest peak. It divides by tail_window x trajectories,
-    not by the window's alive counts: a diverged trajectory adds zeros, so
-    the two agree when ``diverged`` is 0, which ``stable`` and so
-    ``verify_bound`` require. Each signal's statistics and their margins
-    (``_tail_moments``) are read off its summaries once, on first use, and
-    kept; the two properties are read-only copies of them.
+    ``tail_abs_error``/``tail_abs_output`` hold each signal's tail moments,
+    merged over every chunk in block order (``_tail_moments`` and
+    ``_merge_tail_moments``): per finite order of ``config.p_list`` the mean
+    and the M2 of the trajectories' tail totals of (|x| / scale)^p, with
+    scale the signal's largest tail magnitude, then its ``_TOP`` largest
+    trajectory peaks in ascending order, with magnitudes 0 from the step a
+    trajectory diverged. Their size depends on neither the number of trajectories nor
+    the tail window. ``error_tail`` and ``output_tail`` map each order to
+    the tail statistic read off them when the result is built, beside its
+    closed-form std (``_tail_statistics``): for p = inf the largest peak,
+    and for finite p the pooled norm over the tail window, scale (mean /
+    tail_window)^(1/p). It divides by tail_window x trajectories, not by the
+    window's alive counts: a diverged trajectory adds zeros, so the two
+    agree when ``diverged`` is 0, which ``stable`` and so ``verify_bound``
+    require.
     ``stable`` is False when any trajectory left float range (``diverged``
     counts them), when the mean-square state did, or when the mean-square
     state over the tail window averages more than 4 times its average over
@@ -196,7 +200,8 @@ class SimulationResult:
     earlier half. ``alive_counts`` (int64, length horizon) is
     how many trajectories were still finite at each step; it never
     increases, and its last entry is trajectories - diverged.
-    Every field is the same whatever the number of worker processes.
+    Every field is the same whatever the number of worker processes, and
+    none can be reassigned, so the statistics stay those of the moments.
     """
 
     config: SimulationConfig
@@ -208,8 +213,12 @@ class SimulationResult:
     alive_counts: np.ndarray
     tail_abs_error: np.ndarray
     tail_abs_output: np.ndarray
-    # ``_tail_moments`` per signal, "error" or "output", filled by ``_moments``.
-    _tail_moments_of: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # ``_tail_statistics`` per signal, "error" or "output".
+    _tails: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for which, moments in (("error", self.tail_abs_error), ("output", self.tail_abs_output)):
+            self._tails[which] = _tail_statistics(moments, self.config)
 
     @property
     def tail_start(self) -> int:
@@ -217,19 +226,11 @@ class SimulationResult:
 
     @property
     def error_tail(self) -> dict:
-        return {p: stat for p, (stat, _) in self._moments("error").items()}
+        return {p: stat for p, (stat, _) in self._tails["error"].items()}
 
     @property
     def output_tail(self) -> dict:
-        return {p: stat for p, (stat, _) in self._moments("output").items()}
-
-    def _moments(self, which: str) -> dict:
-        """``_tail_moments`` of the ``which`` signal's summaries, taken on first use."""
-        cfg, cache = self.config, self._tail_moments_of
-        if which not in cache:
-            summary = self.tail_abs_error if which == "error" else self.tail_abs_output
-            cache[which] = _tail_moments(summary, cfg.p_list, cfg.tail_window)
-        return cache[which]
+        return {p: stat for p, (stat, _) in self._tails["output"].items()}
 
 
 def empirical_lp(samples, p: float) -> float:
@@ -266,10 +267,9 @@ def _zero_stats(cfg):
     """A run's or a chunk's per-step statistics, zeroed.
 
     A (2, finite orders + 1, horizon) array, the error's and then the
-    output's, in ``_tail_summary``'s row layout: per step, the sum of |x|^p
-    for each finite order of ``cfg.p_list``, then the peak |x|, even without
-    p = inf in the run. Then the alive counts and the sum of the squared
-    state norms.
+    output's: per step, the sum of |x|^p for each finite order of
+    ``cfg.p_list``, then the peak |x|, even without p = inf in the run. Then
+    the alive counts and the sum of the squared state norms.
     """
     horizon, rows = cfg.horizon, sum(not math.isinf(p) for p in cfg.p_list) + 1
     return np.zeros((2, rows, horizon)), np.zeros(horizon, dtype=np.int64), np.zeros(horizon)
@@ -354,31 +354,37 @@ def _add_power_sums(stats, orders, mag, powered, k):
         before = p
 
 
-def _tail_summary(block: np.ndarray, orders) -> np.ndarray:
-    """The (finite orders + 1, count) summary of a (tail, count) magnitude block.
+def _tail_moments(block: np.ndarray, orders) -> np.ndarray:
+    """The 2 f + ``_TOP`` moments of a (tail, count) magnitude block.
 
-    Per trajectory: the tail sum of ``_power(|x| / peak, p)`` for each finite
-    p of ``orders`` (sorted, inf last), then peak, its largest magnitude; a
-    zero peak divides by 1.0.
+    With scale the block's largest magnitude (1.0 if 0) and T_j the sum of
+    ``_power(|x| / scale, p)`` down column j, they are the mean of T for
+    each of the f finite p of ``orders`` (sorted, inf last), then the M2 of
+    T, the sum of (T_j - mean)^2, for each, then the ``_TOP`` largest
+    column peaks, padded with zeros, in ascending order. The powers are
+    summed row by row, so the block's columns need no buffer of their own.
     """
-    peak = block.max(axis=0)
-    divisor = np.where(peak > 0.0, peak, 1.0)
-    summary = np.zeros((sum(not math.isinf(p) for p in orders) + 1, block.shape[1]))
-    base, powered = np.empty_like(peak), np.empty_like(peak)
+    peaks = block.max(axis=0)
+    scale = float(peaks.max()) or 1.0
+    totals = np.zeros((sum(not math.isinf(p) for p in orders), block.shape[1]))
+    base, powered = np.empty_like(peaks), np.empty_like(peaks)
     for row in block:
-        np.divide(row, divisor, out=base)
-        for total, p in zip(summary[:-1], orders):
+        np.divide(row, scale, out=base)
+        for total, p in zip(totals, orders):
             total += _power(base, p, powered)
-    summary[-1] = peak
-    return summary
+    means = totals.mean(axis=1)
+    m2 = np.square(totals - means[:, None]).sum(axis=1)
+    return np.concatenate((means, m2, np.sort(np.append(peaks, np.zeros(_TOP)))[-_TOP:]))
 
 
-def _simulate_chunk(model, controller, dist, cfg, span):
-    """Simulate the trajectories ``span`` and return their partial statistics.
+def _simulate_chunk(model, controller, dist, cfg, m_lo):
+    """Simulate the chunk of trajectories from ``m_lo`` and return its partial statistics.
 
+    The chunk is the next ``_CHUNK`` trajectories, or as many as remain.
     Returns the chunk's ``_zero_stats``, filled with its per-step
-    statistics, and the stacked ``_tail_summary`` of its error and output.
-    It runs in a worker or in the caller's process, so it sets its own
+    statistics, and the stacked ``_tail_moments`` of its error and output,
+    a (2, 2 f + ``_TOP``) array whatever its size and tail window. It runs
+    in a worker or in the caller's process, so it sets its own
     floating-point error state.
 
     Every work array of the step loop is allocated once per chunk: the
@@ -401,8 +407,7 @@ def _simulate_chunk(model, controller, dist, cfg, span):
     those of a loop that masks every step.
     """
     stats, counts, sum_sq_state = _zero_stats(cfg)
-    m_lo, m_hi = span
-    count_m = m_hi - m_lo
+    count_m = min(_CHUNK, cfg.trajectories - m_lo)
     horizon, tail = cfg.horizon, cfg.tail_window
     tail_start = horizon - tail
     output_row = _output_tail_row(horizon, tail)
@@ -484,8 +489,7 @@ def _simulate_chunk(model, controller, dist, cfg, span):
             np.add(x_next, be, out=x_next)
             x, x_next = x_next, x
         tails = (d[:tail], d[output_row : output_row + tail])
-        summary = np.stack([_tail_summary(block, cfg.p_list) for block in tails])
-        return stats, counts, sum_sq_state, summary
+        return stats, counts, sum_sq_state, np.stack([_tail_moments(b, cfg.p_list) for b in tails])
 
 
 def _cpus() -> int:
@@ -496,16 +500,18 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _map_chunks(job, spans):
-    """Yield ``job(span)`` for every span, in order.
+def _map_chunks(job, starts):
+    """Yield ``job(start)`` for every chunk start, in order.
 
-    One worker process per CPU, capped at the number of spans, runs the jobs
-    in a ``ProcessPoolExecutor`` when the host can fork; else, or with one
+    ``starts`` has a length and is read lazily: ``run_closed_loop`` passes
+    a ``range``, so no list of chunks is built. One worker process per CPU,
+    capped at the number of chunks, runs the jobs in a
+    ``ProcessPoolExecutor`` when the host can fork; else, or with one
     worker, they run here. Workers get ``job`` through the pool's
-    initializer, which ``fork`` passes on without pickling it; only spans
-    and results are pickled. At most ``_AHEAD`` x workers jobs are submitted
-    ahead of the one being yielded, so finished results do not pile up in
-    the caller.
+    initializer, which ``fork`` passes on without pickling it; only chunk
+    starts and results are pickled. At most ``_AHEAD`` x workers jobs are
+    submitted ahead of the one being yielded, so finished results do not
+    pile up in the caller.
 
     Before it forks, the caller imports ``numpy.random``, which numpy loads
     only on first use and whose start-up loads OpenSSL's libcrypto
@@ -516,8 +522,19 @@ def _map_chunks(job, spans):
     peak fell from 46.4 to 41.3 MB on the ``scalar_controller`` benchmark
     inputs and from 49.9 to 44.8 MB on ``cli_nmp_output``, and the caller,
     now the larger, rose from 37.2 to 41.9 MB and from 41.7 to 46.1 MB.
+
+    Each worker sets the OpenBLAS it has loaded, if any, to one thread
+    (``_one_blas_thread``) before its first chunk, through the library the
+    caller looked up before it forked (``_openblas``); the caller's BLAS
+    keeps its own setting. A chunk's ``A @ x``, n x n times n x 4096, passes
+    OpenBLAS's threading threshold from a plant of order 16 or so, and then
+    every worker's BLAS threads compete with the other workers for the same
+    CPUs, where idle ones spin. On 2 CPUs, a random stable plant of order 32
+    at 16 384 x 200 took 0.76-6.2 s pooled with the default threads against
+    0.42-0.59 s on one CPU, and 0.29-0.36 s pooled with one thread per
+    worker; the floats do not change.
     """
-    workers = min(_cpus(), len(spans))
+    workers = min(_cpus(), len(starts))
     if workers > 1:
         import multiprocessing
 
@@ -531,6 +548,8 @@ def _map_chunks(job, spans):
             # Loaded once here, not once per worker (see above).
             import numpy.random  # noqa: F401
 
+            _openblas()
+
             pool = ProcessPoolExecutor(
                 workers,
                 mp_context=multiprocessing.get_context("fork"),
@@ -539,8 +558,8 @@ def _map_chunks(job, spans):
             )
             try:
                 pending = deque()
-                for span in spans:
-                    pending.append(pool.submit(_run_job, span))
+                for start in starts:
+                    pending.append(pool.submit(_run_job, start))
                     if len(pending) > _AHEAD * workers:
                         yield pending.popleft().result()
                 while pending:
@@ -548,27 +567,83 @@ def _map_chunks(job, spans):
             finally:
                 pool.shutdown(cancel_futures=True)
             return
-    yield from map(job, spans)
+    yield from map(job, starts)
 
 
 def _install_job(job):
-    """Pool initializer: the job that ``_run_job`` runs in this worker.
+    """Pool initializer: the job that ``_run_job`` runs in this worker, on one BLAS thread.
 
     It runs only in a worker process, which serves one pool, so the global
     is never shared between two runs.
     """
     global _worker_job
     _worker_job = job
+    _one_blas_thread()
 
 
-def _run_job(span):
-    """Run the worker's job on ``span``.
+@functools.cache
+def _openblas():
+    """The loaded OpenBLAS's thread-count setter and pool shutdown, or None without one.
+
+    The library is found in ``/proc/self/maps``, and its setter is the
+    first it exports of scipy-openblas's 64-bit one, plain OpenBLAS's
+    64-bit one and its 32-bit one; the shutdown is None where it does not
+    export ``blas_thread_shutdown_``. Cached per process: ``_map_chunks``
+    looks it up before it forks, so no worker opens the library again,
+    which raised a worker's peak by ~0.45 MB.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in (
+            "scipy_openblas_set_num_threads64_",
+            "openblas_set_num_threads64_",
+            "openblas_set_num_threads",
+        ):
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                shutdown = getattr(lib, "blas_thread_shutdown_", None)
+                if shutdown is not None:
+                    shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+                return setter, shutdown
+    return None
+
+
+def _one_blas_thread():
+    """Set the loaded OpenBLAS, if any, to one thread (see ``_map_chunks``).
+
+    OpenBLAS shuts its thread pool down before every fork, and in the
+    forked process the setter first starts it again; its idle thread then
+    spins for ~0.12 s of CPU time, more than a ``cli_nmp_output`` chunk
+    takes. One thread needs no pool, so it is shut down again, and later
+    calls run on the calling thread alone.
+    """
+    blas = _openblas()
+    if blas is not None:
+        setter, shutdown = blas
+        setter(1)
+        if shutdown is not None:
+            shutdown()
+
+
+def _run_job(start):
+    """Run the worker's job on the chunk from ``start``.
 
     An exception that does not survive pickling is raised as a RuntimeError
     that names its class and message, with the original as its cause.
     """
     try:
-        return _worker_job(span)
+        return _worker_job(start)
     except Exception as exc:
         try:
             pickle.loads(pickle.dumps(exc))
@@ -616,31 +691,35 @@ def run_closed_loop(
     rows the loop has already read; a tail window longer than half the
     horizon adds 4096 x tail_window x 8 bytes of rows past it. Chunks that run in this
     process hold their blocks here, one at a time. At most two chunks per
-    worker are submitted ahead of the one being merged. The caller holds the
-    per-step statistics in the tail summaries' row layout (a sum of |x|^p
-    per finite order, then the peak |x|), which it merges in block order
-    (the sums added, the larger peak taken), and one array of
-    tail summaries that each chunk's columns are copied into, so results
-    are bit-identical for a given config and numpy version, whatever the
-    number of workers. A batch controller's ``step_batch`` receives a fresh
+    worker are submitted ahead of the one being merged. The caller holds
+    the per-step statistics (a sum of |x|^p per finite order, then the peak
+    |x|), which it merges in block order (the sums added, the larger peak
+    taken), and each signal's tail moments, 2 f + 64 floats for f finite
+    orders, which it merges in block order too (``_merge_tail_moments``).
+    Nothing it keeps grows with the number of trajectories, the chunks'
+    starts included, and results are bit-identical for a given config and
+    numpy version, whatever the number of workers. Finite-p tail
+    statistics and margins so agree with a two-pass reduction over every
+    trajectory to rounding. A batch controller's ``step_batch`` receives a fresh
     ``y`` each step, which it may keep. Raises UnstableLoopError when every
     trajectory has left float range by the final step.
     """
     horizon, tail, n = cfg.horizon, cfg.tail_window, cfg.trajectories
     stats, counts, sum_sq_state = _zero_stats(cfg)
-    spans = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+    starts = range(0, n, _CHUNK)
     job = functools.partial(_simulate_chunk, model, controller, dist, cfg)
 
-    # Each chunk's ``_tail_summary`` rows land in their columns as it arrives.
-    summaries = np.empty(stats.shape[:2] + (n,))
+    tails = np.zeros((2, 2 * (stats.shape[1] - 1) + _TOP))
     sums, peaks = stats[:, :-1], stats[:, -1]
     with np.errstate(all="ignore"):
-        for (lo, hi), part in zip(spans, _map_chunks(job, spans)):
-            part_stats, part_counts, part_sq, summaries[:, :, lo:hi] = part
+        for lo, part in zip(starts, _map_chunks(job, starts)):
+            part_stats, part_counts, part_sq, part_tails = part
             sums += part_stats[:, :-1]
             np.maximum(peaks, part_stats[:, -1], out=peaks)
             counts += part_counts
             sum_sq_state += part_sq
+            for run, chunk in zip(tails, part_tails):
+                _merge_tail_moments(run, chunk, lo, min(_CHUNK, n - lo), cfg.p_list)
 
         # A trajectory never revives, so counts only fall along the horizon:
         # a live final step means every step has live trajectories, and the
@@ -672,63 +751,74 @@ def run_closed_loop(
         stable=bool(stable),
         diverged=diverged,
         alive_counts=counts,
-        tail_abs_error=summaries[0],
-        tail_abs_output=summaries[1],
+        tail_abs_error=tails[0],
+        tail_abs_output=tails[1],
     )
 
 
-def _tail_moments(summary: np.ndarray, orders, tail: int):
-    """Each order's tail statistic and its closed-form std.
+def _merge_tail_moments(run, part, merged: int, count: int, orders) -> None:
+    """Merge a chunk's ``_tail_moments`` into a run's, in place.
 
-    ``summary`` is a signal's ``_tail_summary`` for ``orders`` over ``tail``
-    steps of n trajectories. Returns a dict from each order to (statistic,
-    std) in the signal's units: both are taken in units of the scale, its
-    largest peak (1.0 if that is 0), and multiplied by it last. The std is
-    the limit, as the number of resamples grows, of the std of a bootstrap
-    that picks n of the n trajectories with replacement (Efron & Tibshirani
-    1993, "An Introduction to the Bootstrap").
-
-    For finite p, trajectory j's total T_j = row_j (peak_j / scale)^p is its
-    tail sum of (|x| / scale)^p, and the statistic is m^(1/p), m =
-    mean(T) / tail. A resample's mean of T has variance var(T) / n (the
-    population variance), and the delta method turns that into the std
-    (1/p) m^(1/p - 1) sqrt(var(T) / n) / tail. For p = inf the statistic
-    is the largest peak, and a resample's maximum is the k-th largest peak
-    v_k with probability (1 - (k-1)/n)^n - (1 - k/n)^n; the std is that
-    law's over the top min(64, n) peaks, which carry all but e^-64 of it.
-
-    The peaks in units of the scale, each finite order's totals and then
-    their deviations from the mean all live in one reused buffer. The mean
-    and variance take ``ndarray.mean``'s and ``ndarray.var``'s steps (a sum
-    over n, the deviations squared in place, their sum over n), so they are
-    those methods' floats without their temporaries.
+    ``run`` holds the moments of the first ``merged`` trajectories, in units
+    of its largest peak, and ``part`` those of the next ``count``, in units
+    of theirs. Both go to the larger of the two scales (1.0 if it is 0): a
+    mean times (peak / scale)^p and an M2 times its square. Then the means
+    and M2s merge by Chan, Golub & LeVeque's update (1983, "Algorithms for
+    computing the sample variance"), and the peaks keep the ``_TOP`` largest
+    of both, in ascending order. Merged from zeros and in block order, the
+    moments do not depend on the number of workers.
     """
-    n = summary.shape[1]
-    peaks = summary[-1]
-    scale = float(peaks.max()) or 1.0
-    work = np.empty(n)
-    moments = {}
-    for p, row in zip(orders, summary[:-1]):
-        np.divide(peaks, scale, out=work)
-        np.multiply(row, _power(work, p, work), out=work)
-        mean = float(np.add.reduce(work) / n)
-        np.subtract(work, mean, out=work)
-        np.square(work, out=work)
-        var = float(np.add.reduce(work) / n)
+    f = (len(run) - _TOP) // 2
+    peaks = run[-1], part[-1]
+    to_run, to_part = np.divide(peaks, max(peaks) or 1.0)[:, None] ** orders[:f]
+    mean_run, m2_run = run[: 2 * f].reshape(2, f) * [to_run, to_run * to_run]
+    mean_part, m2_part = part[: 2 * f].reshape(2, f) * [to_part, to_part * to_part]
+    delta = mean_part - mean_run
+    total = merged + count
+    run[:f] = mean_run + delta * (count / total)
+    run[f : 2 * f] = m2_run + m2_part + delta * delta * (merged * count / total)
+    run[2 * f :] = np.sort(np.append(run[2 * f :], part[2 * f :]))[-_TOP:]
+
+
+def _tail_statistics(moments: np.ndarray, cfg) -> dict:
+    """Each order's tail statistic and its closed-form std, from a signal's merged moments.
+
+    ``moments`` is a signal's ``tail_abs_error`` or ``tail_abs_output``
+    (see ``SimulationResult``) over the run's n trajectories. Returns a dict
+    from each order of ``cfg.p_list`` to (statistic, std) in the signal's
+    units: both are taken in units of the scale, its largest peak (1.0 if
+    that is 0), and multiplied by it last. The std is the limit, as the
+    number of resamples grows, of the std of a bootstrap that picks n of
+    the n trajectories with replacement (Efron & Tibshirani 1993, "An
+    Introduction to the Bootstrap").
+
+    For finite p, trajectory j's total T_j is its tail sum of (|x| /
+    scale)^p, and the statistic is m^(1/p), m = mean(T) / tail. A
+    resample's mean of T has variance var(T) / n = M2 / n^2 (the population
+    variance), and the delta method turns that into the std (1/p) m^(1/p -
+    1) sqrt(var(T) / n) / tail. For p = inf the statistic is the largest
+    peak, and a resample's maximum is the k-th largest peak v_k with
+    probability (1 - (k-1)/n)^n - (1 - k/n)^n; the std is that law's over
+    the top min(``_TOP``, n) peaks, which carry all but e^-64 of it.
+    """
+    n, tail = cfg.trajectories, cfg.tail_window
+    f = (len(moments) - _TOP) // 2
+    scale = float(moments[-1]) or 1.0
+    stats = {}
+    for p, mean, m2 in zip(cfg.p_list, moments[:f].tolist(), moments[f : 2 * f].tolist()):
         stat = (mean / tail) ** (1.0 / p)
         # stat / (p mean) is (1/p) m^(1/p - 1) / tail, defined at m = 0 too.
-        spread = math.sqrt(var / n) / (p * mean) if mean > 0.0 else 0.0
-        moments[p] = (stat, stat * spread)
-    if math.inf in orders:
-        k = min(64, n)
-        np.divide(peaks, scale, out=work)
-        work.partition(n - k)
-        top = np.sort(work[n - k :])[::-1]
-        edges = (1.0 - np.arange(len(top) + 1) / n) ** n
-        weights = edges[:-1] - edges[1:]
+        spread = math.sqrt(m2 / n / n) / (p * mean) if mean > 0.0 else 0.0
+        stats[p] = (stat, stat * spread)
+    if math.inf in cfg.p_list:
+        k = min(_TOP, n)
+        # Largest first, as a reversed view: numpy's dot sums a negatively
+        # strided operand in index order rather than through BLAS.
+        top = (moments[-k:] / scale)[::-1]
+        weights = -np.diff((1.0 - np.arange(k + 1) / n) ** n)
         mean = float(weights @ top)
-        moments[math.inf] = (float(top[0]), math.sqrt(float(weights @ (top - mean) ** 2)))
-    return {p: (stat * scale, std * scale) for p, (stat, std) in moments.items()}
+        stats[math.inf] = (float(top[0]), math.sqrt(float(weights @ (top - mean) ** 2)))
+    return {p: (stat * scale, std * scale) for p, (stat, std) in stats.items()}
 
 
 @dataclass(frozen=True)
@@ -765,16 +855,15 @@ def verify_bound(
     The ratio is tail norm / bound; the bound counts as satisfied when the
     ratio is at least 1 minus three standard errors. The standard error is
     the closed-form limit of a bootstrap that resamples whole trajectories
-    with replacement (``_tail_moments``): for finite p the exact bootstrap
-    variance of the trajectories' mean tail total and the delta method, and
-    for p = inf the law of a resample's maximum over the largest peaks. It
-    is read off the signal's tail summaries (see ``SimulationResult``) with
-    no random draws, so it is deterministic, and its extra memory is one
-    float per trajectory. The tail norm and its std come from the same pass,
-    run once per signal, on first use, and kept with the result, so every
-    order certified on that signal reuses it. It works in units of the
-    largest tail magnitude, so it is scale-free: scaling the magnitudes by a power
-    of two scales the std by exactly that factor. For p = inf the sample
+    with replacement (``_tail_statistics``): for finite p the exact
+    bootstrap variance of the trajectories' mean tail total and the delta
+    method, and for p = inf the law of a resample's maximum over the
+    largest peaks. The tail norm and its std are those the result was built
+    with, from the signal's merged tail moments (see ``SimulationResult``):
+    no random draws and no pass over trajectories, so it is deterministic
+    and costs nothing that grows with their number. They are in units of
+    the largest tail magnitude, so they are scale-free: scaling the
+    magnitudes by a power of two scales the std by exactly that factor. For p = inf the sample
     maximum is a one-sided underestimate of the essential supremum, so an
     extra ``SUP_NORM_SLACK`` is allowed. Refuses to certify unstable results.
     """
@@ -790,7 +879,7 @@ def verify_bound(
         raise InvalidNormOrderError(
             f"simulation did not record norms for p = {p}; extend p_list"
         )
-    tail_norm, std = result._moments(which)[p]
+    tail_norm, std = result._tails[which][p]
     ratio = tail_norm / report.bound_value
     margin = std / report.bound_value
     slack = 3.0 * margin

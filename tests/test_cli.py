@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 import fundlim as fl
-from fundlim import simulation
 from fundlim.bounds import ROUTES
 from fundlim.cli import (
     EXIT_INPUT,
@@ -761,35 +760,6 @@ class TestVerify:
         second_payload, second_csv = one_run("b")
         assert first_payload == second_payload
         assert first_csv == second_csv
-
-    def test_one_tail_moments_pass_for_the_certified_signal(
-        self, capsys, monkeypatch, stable_plant, gauss_dist
-    ):
-        # The run computes no tail statistic; the four certifications of the
-        # output share one pass over its summaries, and the error's is never
-        # taken.
-        calls = []
-        moments = simulation._tail_moments
-
-        def spy(*args):
-            calls.append(None)
-            return moments(*args)
-
-        monkeypatch.setattr(simulation, "_tail_moments", spy)
-        cfg = fl.SimulationConfig(horizon=50, trajectories=500, p_list=(1.0, 2.0, 4.0, math.inf))
-        fl.run_closed_loop(
-            fl.load_plant(stable_plant), fl.parse_controller("gain:0.2"),
-            fl.load_disturbance(gauss_dist), cfg,
-        )
-        assert calls == []
-        code, out, _ = run_cli(
-            capsys, "verify", "--plant", stable_plant, "--dist", gauss_dist,
-            "--controller", "gain:0.2", "--which", "output", "--p", "1,2,4,inf",
-            "--traj", "500", "--horizon", "50",
-        )
-        assert code in (EXIT_OK, EXIT_UNSATISFIED)
-        assert len(json.loads(out)["results"]) == 4
-        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "plant, expected",

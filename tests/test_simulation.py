@@ -1,5 +1,6 @@
 """Closed-loop Monte Carlo engine: loop semantics, determinism, certification."""
 
+import ctypes
 import dataclasses
 import itertools
 import math
@@ -65,31 +66,103 @@ def squared_power(mag, p):
 
 
 def recording_tails(monkeypatch):
-    """Keep the (tail, count) magnitudes every chunk hands ``_tail_summary``.
+    """Keep the (tail, count) magnitudes every chunk hands ``_tail_moments``.
 
     Chunks run in this process. The returned function takes a finished
-    run's result, checks that its tail summaries are those of the recorded
-    magnitudes, and returns them as one (2, tail_window, trajectories)
-    array, error first, with 0 where a trajectory had diverged.
+    run's result, checks that its tail statistics are those of the recorded
+    magnitudes (``assert_reference_tails``), and returns them as one (2,
+    tail_window, trajectories) array, error first, with 0 where a
+    trajectory had diverged.
     """
     use_cpus(monkeypatch, 1)
     blocks = []
-    summarize = simulation._tail_summary
+    reduce = simulation._tail_moments
 
     def spy(block, orders):
         blocks.append(block.copy())
-        return summarize(block, orders)
+        return reduce(block, orders)
 
-    monkeypatch.setattr(simulation, "_tail_summary", spy)
+    monkeypatch.setattr(simulation, "_tail_moments", spy)
 
     def tails(result):
         both = np.stack([np.concatenate(blocks[i::2], axis=1) for i in (0, 1)])
         blocks.clear()
-        for summary, block in zip((result.tail_abs_error, result.tail_abs_output), both):
-            assert summary.tobytes() == summarize(block, result.config.p_list).tobytes()
+        for which, block in zip(("error", "output"), both):
+            assert_reference_tails(result._tails[which], block, result.config.p_list)
         return both
 
     return tails
+
+
+def replay_summary(block, orders):
+    """Each column's tail power sums of |x| / peak, then its peak, as ``**`` gives them.
+
+    The per-trajectory input of ``reference_moments``.
+    """
+    peak = block.max(axis=0)
+    base = block / np.where(peak > 0.0, peak, 1.0)
+    sums = [squared_power(base, p).sum(axis=0) for p in orders if not math.isinf(p)]
+    return np.array(sums + [peak])
+
+
+def reference_moments(summary, orders, tail):
+    """Each order's tail statistic and std from per-trajectory summaries, in two passes.
+
+    The reduction over every trajectory's summary that the merged chunk
+    moments must agree with: T_j = row_j (peak_j / scale)^p, its mean and
+    population variance by ndarray methods, the delta method for finite p,
+    and the law of a resample's maximum over the top min(64, n) peaks for
+    p = inf.
+    """
+    n = summary.shape[1]
+    scale = float(summary[-1].max()) or 1.0
+    rel, work = summary[-1] / scale, np.empty(n)
+    moments = {}
+    for p, row in zip(orders, summary[:-1]):
+        total = row * simulation._power(rel, p, work)
+        mean = float(total.mean())
+        stat = (mean / tail) ** (1.0 / p)
+        spread = math.sqrt(float(total.var()) / n) / (p * mean) if mean > 0.0 else 0.0
+        moments[p] = (stat, stat * spread)
+    if math.inf in orders:
+        k = min(64, n)
+        top = np.sort(np.partition(rel, n - k)[n - k :])[::-1]
+        edges = (1.0 - np.arange(len(top) + 1) / n) ** n
+        weights = edges[:-1] - edges[1:]
+        mean = float(weights @ top)
+        moments[math.inf] = (float(top[0]), math.sqrt(float(weights @ (top - mean) ** 2)))
+    return {p: (stat * scale, std * scale) for p, (stat, std) in moments.items()}
+
+
+def replay_chunk_moments(block, orders):
+    """A chunk's ``_tail_moments`` as plain expressions.
+
+    T_j is column j's sum of (|x| / scale)^p as ``**`` gives it, with scale
+    the block's largest magnitude (1.0 if 0); then the means and M2s of T
+    and the 64 largest column peaks, zero-padded, in ascending order.
+    """
+    scale = float(block.max()) or 1.0
+    finite = [p for p in orders if not math.isinf(p)]
+    totals = np.array([squared_power(block / scale, p).sum(axis=0) for p in finite])
+    totals = totals.reshape(len(finite), block.shape[1])
+    means = totals.mean(axis=1)
+    m2 = ((totals - means[:, None]) ** 2).sum(axis=1)
+    return np.concatenate((means, m2, np.sort(np.append(block.max(axis=0), np.zeros(64)))[-64:]))
+
+
+def assert_reference_tails(got, block, orders):
+    """``got``, a signal's (statistic, std) per order, against ``reference_moments`` of ``block``.
+
+    Finite p within 1e-13 relative, as merging chunks sums in another
+    order, and p = inf byte for byte.
+    """
+    want = reference_moments(replay_summary(block, orders), orders, len(block))
+    assert list(got) == list(want)
+    for p in want:
+        if math.isinf(p):
+            assert np.array(got[p]).tobytes() == np.array(want[p]).tobytes()
+        else:
+            assert got[p] == pytest.approx(want[p], rel=1e-13, abs=0.0)
 
 
 def initial_states(x0_std, seed, trajectories, n):
@@ -198,8 +271,8 @@ class TestSimulationConfig:
             (10**20, 100, "horizon"),
             # A one-trajectory block fits; the 64-row staging block does not.
             (2**58, 1, "horizon"),
-            (20, 2**63, "tail array"),
-            (20, 10**20, "tail array"),
+            (20, 2**63, "trajectories .* int64"),
+            (20, 10**20, "trajectories .* int64"),
         ],
     )
     def test_sizes_past_an_array_rejected(self, horizon, trajectories, what):
@@ -482,9 +555,12 @@ class TestScaling:
             scalar_plant(1.2), StaticGain(1.0), fl.GaussianIID(2.0), cfg
         )
         np.testing.assert_array_equal(tails(scaled), 2.0 * base_tails)
-        # The summaries' power sums are scale-free and their peaks scale.
-        np.testing.assert_array_equal(scaled.tail_abs_error[:-1], base.tail_abs_error[:-1])
-        np.testing.assert_array_equal(scaled.tail_abs_error[-1], 2.0 * base.tail_abs_error[-1])
+        # The moments' means and M2s are scale-free and their peaks scale.
+        top = simulation._TOP
+        np.testing.assert_array_equal(scaled.tail_abs_error[:-top], base.tail_abs_error[:-top])
+        np.testing.assert_array_equal(
+            scaled.tail_abs_error[-top:], 2.0 * base.tail_abs_error[-top:]
+        )
 
 
 def open_loop_verdict(dist, p, horizon, trajectories, seed=3, tail_window=None):
@@ -808,6 +884,28 @@ class TestChunkedAccumulation:
         assert tails(chunked).tobytes() == np.array([tail_e, tail_y]).tobytes()
         assert chunked.error_norms[1.0].tobytes() == (sums / chunked.alive_counts).tobytes()
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_caller_memory_does_not_grow_with_the_trajectories(self, monkeypatch, cpus):
+        # numpy reports its buffers to tracemalloc. Eight times the
+        # trajectories peak within 1 MB in the caller, chunks in flight
+        # included: it keeps nothing per trajectory, where per-trajectory
+        # tail summaries of (p = 1, 2, inf) would differ by 44 MB.
+        if cpus > 1 and "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("workers need fork")
+        use_cpus(monkeypatch, cpus)
+        peaks = []
+        for trajectories in (2**17, 2**20):
+            cfg = fl.SimulationConfig(
+                horizon=5, trajectories=trajectories, p_list=(1.0, 2.0, math.inf)
+            )
+            tracemalloc.start()
+            try:
+                fl.run_closed_loop(scalar_plant(0.5), StaticGain(0.2), fl.UniformIID(1.0), cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 2**20
+
 
 class TestTailRows:
     """A chunk keeps its tail magnitudes in disturbance rows it has already read."""
@@ -819,6 +917,7 @@ class TestTailRows:
     def test_tail_summaries_match_recomputed_magnitudes(self, tail, controller):
         # One chunk of 100 trajectories, whose last staging block is ragged.
         # A zero command on plant 0.5 gives e = d and y_{k+1} = 0.5 y_k + e_k.
+        # One chunk merged into zeros keeps the chunk's moments, byte for byte.
         cfg = fl.SimulationConfig(
             horizon=50, trajectories=100, seed=4, p_list=(1.0, 2.0, 4.0, math.inf),
             burn_in=0, tail_window=tail,
@@ -828,10 +927,10 @@ class TestTailRows:
         y = np.zeros_like(e)
         for k in range(1, cfg.horizon):
             y[k] = 0.5 * y[k - 1] + e[k - 1]
-        for summary, signal in ((result.tail_abs_error, e), (result.tail_abs_output, y)):
+        for moments, signal in ((result.tail_abs_error, e), (result.tail_abs_output, y)):
             magnitudes = np.ascontiguousarray(np.abs(signal[cfg.horizon - tail :]))
-            want = simulation._tail_summary(magnitudes, cfg.p_list)
-            assert summary.tobytes() == want.tobytes()
+            want = replay_chunk_moments(magnitudes, cfg.p_list)
+            assert moments.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("tail", [40, 100])
     def test_chunk_peak_stays_near_its_disturbance_block(self, tail):
@@ -840,7 +939,7 @@ class TestTailRows:
         # where a (2, tail, 2048) buffer of their own would add 0.4 or 1.0
         # block.
         cfg = fl.SimulationConfig(horizon=200, trajectories=2048, seed=1, tail_window=tail)
-        args = (scalar_plant(0.5), StaticGain(0.2), fl.GaussianIID(1.0), cfg, (0, 2048))
+        args = (scalar_plant(0.5), StaticGain(0.2), fl.GaussianIID(1.0), cfg, 0)
         simulation._simulate_chunk(*args)  # keeps one-time allocations out of the peak
         tracemalloc.start()
         try:
@@ -849,6 +948,24 @@ class TestTailRows:
         finally:
             tracemalloc.stop()
         assert peak < 1.3 * cfg.horizon * 2048 * 8
+
+
+def openblas_thread_getter():
+    """(library path, symbol) of the loaded OpenBLAS's thread-count getter, or None."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        for symbol in (
+            "scipy_openblas_get_num_threads64_",
+            "openblas_get_num_threads64_",
+            "openblas_get_num_threads",
+        ):
+            if hasattr(ctypes.CDLL(path), symbol):
+                return path, symbol
+    return None
 
 
 def use_cpus(monkeypatch, cpus):
@@ -1072,9 +1189,8 @@ class TestChunkWorkers:
 
     def test_caller_holds_no_disturbance_block(self, monkeypatch):
         # Two full chunks: in-process, the caller allocates a chunk's
-        # (_CHUNK, horizon) block; with workers, only the small statistics,
-        # the run's tail summaries and the chunks' summaries in flight,
-        # which it copies into their columns.
+        # (_CHUNK, horizon) block; with workers, only the small statistics
+        # and tail moments, the run's and those of the chunks in flight.
         cfg = fl.SimulationConfig(horizon=50, trajectories=2 * simulation._CHUNK, seed=1)
         block = simulation._CHUNK * cfg.horizon * 8
         peaks = []
@@ -1088,8 +1204,7 @@ class TestChunkWorkers:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        summaries = result.tail_abs_error.nbytes + result.tail_abs_output.nbytes
-        assert peaks[0] > block > 4 * (peaks[1] - 2 * summaries)
+        assert peaks[0] > block > 4 * peaks[1]
 
     @pytest.mark.skipif(
         simulation._cpus() < 2, reason="workers need two CPUs in the affinity mask"
@@ -1122,6 +1237,51 @@ class TestChunkWorkers:
         )
         assert done.stdout.split() == ["False"]
         assert log.read_text(encoding="utf-8").split() == ["True", "True"]
+
+    @pytest.mark.skipif(
+        simulation._cpus() < 2, reason="workers need two CPUs in the affinity mask"
+    )
+    def test_workers_run_one_blas_thread(self, tmp_path):
+        # A chunk's A @ x past OpenBLAS's threading threshold would run
+        # every worker's BLAS threads on the same CPUs: each worker reports
+        # one BLAS thread once the pool has started, and runs no thread but
+        # its own, where a restarted BLAS pool would spin; the caller keeps
+        # its own count.
+        getter = openblas_thread_getter()
+        if getter is None:
+            pytest.skip("no OpenBLAS with a thread-count getter is loaded")
+        log = tmp_path / "workers"
+        probe = "\n".join([
+            "import ctypes, os",
+            "import fundlim as fl",
+            "from fundlim import simulation",
+            f"get = getattr(ctypes.CDLL({getter[0]!r}), {getter[1]!r})",
+            "get.argtypes, get.restype = [], ctypes.c_int",
+            "install = simulation._install_job",
+            "def recording(job):",
+            "    install(job)",
+            "    tasks = len(os.listdir('/proc/self/task'))",
+            f"    with open({str(log)!r}, 'a', encoding='utf-8') as fh:",
+            "        fh.write(f'{get()},{tasks}\\n')",
+            "simulation._install_job = recording",
+            "print(get())",
+            "cfg = fl.SimulationConfig(horizon=5, trajectories=2 * simulation._CHUNK + 1)",
+            "fl.run_closed_loop(fl.StateSpaceModel([[0.5]], [1.0], [1.0]),",
+            "                   fl.StaticGain(0.2), fl.GaussianIID(1.0), cfg)",
+            "print(get())",
+        ])
+        src = str(Path(fl.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-W", "ignore", "-c", probe],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        before, after = done.stdout.split()
+        if int(before) < 2:
+            pytest.skip("the caller's OpenBLAS runs one thread")
+        assert after == before
+        assert log.read_text(encoding="utf-8").split() == ["1,1", "1,1"]
 
     def test_runs_inside_a_daemonic_pool_worker(self, monkeypatch):
         monkeypatch.setattr("fundlim.simulation._CHUNK", 64)
@@ -1189,22 +1349,17 @@ def dying_pin_loop():
     return plant, spec, arma, capped, cfg
 
 
-def replay_summary(block, orders):
-    """Each column's tail power sums of |x| / peak, then its peak, as ``**`` gives them."""
-    peak = block.max(axis=0)
-    base = block / np.where(peak > 0.0, peak, 1.0)
-    sums = [squared_power(base, p).sum(axis=0) for p in orders if not math.isinf(p)]
-    return np.array(sums + [peak])
-
-
 def replay_loop(plant, b, a, dist, cfg):
     """The loop as plain expressions: masks by ``np.where``, powers by ``**``
     (p = 4 by squaring, as ``squared_power`` writes it out).
 
     Each chunk of ``simulation._CHUNK`` trajectories runs the ARMA law
     ``v_k = b @ y_hist - a @ v_hist``, ``z_k = -v_k`` on its own histories,
-    and its per-step statistics are added in block order. Returns a
-    SimulationResult's arrays and scalars in ``result_bytes`` form.
+    and its per-step statistics are added in block order. Its tail moments
+    (``replay_chunk_moments``) go through the simulator's own
+    ``_merge_tail_moments`` in block order, so the merged moments match
+    byte for byte only if every chunk's do. Returns a SimulationResult's
+    arrays and scalars in ``result_bytes`` form.
     """
     horizon, n = cfg.horizon, cfg.trajectories
     tail_start = horizon - cfg.tail_window
@@ -1255,6 +1410,13 @@ def replay_loop(plant, b, a, dist, cfg):
         norms = {p: (total / counts) ** (1.0 / p) for p, total in sums.items()}
         norms[math.inf] = maxes
         mean_sq = sum_sq / counts
+    moments = np.zeros((2, 2 * len(sums) + 64))
+    with np.errstate(all="ignore"):
+        for lo in range(0, n, simulation._CHUNK):
+            hi = min(lo + simulation._CHUNK, n)
+            for run, block in zip(moments, tails[:, :, lo:hi]):
+                part = replay_chunk_moments(block, cfg.p_list)
+                simulation._merge_tail_moments(run, part, lo, hi - lo, cfg.p_list)
     summaries = [replay_summary(block, cfg.p_list) for block in tails]
     # Pooled over the window for finite p, the largest peak for inf: off the
     # summaries, in units of the largest peak, over tail_window x n entries.
@@ -1267,7 +1429,7 @@ def replay_loop(plant, b, a, dist, cfg):
                 (float((row * squared_power(rel, p)).mean()) / cfg.tail_window) ** (1.0 / p)
             )
             tail_stat[p].append(pooled * scale)
-    arrays = [mean_sq, counts] + summaries
+    arrays = [mean_sq, counts, *moments]
     for p in cfg.p_list:
         arrays += [norms[p][0], norms[p][1]]
     # Growth: the tail window's average mean square against 4 times the
@@ -1323,11 +1485,15 @@ class TestBitIdentity:
             assert result.stable
         got, want = result_bytes(result), replay_loop(plant, b, a, dist, cfg)
         assert got[0] == want[0]
-        # Tail statistics compared as bytes: some are inf.
+        # Finite-p tail statistics come from merged chunk moments, so they
+        # match the pooled replay to rounding; p = inf ones byte for byte.
         for got_tail, want_tail in zip(got[1:3], want[1:3]):
             assert got_tail.keys() == want_tail.keys()
             for p in got_tail:
-                assert np.float64(got_tail[p]).tobytes() == np.float64(want_tail[p]).tobytes()
+                if math.isinf(p):
+                    assert np.float64(got_tail[p]).tobytes() == np.float64(want_tail[p]).tobytes()
+                else:
+                    assert got_tail[p] == pytest.approx(want_tail[p], rel=1e-13, abs=0.0)
         assert got[3:] == want[3:]
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 3.5, 4.0, 7.0, 2.0**52])
@@ -1559,26 +1725,38 @@ def synthetic_tails(trajectories, tail_window=5):
     return np.stack([heavy_tail(trajectories, tail_window, seed) for seed in (4, 5)])
 
 
-def synthetic_result(trajectories, tail_window=5, orders=ORDERS):
-    """A stable SimulationResult around the synthetic_tails summaries."""
-    cfg = fl.SimulationConfig(
-        horizon=tail_window, trajectories=trajectories, burn_in=0,
-        tail_window=tail_window, p_list=orders,
+def block_config(block, orders):
+    """The SimulationConfig of a run whose tail window is the (tail, n) ``block``."""
+    tail, n = block.shape
+    return fl.SimulationConfig(
+        horizon=tail, trajectories=n, burn_in=0, tail_window=tail, p_list=orders
     )
-    tails = [
-        simulation._tail_summary(block, cfg.p_list)
-        for block in synthetic_tails(trajectories, tail_window)
-    ]
+
+
+def merged_moments(block, orders, chunk=64):
+    """A (tail, n) block's ``_tail_moments`` per ``chunk`` columns, merged in order."""
+    orders = block_config(block, orders).p_list
+    run = np.zeros(2 * sum(not math.isinf(p) for p in orders) + simulation._TOP)
+    for lo in range(0, block.shape[1], chunk):
+        part = np.ascontiguousarray(block[:, lo : lo + chunk])
+        moments = simulation._tail_moments(part, orders)
+        simulation._merge_tail_moments(run, moments, lo, part.shape[1], orders)
+    return run
+
+
+def synthetic_result(trajectories, tail_window=5, orders=ORDERS):
+    """A stable SimulationResult around the synthetic_tails moments."""
+    tails = synthetic_tails(trajectories, tail_window)
     return simulation.SimulationResult(
-        config=cfg,
+        config=block_config(tails[0], orders),
         error_norms={},
         output_norms={},
         mean_square_state=np.zeros(tail_window),
         stable=True,
         diverged=0,
         alive_counts=np.full(tail_window, trajectories, dtype=np.int64),
-        tail_abs_error=tails[0],
-        tail_abs_output=tails[1],
+        tail_abs_error=merged_moments(tails[0], orders),
+        tail_abs_output=merged_moments(tails[1], orders),
     )
 
 
@@ -1605,70 +1783,66 @@ def replayed_std(block, p, seed_key, resamples):
 
 
 def closed_form(block, p):
-    """The tail statistic and closed-form std at order p alone of a (tail, n) block."""
-    summary = simulation._tail_summary(block, (p,))
-    return simulation._tail_moments(summary, (p,), len(block))[p]
+    """The tail statistic and closed-form std at order p alone of a (tail, n) block.
 
-
-def reference_moments(summary, orders, tail):
-    """``_tail_moments`` with a fresh total per order, its mean and var by ndarray methods."""
-    n = summary.shape[1]
-    scale = float(summary[-1].max()) or 1.0
-    rel, work = summary[-1] / scale, np.empty(n)
-    moments = {}
-    for p, row in zip(orders, summary[:-1]):
-        total = row * simulation._power(rel, p, work)
-        mean = float(total.mean())
-        stat = (mean / tail) ** (1.0 / p)
-        spread = math.sqrt(float(total.var()) / n) / (p * mean) if mean > 0.0 else 0.0
-        moments[p] = (stat, stat * spread)
-    if math.inf in orders:
-        k = min(64, n)
-        top = np.sort(np.partition(rel, n - k)[n - k :])[::-1]
-        edges = (1.0 - np.arange(len(top) + 1) / n) ** n
-        weights = edges[:-1] - edges[1:]
-        mean = float(weights @ top)
-        moments[math.inf] = (float(top[0]), math.sqrt(float(weights @ (top - mean) ** 2)))
-    return {p: (stat * scale, std * scale) for p, (stat, std) in moments.items()}
+    The block is reduced in chunks of 64 columns, merged in order.
+    """
+    return simulation._tail_statistics(merged_moments(block, (p,)), block_config(block, (p,)))[p]
 
 
 class TestTailSummary:
+    """A chunk's tail moments, ``_tail_moments``."""
+
     @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, 7.0, 300.0, math.inf])
     def test_columns_match_empirical_lp(self, p):
-        # Column j holds trajectory j's tail norm as peak (sum / tail)^(1/p).
+        # One chunk's moments are those of its columns' power sums in units
+        # of the block's peak, so they give the block's pooled norm, and
+        # they keep its 64 largest column peaks.
         tail = heavy_tail(200, tail_window=7)
         tail[:, 3] = 0.0
-        summary = simulation._tail_summary(tail, (1.0, 2.0, 4.0, 7.0, 300.0, math.inf))
-        assert summary.shape == (6, 200)
-        peak = summary[-1]
-        assert peak.tobytes() == tail.max(axis=0).tobytes()
-        for j in range(200):
-            want = fl.empirical_lp(tail[:, j], p)
-            if math.isinf(p):
-                assert peak[j] == want
-                continue
-            row = (1.0, 2.0, 4.0, 7.0, 300.0).index(p)
-            got = peak[j] * (summary[row, j] / 7) ** (1.0 / p)
-            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        orders = (1.0, 2.0, 4.0, 7.0, 300.0, math.inf)
+        moments = simulation._tail_moments(tail, orders)
+        assert moments.shape == (2 * 5 + simulation._TOP,)
+        assert moments.tobytes() == replay_chunk_moments(tail, orders).tobytes()
+        stat, _ = simulation._tail_statistics(moments, block_config(tail, orders))[p]
+        want = fl.empirical_lp(tail, p)
+        if math.isinf(p):
+            assert stat == want
+        else:
+            assert stat == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_zero_column(self):
-        # A zero peak divides by 1.0: the column's sums and peak are 0.
+        # A zero column's power sums are 0 and count toward the mean; an
+        # all-zero block divides by 1.0 and its moments are all 0.
         tail = heavy_tail(5)
         tail[:, 2] = 0.0
-        summary = simulation._tail_summary(tail, ORDERS)
-        assert (summary[:, 2] == 0.0).all()
-        assert (summary[:, [0, 1, 3, 4]] > 0.0).all()
-        assert (simulation._tail_summary(np.zeros((3, 4)), ORDERS) == 0.0).all()
+        moments = simulation._tail_moments(tail, ORDERS)
+        assert moments.tobytes() == replay_chunk_moments(tail, ORDERS).tobytes()
+        assert (moments[:3] > 0.0).all() and np.count_nonzero(moments[-64:]) == 4
+        assert (simulation._tail_moments(np.zeros((3, 4)), ORDERS) == 0.0).all()
 
     @pytest.mark.parametrize("c", [2.0**-600, 2.0**600], ids=["2^-600", "2^600"])
     def test_scaling_is_exact(self, c):
-        # Sums of (|x| / peak)^p do not change, and peaks scale exactly.
+        # Means and M2s of (|x| / scale)^p do not change, and peaks scale exactly.
         tail = heavy_tail(TRAJECTORIES)
         orders = (1.0, 2.0, 4.0, 7.0, 300.0, math.inf)
-        base = simulation._tail_summary(tail, orders)
-        scaled = simulation._tail_summary(c * tail, orders)
-        assert scaled[:-1].tobytes() == base[:-1].tobytes()
-        assert scaled[-1].tobytes() == (c * base[-1]).tobytes()
+        base = simulation._tail_moments(tail, orders)
+        scaled = simulation._tail_moments(c * tail, orders)
+        assert scaled[:-64].tobytes() == base[:-64].tobytes()
+        assert scaled[-64:].tobytes() == (c * base[-64:]).tobytes()
+
+
+class ChunkScaledCauchy:
+    """Cauchy draws times ``c`` and a factor of the drawing chunk, 0 for chunk 1."""
+
+    FACTORS = (1.0, 0.0, 0.7, 3.0, 2.0**-30, 1.5)
+
+    def __init__(self, c):
+        self.c = c
+
+    def sample(self, rng, length):
+        chunk = rng.bit_generator.seed_seq.spawn_key[1]
+        return self.c * self.FACTORS[chunk % 6] * rng.standard_cauchy(length)
 
 
 class TestClosedFormMargin:
@@ -1725,30 +1899,36 @@ class TestClosedFormMargin:
     def test_zero_block_has_zero_margin(self, p):
         assert closed_form(np.zeros((3, TRAJECTORIES)), p) == (0.0, 0.0)
 
-    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
-    @pytest.mark.parametrize("n", [1, 2, TRAJECTORIES])
-    @pytest.mark.parametrize("zeros", [0, 1, 7], ids=["no_zero", "zero_first", "zeros_spread"])
-    def test_in_place_moments_match_fresh_arrays(self, scale, n, zeros):
-        # One reused buffer per call: the floats of a fresh total per
-        # order and of ndarray.mean and ndarray.var, byte for byte.
-        orders = (1.0, 1.5, 2.0, 4.0, 7.0, math.inf)
-        block = scale * heavy_tail(n)
-        block[:, ::7][:, :zeros] = 0.0
-        summary = simulation._tail_summary(block, orders)
-        got = simulation._tail_moments(summary, orders, len(block))
-        want = reference_moments(summary, orders, len(block))
-        assert list(got) == list(want)
-        assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
-        assert summary.tobytes() == simulation._tail_summary(block, orders).tobytes()
-
-    def test_in_place_moments_of_zero_peaks_match_fresh_arrays(self):
-        orders = (1.0, 1.5, 7.0, math.inf)
-        summary = simulation._tail_summary(np.zeros((4, 5)), orders)
-        got = simulation._tail_moments(summary, orders, 4)
-        assert got == reference_moments(summary, orders, 4) == {p: (0.0, 0.0) for p in orders}
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 9000])
+    def test_merged_moments_match_the_two_pass_reference(self, monkeypatch, n):
+        # Chunks of 64 end every n but 64 in a ragged chunk. Their scales
+        # differ by up to 2^32, and chunks 1, 7, 13, ... are all zeros.
+        # ``recording_tails`` holds each signal's merged statistics and
+        # stds against the two-pass reference over every trajectory; a
+        # power-of-two scale scales them exactly.
+        monkeypatch.setattr("fundlim.simulation._CHUNK", 64)
+        tails = recording_tails(monkeypatch)
+        orders = (1.0, 1.5, 2.0, 4.0, 7.0, 300.0, math.inf)
+        cfg = fl.SimulationConfig(
+            horizon=6, trajectories=n, seed=5, p_list=orders, burn_in=0, tail_window=6
+        )
+        runs = {}
+        for c in (1.0, 2.0**600, 2.0**-600):
+            result = fl.run_closed_loop(
+                scalar_plant(0.5), ZeroController(), ChunkScaledCauchy(c), cfg
+            )
+            blocks = tails(result)
+            runs[c] = result._tails
+        assert (blocks[0][:, 64:128] == 0.0).all()
+        assert (runs[1.0]["error"][7.0][1] > 0.0) == (n > 1)
+        for c in (2.0**600, 2.0**-600):
+            for which in ("error", "output"):
+                assert runs[c][which] == {
+                    p: (c * stat, c * std) for p, (stat, std) in runs[1.0][which].items()
+                }
 
     def test_repeat_calls_byte_identical(self):
-        # Two results over the same summaries, so each takes its own pass.
+        # Two results built from the same moments, each finishing its own.
         first, second = synthetic_result(TRAJECTORIES), synthetic_result(TRAJECTORIES)
         for p in ORDERS:
             for which in ("error", "output"):
@@ -1757,10 +1937,17 @@ class TestClosedFormMargin:
                 assert a.margin_stderr > 0.0
                 assert np.float64(a.margin_stderr).tobytes() == np.float64(b.margin_stderr).tobytes()
 
-    def test_one_moments_pass_per_signal_on_first_use(self, monkeypatch):
-        result = synthetic_result(TRAJECTORIES)
+    def test_statistics_are_finished_when_the_result_is_built(self, monkeypatch):
+        # One finishing pass per signal, when the result is built; every
+        # certification after that reads the kept statistics.
+        result, calls = counted_calls(
+            monkeypatch, simulation, "_tail_statistics", lambda: synthetic_result(TRAJECTORIES)
+        )
+        assert calls == 2
         with pytest.raises(AttributeError):
             result.error_tail = {}
+        with pytest.raises(AttributeError):
+            result.tail_abs_error = np.zeros(3)
 
         def certify_all():
             return {
@@ -1768,8 +1955,8 @@ class TestClosedFormMargin:
                 for p in ORDERS for which in ("error", "output")
             }
 
-        certs, calls = counted_calls(monkeypatch, simulation, "_tail_moments", certify_all)
-        assert calls == 2
+        certs, calls = counted_calls(monkeypatch, simulation, "_tail_statistics", certify_all)
+        assert calls == 0
         for which, tails in (("error", result.error_tail), ("output", result.output_tail)):
             assert tails == {p: certs[p, which].tail_norm for p in ORDERS}
         # The copies handed out do not reach the kept statistics.
@@ -1778,31 +1965,21 @@ class TestClosedFormMargin:
 
     @pytest.mark.parametrize("p", [2.0, math.inf])
     def test_summary_bytes_do_not_grow_with_the_tail_window(self, p):
-        # A run keeps (finite orders + 1) floats per trajectory and signal,
-        # whatever the tail window.
+        # A run keeps 2 floats per finite order and 64 peaks per signal,
+        # whatever the number of trajectories and the tail window.
         sizes = []
-        for tail_window in (20, 200):
+        for trajectories, tail_window in itertools.product((300, 5000), (20, 200)):
             cfg = fl.SimulationConfig(
-                horizon=tail_window, trajectories=300, seed=1, p_list=(p,), burn_in=0,
-                tail_window=tail_window,
+                horizon=tail_window, trajectories=trajectories, seed=1, p_list=(p,),
+                burn_in=0, tail_window=tail_window,
             )
             result = fl.run_closed_loop(
                 scalar_plant(0.5), ZeroController(), fl.GaussianIID(1.0), cfg
             )
             fl.verify_bound(result, unit_report(p))
             sizes.append((result.tail_abs_error.nbytes, result.tail_abs_output.nbytes))
-        rows = 1 if math.isinf(p) else 2
-        assert sizes == [(rows * 300 * 8,) * 2] * 2
-
-    def test_summaries_past_an_array_rejected(self):
-        # Two signals' (len(p_list) + 1, trajectories) float64 summaries
-        # past sys.maxsize bytes are refused before anything runs.
-        with pytest.raises(fl.InvalidModelError, match="trajectories .* tail arrays"):
-            fl.SimulationConfig(horizon=400, trajectories=2**59)
-        # A one-step tail holds fewer floats than the summaries: 16 bytes
-        # of tail per trajectory, 32 of summaries.
-        with pytest.raises(fl.InvalidModelError, match="trajectories .* tail arrays"):
-            fl.SimulationConfig(horizon=400, trajectories=2**58 + 1, tail_window=1)
+        floats = 64 if math.isinf(p) else 2 + 64
+        assert sizes == [(floats * 8,) * 2] * 4
 
 
 def open_loop_certifications(dist, p, seeds, trajectories):
