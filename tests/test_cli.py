@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import fundlim as fl
+from fundlim import simulation
 from fundlim.bounds import ROUTES
 from fundlim.cli import (
     EXIT_INPUT,
@@ -760,6 +761,36 @@ class TestVerify:
         second_payload, second_csv = one_run("b")
         assert first_payload == second_payload
         assert first_csv == second_csv
+
+    def test_tail_statistics_finished_once_per_signal(
+        self, capsys, monkeypatch, stable_plant, gauss_dist
+    ):
+        # A run finishes each signal's tail statistics once, when its result
+        # is built; the four certifications of the output take no further
+        # pass, and the error's statistics are not taken again either.
+        calls = []
+        statistics = simulation._tail_statistics
+
+        def spy(*args):
+            calls.append(None)
+            return statistics(*args)
+
+        monkeypatch.setattr(simulation, "_tail_statistics", spy)
+        cfg = fl.SimulationConfig(horizon=50, trajectories=500, p_list=(1.0, 2.0, 4.0, math.inf))
+        fl.run_closed_loop(
+            fl.load_plant(stable_plant), fl.parse_controller("gain:0.2"),
+            fl.load_disturbance(gauss_dist), cfg,
+        )
+        assert len(calls) == 2
+        calls.clear()
+        code, out, _ = run_cli(
+            capsys, "verify", "--plant", stable_plant, "--dist", gauss_dist,
+            "--controller", "gain:0.2", "--which", "output", "--p", "1,2,4,inf",
+            "--traj", "500", "--horizon", "50",
+        )
+        assert code in (EXIT_OK, EXIT_UNSATISFIED)
+        assert len(json.loads(out)["results"]) == 4
+        assert len(calls) == 2
 
     @pytest.mark.parametrize(
         "plant, expected",

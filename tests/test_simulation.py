@@ -1899,6 +1899,29 @@ class TestClosedFormMargin:
     def test_zero_block_has_zero_margin(self, p):
         assert closed_form(np.zeros((3, TRAJECTORIES)), p) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+    @pytest.mark.parametrize("n", [1, 2, TRAJECTORIES])
+    @pytest.mark.parametrize("zeros", [0, 1, 7], ids=["no_zero", "zero_first", "zeros_spread"])
+    def test_merged_moments_match_fresh_arrays(self, scale, n, zeros):
+        # Chunks of 64 columns merged in order give the statistics and stds
+        # of the two-pass reference over fresh whole-block arrays, with zero
+        # columns and scales that are not powers of two; the block is only
+        # read.
+        orders = (1.0, 1.5, 2.0, 4.0, 7.0, math.inf)
+        block = scale * heavy_tail(n)
+        block[:, ::7][:, :zeros] = 0.0
+        before = block.copy()
+        got = simulation._tail_statistics(merged_moments(block, orders), block_config(block, orders))
+        assert_reference_tails(got, block, orders)
+        assert block.tobytes() == before.tobytes()
+
+    def test_merged_moments_of_zero_peaks_match_fresh_arrays(self):
+        orders = (1.0, 1.5, 7.0, math.inf)
+        block = np.zeros((4, 5))
+        got = simulation._tail_statistics(merged_moments(block, orders), block_config(block, orders))
+        want = reference_moments(replay_summary(block, orders), orders, 4)
+        assert got == want == {p: (0.0, 0.0) for p in orders}
+
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 9000])
     def test_merged_moments_match_the_two_pass_reference(self, monkeypatch, n):
         # Chunks of 64 end every n but 64 in a ragged chunk. Their scales
