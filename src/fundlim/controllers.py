@@ -3,9 +3,10 @@
 A controller maps the measurement stream y_0, y_1, ... to a command stream
 z_0, z_1, ... where z_k may depend only on samples up to index k plus
 internal state. Custom laws subclass CausalController and implement
-``reset``/``step``; the built-ins additionally expose a batch interface
-(``reset_batch``/``step_batch`` on aligned 1-D arrays, one entry per
-trajectory) that the simulator uses to vectorize across trajectories.
+``reset``/``step``. Each built-in declares its law once, as a batch
+interface (``reset_batch``/``step_batch`` on aligned 1-D arrays, one entry
+per trajectory) that the simulator uses to vectorize across trajectories;
+its ``reset``/``step`` are the single-stream case of that law.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .errors import InvalidModelError
+from .errors import InvalidModelError, check_number
 
 __all__ = [
     "CausalController",
@@ -61,45 +62,57 @@ def _has_batch_interface(controller: CausalController) -> bool:
     )
 
 
-class ZeroController(CausalController):
-    """Open-loop baseline: z_k = 0, so the error equals the disturbance."""
+class _BatchLaw(CausalController):
+    """A law declared once, by ``step_batch``; its scalar interface is one stream of it.
+
+    A memoryless law needs no state, so ``reset_batch`` does nothing here.
+    """
 
     def reset(self) -> None:
-        pass
+        self.reset_batch(1)
 
     def step(self, y: float) -> float:
-        return 0.0
+        return float(self.step_batch(np.array([float(y)]))[0])
 
     def reset_batch(self, n_streams: int) -> None:
         pass
+
+    @abstractmethod
+    def step_batch(self, y: np.ndarray) -> np.ndarray:
+        """Command for each stream, as a fresh array the caller may keep."""
+
+
+class ZeroController(_BatchLaw):
+    """Open-loop baseline: z_k = 0, so the error equals the disturbance."""
 
     def step_batch(self, y: np.ndarray) -> np.ndarray:
         return np.zeros_like(y)
 
 
-class StaticGain(CausalController):
+class StaticGain(_BatchLaw):
     """Proportional negative feedback z_k = -gain * y_k."""
 
     def __init__(self, gain: float):
-        gain = float(gain)
+        gain = check_number(gain, "gain")
         if not np.isfinite(gain):
             raise InvalidModelError(f"gain must be finite, got {gain}")
         self.gain = gain
-
-    def reset(self) -> None:
-        pass
-
-    def step(self, y: float) -> float:
-        return -self.gain * y
-
-    def reset_batch(self, n_streams: int) -> None:
-        pass
 
     def step_batch(self, y: np.ndarray) -> np.ndarray:
         return -self.gain * y
 
 
-class LinearFilter(CausalController):
+def _flat_coefficients(values) -> np.ndarray:
+    """A number or a flat list of numbers as a 1-D float array."""
+    values = np.atleast_1d(np.asarray(values, dtype=object))
+    if values.ndim != 1:
+        raise InvalidModelError(
+            f"filter coefficients must be a flat list, got shape {values.shape}"
+        )
+    return np.array([check_number(c, "a filter coefficient") for c in values], dtype=float)
+
+
+class LinearFilter(_BatchLaw):
     """ARMA negative feedback on the measurement history.
 
     Runs the recursion ``v_k = sum_i b[i] y_{k-i} - sum_j a[j] v_{k-j}``
@@ -109,8 +122,7 @@ class LinearFilter(CausalController):
     """
 
     def __init__(self, b_coeffs, a_coeffs=()):
-        b = np.atleast_1d(np.asarray(b_coeffs, dtype=float))
-        a = np.asarray(a_coeffs, dtype=float).reshape(-1)
+        b, a = _flat_coefficients(b_coeffs), _flat_coefficients(a_coeffs)
         if b.size == 0:
             raise InvalidModelError("filter needs at least one feedforward coefficient")
         if not (np.all(np.isfinite(b)) and np.all(np.isfinite(a))):
@@ -119,9 +131,6 @@ class LinearFilter(CausalController):
         self.a = a
         self.reset()
 
-    def reset(self) -> None:
-        self.reset_batch(1)
-
     def reset_batch(self, n_streams: int) -> None:
         self._y_hist = np.zeros((self.b.size, n_streams))
         self._v_hist = np.zeros((self.a.size, n_streams))
@@ -129,11 +138,7 @@ class LinearFilter(CausalController):
         self._v = np.empty(n_streams)
         self._av = np.empty(n_streams)
 
-    def step(self, y: float) -> float:
-        return float(self.step_batch(np.array([float(y)]))[0])
-
     def step_batch(self, y: np.ndarray) -> np.ndarray:
-        """Command for each stream, as a fresh array the caller may keep."""
         self._y_hist[1:] = self._y_hist[:-1]
         self._y_hist[0] = y
         # np.dot, not np.matmul: matmul's path for a length-1 b or a costs

@@ -11,7 +11,6 @@ spectral route.
 from __future__ import annotations
 
 import math
-import numbers
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
@@ -22,6 +21,7 @@ import numpy as np
 from .errors import (
     InvalidModelError,
     NonIntegrableSpectrumError,
+    check_number,
     check_order,
     check_whole,
     finite_power,
@@ -51,15 +51,8 @@ GAUSSIAN_ENTROPY_BITS = 0.5 * math.log2(2.0 * math.pi * math.e)
 DEFAULT_GRID = 4096
 
 
-def _number(value, name: str) -> float:
-    """``value`` as a float; a bool, a string or any other non-number raises TypeError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
 def _check_positive(value: float, name: str) -> float:
-    value = _number(value, name)
+    value = check_number(value, name)
     if not math.isfinite(value) or value <= 0.0:
         raise InvalidModelError(f"{name} must be a finite positive number, got {value}")
     return value
@@ -303,18 +296,22 @@ class DisturbanceModel(ABC):
         """Tabulate the power spectral density on N uniform points over [-pi, pi)."""
         return SpectralDensity.from_function(self.spectrum_value, n_grid)
 
-    def _iid_negentropy(self) -> float:
+
+class _WhiteNoise(DisturbanceModel):
+    """An IID model, whose white-noise law gives its spectrum and negentropy.
+
+    The spectrum is flat at the variance, and the negentropy rate is the
+    gap between the Gaussian entropy at that variance and the model's own.
+    """
+
+    def spectrum_value(self, omega):
+        return np.full_like(np.asarray(omega, dtype=float), self.variance())
+
+    def negentropy_rate(self) -> float:
         gaussian = GAUSSIAN_ENTROPY_BITS + 0.5 * math.log2(self.variance())
         # Clamp: the gap is nonnegative by the max-entropy property, but
         # floating point can land a hair below zero at the Gaussian member.
         return max(0.0, gaussian - self.conditional_entropy_rate())
-
-
-def _sample_length(length: int) -> int:
-    length = check_whole("sample length", length)
-    if length < 1:
-        raise InvalidModelError(f"sample length must be >= 1, got {length}")
-    return length
 
 
 def _tail_fraction(a: float, z: float) -> float:
@@ -529,7 +526,7 @@ class _RowSampled(DisturbanceModel):
     """
 
     def sample(self, seed: int | np.random.Generator, length: int) -> np.ndarray:
-        out = np.empty((1, _sample_length(length)))
+        out = np.empty((1, check_whole("sample length", length, least=1)))
         self.sample_rows(np.random.default_rng(seed), out)
         return out[0]
 
@@ -539,7 +536,7 @@ class _RowSampled(DisturbanceModel):
 
 
 @dataclass(frozen=True)
-class GaussianIID(DisturbanceModel):
+class GaussianIID(_WhiteNoise):
     """IID N(0, sigma^2) disturbance."""
 
     tag = "iid_gaussian"
@@ -551,7 +548,7 @@ class GaussianIID(DisturbanceModel):
 
     def sample(self, seed: int | np.random.Generator, length: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
-        return self.sigma * rng.standard_normal(_sample_length(length))
+        return self.sigma * rng.standard_normal(check_whole("sample length", length, least=1))
 
     def conditional_entropy_rate(self) -> float:
         return GAUSSIAN_ENTROPY_BITS + math.log2(self.sigma)
@@ -559,10 +556,8 @@ class GaussianIID(DisturbanceModel):
     def variance(self) -> float:
         return finite_power(self.sigma, 2, "disturbance variance")
 
-    def spectrum_value(self, omega):
-        return np.full_like(np.asarray(omega, dtype=float), self.variance())
-
     def negentropy_rate(self) -> float:
+        # Exactly 0: the clamped gap can land an ulp above it.
         return 0.0
 
     def scaled(self, factor: float) -> "GaussianIID":
@@ -570,7 +565,7 @@ class GaussianIID(DisturbanceModel):
 
 
 @dataclass(frozen=True)
-class UniformIID(_RowSampled):
+class UniformIID(_RowSampled, _WhiteNoise):
     """IID uniform disturbance on [-half_width, half_width]."""
 
     tag = "iid_uniform"
@@ -594,18 +589,12 @@ class UniformIID(_RowSampled):
     def variance(self) -> float:
         return finite_power(self.half_width, 2, "disturbance variance") / 3.0
 
-    def spectrum_value(self, omega):
-        return np.full_like(np.asarray(omega, dtype=float), self.variance())
-
-    def negentropy_rate(self) -> float:
-        return self._iid_negentropy()
-
     def scaled(self, factor: float) -> "UniformIID":
         return UniformIID(half_width=factor * self.half_width)
 
 
 @dataclass(frozen=True)
-class GeneralizedGaussianIID(_RowSampled):
+class GeneralizedGaussianIID(_RowSampled, _WhiteNoise):
     """IID max-entropy disturbance for a fixed L_p norm (generalized Gaussian).
 
     ``shape`` is the norm order p >= 1 (finite; the p = inf member is
@@ -631,7 +620,7 @@ class GeneralizedGaussianIID(_RowSampled):
     lp_norm: float
 
     def __post_init__(self) -> None:
-        p = _number(self.shape, "shape")
+        p = check_number(self.shape, "shape")
         if not math.isfinite(p) or p < 1.0:
             raise InvalidModelError(f"shape must be finite and >= 1, got {p}")
         object.__setattr__(self, "shape", p)
@@ -648,12 +637,6 @@ class GeneralizedGaussianIID(_RowSampled):
 
     def variance(self) -> float:
         return _subbotin_variance(self.shape, self.lp_norm)
-
-    def spectrum_value(self, omega):
-        return np.full_like(np.asarray(omega, dtype=float), self.variance())
-
-    def negentropy_rate(self) -> float:
-        return self._iid_negentropy()
 
     def scaled(self, factor: float) -> "GeneralizedGaussianIID":
         return GeneralizedGaussianIID(shape=self.shape, lp_norm=factor * self.lp_norm)
@@ -685,7 +668,7 @@ class GaussianAR(_RowSampled):
 
     def __post_init__(self) -> None:
         coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=object))
-        coeffs = tuple(_number(c, "a lag coefficient") for c in coeffs)
+        coeffs = tuple(check_number(c, "a lag coefficient") for c in coeffs)
         if len(coeffs) == 0:
             raise InvalidModelError("coeffs must contain at least one lag coefficient")
         if not all(math.isfinite(c) for c in coeffs):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import numbers
 import operator
 
 __all__ = [
@@ -29,27 +30,45 @@ class InvalidNormOrderError(FundlimError, ValueError):
     """Norm order must satisfy p >= 1 (math.inf is allowed)."""
 
 
+def check_number(value, name: str) -> float:
+    """``value`` as a float; a bool, a string or any other non-number raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def check_order(p: float) -> float:
-    """Return p as a float, or raise InvalidNormOrderError unless p >= 1."""
-    p = float(p)
+    """Return p as a float, or raise InvalidNormOrderError unless p >= 1.
+
+    An order is a number, not a bool, or the string ``"inf"`` that
+    ``json_order`` writes.
+    """
+    try:
+        p = math.inf if p == "inf" else check_number(p, "norm order")
+    except TypeError as exc:
+        raise InvalidNormOrderError(str(exc)) from None
     if math.isnan(p) or p < 1.0:
         raise InvalidNormOrderError(f"norm order must satisfy p >= 1, got {p}")
     return p
 
 
-def check_whole(name: str, value) -> int:
+def check_whole(name: str, value, least: int | None = None) -> int:
     """``value`` as an int: an integer (numpy's or any ``__index__`` type) or a whole float.
 
-    A bool, a fraction, a string or any other value raises InvalidModelError.
+    A bool, a fraction, a string or any other value raises InvalidModelError,
+    and so does a whole number below ``least``.
     """
     if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise InvalidModelError(f"{name} must be a whole number, got {value!r}")
+        value = int(value)
+    try:
+        whole = operator.index(value)
+    except TypeError:
+        whole = None
+    if whole is None or isinstance(value, bool):
+        raise InvalidModelError(f"{name} must be a whole number, got {value!r}")
+    if least is not None and whole < least:
+        raise InvalidModelError(f"{name} must be >= {least}, got {whole}")
+    return whole
 
 
 def json_order(p: float):

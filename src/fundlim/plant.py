@@ -237,8 +237,8 @@ def nmp_zero_product(zeros) -> float:
 def analyze_plant(model: StateSpaceModel) -> PlantCharacteristics:
     """Run the full plant analysis.
 
-    Emits AnalysisWarning for a relative degree of zero (the loop then has a
-    direct feedthrough path from disturbance to measurement within one step)
+    Emits AnalysisWarning for a relative degree of zero (each e_k then
+    reaches the measurement after one step, as the term C B e_k of y_{k+1})
     and for near pole-zero cancellations, which make the zero set numerically
     fragile.
     """
@@ -247,8 +247,8 @@ def analyze_plant(model: StateSpaceModel) -> PlantCharacteristics:
     zeros = _zeros_for_degree(model, degree, gain)
     if degree == 0:
         warnings.warn(
-            "relative degree is 0: C B is nonzero, so the current disturbance "
-            "sample reaches the measurement instantly",
+            "relative degree is 0: C B is nonzero, so each e_k reaches the "
+            "measurement one step later, as the term C B e_k of y_{k+1}",
             AnalysisWarning,
             stacklevel=2,
         )

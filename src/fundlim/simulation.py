@@ -118,15 +118,9 @@ class SimulationConfig:
     x0_std: float = 0.0
 
     def __post_init__(self) -> None:
-        horizon = check_whole("horizon", self.horizon)
-        trajectories = check_whole("trajectories", self.trajectories)
-        if horizon < 1:
-            raise InvalidModelError(f"horizon must be >= 1, got {horizon}")
-        if trajectories < 1:
-            raise InvalidModelError(f"trajectories must be >= 1, got {trajectories}")
-        seed = check_whole("seed", self.seed)
-        if seed < 0:
-            raise InvalidModelError(f"seed must be >= 0, got {seed}")
+        horizon = check_whole("horizon", self.horizon, least=1)
+        trajectories = check_whole("trajectories", self.trajectories, least=1)
+        seed = check_whole("seed", self.seed, least=0)
         p_list = tuple(sorted({check_order(p) for p in self.p_list}))
         if not p_list:
             raise InvalidNormOrderError("p_list must name at least one norm order")

@@ -56,7 +56,7 @@ class TestNormConstant:
         assert values[-1] < 0.5
 
     def test_rejects_bad_order(self):
-        for bad in (0.0, 0.5, -2.0, math.nan):
+        for bad in (0.0, 0.5, -2.0, math.nan, True, np.True_, "2", None):
             with pytest.raises(fl.InvalidNormOrderError):
                 fl.cp_constant(bad)
 

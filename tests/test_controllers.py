@@ -32,6 +32,11 @@ class TestStaticGain:
         second = drive(c, [1.0, 2.0, 3.0])
         assert first == second
 
+    @pytest.mark.parametrize("gain", ["2", True, np.True_, None])
+    def test_gain_must_be_a_number(self, gain):
+        with pytest.raises(TypeError, match="gain must be a number"):
+            StaticGain(gain)
+
 
 class TestLinearFilter:
     def reference(self, b, a, measurements):
@@ -79,6 +84,16 @@ class TestLinearFilter:
         for m in range(5):
             scalar_out = drive(LinearFilter(b, a), streams[:, m])
             np.testing.assert_allclose(batch_out[:, m], scalar_out, rtol=1e-12)
+        # The memoryless built-ins bit for bit, with an edge value per stream.
+        streams = np.vstack((streams, [np.inf, -np.inf, np.nan, -0.0, 0.0], streams[:3]))
+        for make in (ZeroController, lambda: StaticGain(1.5), lambda: StaticGain(0.0)):
+            batch = make()
+            batch.reset_batch(5)
+            with np.errstate(invalid="ignore"):  # 0 * inf
+                batch_out = np.stack([batch.step_batch(row) for row in streams])
+                for m in range(5):
+                    scalar_out = np.array(drive(make(), streams[:, m]))
+                    assert scalar_out.tobytes() == batch_out[:, m].tobytes()
 
     @pytest.mark.parametrize("streams", [1, 8192])
     @pytest.mark.parametrize(
@@ -120,6 +135,14 @@ class TestLinearFilter:
             LinearFilter([np.nan])
         with pytest.raises(fl.InvalidModelError):
             LinearFilter([1.0], [np.inf])
+        # A 2-D list was taken as b (its steps then raised) or flattened as a.
+        with pytest.raises(fl.InvalidModelError, match=r"flat list, got shape \(1, 2\)"):
+            LinearFilter([[1.0, 2.0]])
+        with pytest.raises(fl.InvalidModelError, match=r"flat list, got shape \(2, 1\)"):
+            LinearFilter([1.0], [[0.5], [0.25]])
+        for b, a in (([True], []), (["1.0"], []), ([1.0], [np.True_]), ([1.0], "0.5")):
+            with pytest.raises(TypeError, match="a filter coefficient must be a number"):
+                LinearFilter(b, a)
 
 
 class TestClone:

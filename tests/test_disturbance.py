@@ -236,8 +236,9 @@ class TestSamplers:
         assert np.var(x) == pytest.approx(r0, rel=0.02)
 
     def test_rejects_bad_length(self):
-        with pytest.raises(fl.InvalidModelError):
-            fl.GaussianIID(1.0).sample(0, 0)
+        for model in JSON_MODELS:
+            with pytest.raises(fl.InvalidModelError, match="sample length must be >= 1, got 0"):
+                model.sample(0, 0)
 
     @pytest.mark.parametrize("model", JSON_MODELS, ids=lambda model: model.tag)
     @pytest.mark.parametrize("length", [2.5, True, "3"])
@@ -547,6 +548,8 @@ class TestEntropyRates:
 class TestNegentropy:
     def test_gaussians_exactly_zero(self):
         assert fl.GaussianIID(2.3).negentropy_rate() == 0.0
+        # At sigma 0.3 the white-noise gap lands an ulp above zero.
+        assert fl.GaussianIID(0.3).negentropy_rate() == 0.0
         assert fl.GaussianAR((0.9,), 1.1).negentropy_rate() == 0.0
 
     def test_uniform_value(self):
@@ -566,6 +569,8 @@ class TestNegentropy:
             fl.UniformIID(2.0),
             fl.GeneralizedGaussianIID(1.0, 1.0),
             fl.GeneralizedGaussianIID(7.0, 0.3),
+            # The Gaussian member: its unclamped gap is -8.9e-16.
+            fl.GeneralizedGaussianIID(2.0, 1.4),
             fl.GaussianAR((0.5, -0.25), 2.0),
         ]
         for model in models:

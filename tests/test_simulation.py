@@ -249,9 +249,9 @@ class TestSimulationConfig:
         assert cfg.tail_window == 1
 
     def test_validation(self):
-        with pytest.raises(fl.InvalidModelError):
+        with pytest.raises(fl.InvalidModelError, match="^horizon must be >= 1, got 0$"):
             fl.SimulationConfig(horizon=0, trajectories=1)
-        with pytest.raises(fl.InvalidModelError):
+        with pytest.raises(fl.InvalidModelError, match="^trajectories must be >= 1, got 0$"):
             fl.SimulationConfig(horizon=10, trajectories=0)
         with pytest.raises(fl.InvalidModelError):
             fl.SimulationConfig(horizon=10, trajectories=1, burn_in=8, tail_window=5)
@@ -259,9 +259,12 @@ class TestSimulationConfig:
             fl.SimulationConfig(horizon=10, trajectories=1, p_list=(0.5,))
         with pytest.raises(fl.InvalidNormOrderError):
             fl.SimulationConfig(horizon=10, trajectories=1, p_list=())
+        for bad in (True, np.True_, "2"):
+            with pytest.raises(fl.InvalidNormOrderError, match="norm order must be a number"):
+                fl.SimulationConfig(horizon=10, trajectories=1, p_list=(2.0, bad))
         with pytest.raises(fl.InvalidModelError):
             fl.SimulationConfig(horizon=10, trajectories=1, x0_std=-1.0)
-        with pytest.raises(fl.InvalidModelError, match="seed"):
+        with pytest.raises(fl.InvalidModelError, match="^seed must be >= 0, got -1$"):
             fl.SimulationConfig(horizon=10, trajectories=1, seed=-1)
 
     @pytest.mark.parametrize(
