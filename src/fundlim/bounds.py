@@ -23,6 +23,7 @@ from .errors import (
     InvalidModelError,
     InvalidNormOrderError,
     ZeroTransferFunctionError,
+    check_number,
     check_order,
     finite_power,
     json_order,
@@ -123,10 +124,7 @@ def _entropy_factor(bits: float) -> float:
 
 
 def _entropy_bits(ent: EntropySummary) -> float:
-    bits = float(ent.conditional_entropy_rate)
-    if not math.isfinite(bits):
-        raise InvalidModelError("conditional entropy rate must be finite")
-    return bits
+    return check_number("conditional entropy rate", ent.conditional_entropy_rate)
 
 
 def _pole_bound(
@@ -172,8 +170,7 @@ def error_bound_spectral(
     disturbance, the squared bound lands on the classical one-step prediction
     floor ``2^{(1/2pi) int log2 S}``.
     """
-    if not math.isfinite(negentropy_bits) or negentropy_bits < 0.0:
-        raise InvalidModelError("negentropy must be finite and >= 0 bits")
+    negentropy_bits = check_number("negentropy_bits", negentropy_bits, 0.0)
     log_integral = szego_log_integral(spectrum)
     entropy_factor = _SQRT_2PIE * _entropy_factor(0.5 * log_integral - negentropy_bits)
     return _report(
@@ -219,14 +216,13 @@ def error_bound_for_entropy(p: float, entropy_bits: float) -> BoundReport:
     Useful for nonstationary disturbances where h(d_k | d_0..d_{k-1}) is
     known step by step; the plant factor is 1 by construction.
     """
-    if not math.isfinite(entropy_bits):
-        raise InvalidModelError("entropy must be finite (in bits)")
+    entropy_bits = check_number("entropy_bits", entropy_bits)
     return _report(
         p,
         "T3",
         plant_factor=1.0,
         entropy_factor=_entropy_factor(entropy_bits),
-        entropy_rate_bits=float(entropy_bits),
+        entropy_rate_bits=entropy_bits,
     )
 
 

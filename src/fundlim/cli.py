@@ -35,7 +35,14 @@ from .disturbance import (
     szego_entropy_rate,
     szego_log_integral,
 )
-from .errors import FundlimError, UnstableLoopError, from_fields, read_json, read_utf8
+from .errors import (
+    FundlimError,
+    UnstableLoopError,
+    from_fields,
+    parse_numbers,
+    read_json,
+    read_utf8,
+)
 from .plant import AnalysisWarning, analyze_plant, load_plant
 from .simulation import SimulationConfig, run_closed_loop, verify_bound
 
@@ -48,20 +55,10 @@ EXIT_UNSTABLE = 4
 def _parse_p_list(value, source: str = "--p") -> tuple:
     """Norm orders from a comma list such as ``2,inf`` or a JSON list."""
     if isinstance(value, str):
-        tokens = value.split(",")
-    elif isinstance(value, list):
-        tokens = value
-    else:
+        value = value.split(",")
+    elif not isinstance(value, list):
         raise FundlimError(f"{source} must be a comma list or a list of norm orders")
-    orders = []
-    for token in tokens:
-        text = str(token).strip()
-        if not text:
-            continue
-        try:
-            orders.append(float(text))
-        except ValueError:
-            raise FundlimError(f"bad norm order {token!r} in {source}") from None
+    orders = parse_numbers(value, f"norm order in {source}")
     if not orders:
         raise FundlimError(f"{source} must name at least one norm order")
     return tuple(orders)
@@ -367,10 +364,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except FundlimError as exc:
-        print(f"fundlim: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (FundlimError, OSError) as exc:
         print(f"fundlim: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError as exc:

@@ -16,7 +16,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .errors import InvalidModelError, check_number
+from .errors import InvalidModelError, check_number, check_numbers, parse_numbers
 
 __all__ = [
     "CausalController",
@@ -93,23 +93,10 @@ class StaticGain(_BatchLaw):
     """Proportional negative feedback z_k = -gain * y_k."""
 
     def __init__(self, gain: float):
-        gain = check_number(gain, "gain")
-        if not np.isfinite(gain):
-            raise InvalidModelError(f"gain must be finite, got {gain}")
-        self.gain = gain
+        self.gain = check_number("gain", gain)
 
     def step_batch(self, y: np.ndarray) -> np.ndarray:
         return -self.gain * y
-
-
-def _flat_coefficients(values) -> np.ndarray:
-    """A number or a flat list of numbers as a 1-D float array."""
-    values = np.atleast_1d(np.asarray(values, dtype=object))
-    if values.ndim != 1:
-        raise InvalidModelError(
-            f"filter coefficients must be a flat list, got shape {values.shape}"
-        )
-    return np.array([check_number(c, "a filter coefficient") for c in values], dtype=float)
 
 
 class LinearFilter(_BatchLaw):
@@ -122,11 +109,10 @@ class LinearFilter(_BatchLaw):
     """
 
     def __init__(self, b_coeffs, a_coeffs=()):
-        b, a = _flat_coefficients(b_coeffs), _flat_coefficients(a_coeffs)
+        b = check_numbers("filter coefficients", "a filter coefficient", b_coeffs, flat=True)
+        a = check_numbers("filter coefficients", "a filter coefficient", a_coeffs, flat=True)
         if b.size == 0:
             raise InvalidModelError("filter needs at least one feedforward coefficient")
-        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(a))):
-            raise InvalidModelError("filter coefficients contain NaN or Inf")
         self.b = b
         self.a = a
         self.reset()
@@ -171,12 +157,8 @@ def parse_controller(text: str) -> CausalController:
             raise InvalidModelError(
                 f"bad arma controller {text!r}: expected 'arma:<b0,...;a1,...>'"
             )
-        b_part, a_part = body.split(";", 1)
-        try:
-            b = [float(tok) for tok in b_part.split(",") if tok.strip()]
-            a = [float(tok) for tok in a_part.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise InvalidModelError(f"bad arma controller {text!r}: {exc}") from exc
+        where = f"arma controller {text!r}"
+        b, a = (parse_numbers(part.split(","), where) for part in body.split(";", 1))
         if not b:
             raise InvalidModelError(f"bad arma controller {text!r}: empty b coefficient list")
         return LinearFilter(b, a)

@@ -11,6 +11,7 @@ spectral route.
 from __future__ import annotations
 
 import math
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
@@ -22,6 +23,7 @@ from .errors import (
     InvalidModelError,
     NonIntegrableSpectrumError,
     check_number,
+    check_numbers,
     check_order,
     check_whole,
     finite_power,
@@ -51,13 +53,6 @@ GAUSSIAN_ENTROPY_BITS = 0.5 * math.log2(2.0 * math.pi * math.e)
 DEFAULT_GRID = 4096
 
 
-def _check_positive(value: float, name: str) -> float:
-    value = check_number(value, name)
-    if not math.isfinite(value) or value <= 0.0:
-        raise InvalidModelError(f"{name} must be a finite positive number, got {value}")
-    return value
-
-
 def max_entropy_value(p: float, lp_norm: float) -> float:
     """Entropy in bits of the max-entropy density with E|x|^p = lp_norm^p.
 
@@ -66,7 +61,7 @@ def max_entropy_value(p: float, lp_norm: float) -> float:
     ``log2(2 lp_norm)``.
     """
     p = check_order(p)
-    lp_norm = _check_positive(lp_norm, "lp_norm")
+    lp_norm = check_number("lp_norm", lp_norm, 0.0, strict=True)
     if math.isinf(p):
         return math.log2(2.0 * lp_norm)
     pe = p * math.e
@@ -94,7 +89,7 @@ def max_entropy_pdf(p: float, lp_norm: float, x):
         Density values, matching the shape of x.
     """
     p = check_order(p)
-    lp_norm = _check_positive(lp_norm, "lp_norm")
+    lp_norm = check_number("lp_norm", lp_norm, 0.0, strict=True)
     arr = np.asarray(x, dtype=float)
     if math.isinf(p):
         out = np.where(np.abs(arr) <= lp_norm, 0.5 / lp_norm, 0.0)
@@ -203,6 +198,12 @@ def _check_grid(n_grid: int) -> int:
     n_grid = check_whole("grid size", n_grid)
     if n_grid < 16 or n_grid % 2:
         raise InvalidModelError(f"grid size must be even and >= 16, got {n_grid}")
+    # No array can hold more than sys.maxsize bytes: reject such a grid here
+    # instead of failing inside numpy.
+    if n_grid * 8 > sys.maxsize:
+        raise InvalidModelError(
+            f"grid size {n_grid} is too large: its float64 table would exceed {sys.maxsize} bytes"
+        )
     return n_grid
 
 
@@ -226,8 +227,7 @@ def szego_entropy_rate(spectrum: SpectralDensity, negentropy_bits: float = 0.0) 
     which for a stationary process equals the conditional entropy rate; the
     negentropy term corrects for non-Gaussianity (zero for Gaussian inputs).
     """
-    if not math.isfinite(negentropy_bits) or negentropy_bits < 0.0:
-        raise InvalidModelError("negentropy must be finite and >= 0 bits")
+    negentropy_bits = check_number("negentropy_bits", negentropy_bits, 0.0)
     return GAUSSIAN_ENTROPY_BITS + 0.5 * szego_log_integral(spectrum) - negentropy_bits
 
 
@@ -544,7 +544,7 @@ class GaussianIID(_WhiteNoise):
     sigma: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma", _check_positive(self.sigma, "sigma"))
+        object.__setattr__(self, "sigma", check_number("sigma", self.sigma, 0.0, strict=True))
 
     def sample(self, seed: int | np.random.Generator, length: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
@@ -573,7 +573,8 @@ class UniformIID(_RowSampled, _WhiteNoise):
     half_width: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "half_width", _check_positive(self.half_width, "half_width"))
+        half_width = check_number("half_width", self.half_width, 0.0, strict=True)
+        object.__setattr__(self, "half_width", half_width)
 
     def sample_rows(self, rng: np.random.Generator, out: np.ndarray) -> None:
         # The floats of rng.uniform(-1.0, 1.0, out.shape), which is
@@ -620,11 +621,9 @@ class GeneralizedGaussianIID(_RowSampled, _WhiteNoise):
     lp_norm: float
 
     def __post_init__(self) -> None:
-        p = check_number(self.shape, "shape")
-        if not math.isfinite(p) or p < 1.0:
-            raise InvalidModelError(f"shape must be finite and >= 1, got {p}")
-        object.__setattr__(self, "shape", p)
-        object.__setattr__(self, "lp_norm", _check_positive(self.lp_norm, "lp_norm"))
+        object.__setattr__(self, "shape", check_number("shape", self.shape, 1.0))
+        lp_norm = check_number("lp_norm", self.lp_norm, 0.0, strict=True)
+        object.__setattr__(self, "lp_norm", lp_norm)
 
     def sample_rows(self, rng: np.random.Generator, out: np.ndarray) -> None:
         _ziggurat(self.shape).fill(rng, out.reshape(-1))
@@ -667,20 +666,17 @@ class GaussianAR(_RowSampled):
     innovation_std: float
 
     def __post_init__(self) -> None:
-        coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=object))
-        coeffs = tuple(check_number(c, "a lag coefficient") for c in coeffs)
-        if len(coeffs) == 0:
+        coeffs = check_numbers("coeffs", "a lag coefficient", self.coeffs, flat=True)
+        if coeffs.size == 0:
             raise InvalidModelError("coeffs must contain at least one lag coefficient")
-        if not all(math.isfinite(c) for c in coeffs):
-            raise InvalidModelError("coeffs contain NaN or Inf")
-        innovation_std = _check_positive(self.innovation_std, "innovation_std")
-        roots = np.roots([1.0] + [-c for c in coeffs])
+        innovation_std = check_number("innovation_std", self.innovation_std, 0.0, strict=True)
+        roots = np.roots(np.concatenate(([1.0], -coeffs)))
         if roots.size and np.max(np.abs(roots)) >= 1.0:
             raise InvalidModelError(
                 "autoregression is not stable: a root of the lag polynomial "
                 "lies on or outside the unit circle"
             )
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", tuple(coeffs.tolist()))
         object.__setattr__(self, "innovation_std", innovation_std)
         self._unit_lag_covariance  # refuses a system float64 cannot solve
 

@@ -6,6 +6,8 @@ import math
 import numbers
 import operator
 
+import numpy as np
+
 __all__ = [
     "CertificationRefusedError",
     "DegenerateRealizationError",
@@ -30,11 +32,69 @@ class InvalidNormOrderError(FundlimError, ValueError):
     """Norm order must satisfy p >= 1 (math.inf is allowed)."""
 
 
-def check_number(value, name: str) -> float:
-    """``value`` as a float; a bool, a string or any other non-number raises TypeError."""
+def _real(name: str, value) -> float:
+    """``value`` as a float; a bool, a string or any other non-number raises TypeError.
+
+    An integer past the float range reads as an infinity of its sign.
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def check_number(name: str, value, least: float | None = None, *, strict: bool = False) -> float:
+    """``value`` as a finite float, not below ``least`` (above it when ``strict``).
+
+    A bool, a string or any other non-number raises TypeError; a NaN, an
+    infinity or a number out of bounds raises InvalidModelError. Both name
+    ``name``.
+    """
+    number = _real(name, value)
+    low = -math.inf if least is None else least
+    if not (math.isfinite(number) and (number > low if strict else number >= low)):
+        bound = "" if least is None else f" and {'>' if strict else '>='} {least:g}"
+        raise InvalidModelError(f"{name} must be finite{bound}, got {number}")
+    return number
+
+
+def check_numbers(name: str, entry: str, values, flat: bool = False) -> np.ndarray:
+    """``values``, a number or a list of numbers nested to any depth, as a float array.
+
+    Each entry is checked as ``check_number`` checks a number: one that is
+    not a number raises TypeError naming ``entry`` ("a lag coefficient"),
+    and a NaN or an infinity raises InvalidModelError naming ``name``
+    ("coeffs"). With ``flat`` the array is 1-D, a number being a list of
+    one, and deeper nesting raises InvalidModelError. An ndarray of a real
+    dtype is taken whole, without a pass over its entries.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
+        array = np.array(values, dtype=float)
+    else:
+        objects = np.asarray(values, dtype=object)
+        array = np.fromiter((_real(entry, v) for v in objects.flat), float, objects.size)
+        array = array.reshape(objects.shape)
+    if flat:
+        array = np.atleast_1d(array)
+        if array.ndim != 1:
+            raise InvalidModelError(f"{name} must be a flat list, got shape {array.shape}")
+    if not np.all(np.isfinite(array)):
+        raise InvalidModelError(f"{name} contain NaN or Inf")
+    return array
+
+
+def parse_numbers(tokens, what: str) -> list:
+    """The floats of the items of ``tokens`` that are not blank, each read as ``float(str(item))``.
+
+    ``tokens`` is a comma list split at its commas, or a list from a JSON
+    file. An item that does not read raises InvalidModelError naming ``what``.
+    """
+    try:
+        return [float(text) for text in map(str, tokens) if text.strip()]
+    except ValueError as exc:
+        raise InvalidModelError(f"bad {what}: {exc}") from None
 
 
 def check_order(p: float) -> float:
@@ -44,7 +104,7 @@ def check_order(p: float) -> float:
     ``json_order`` writes.
     """
     try:
-        p = math.inf if p == "inf" else check_number(p, "norm order")
+        p = math.inf if p == "inf" else _real("norm order", p)
     except TypeError as exc:
         raise InvalidNormOrderError(str(exc)) from None
     if math.isnan(p) or p < 1.0:
@@ -79,11 +139,14 @@ def json_order(p: float):
 def from_fields(cls, payload: dict, owner: str, values: str):
     """Build the dataclass ``cls`` from the entries of ``payload`` named by its fields.
 
-    Raises InvalidModelError naming ``owner`` ("plant file") for a key that
-    is not a field or a field without a default that is absent, and naming
-    ``values`` ("plant matrices") for a TypeError or ValueError of ``cls``;
-    ``cls``'s own FundlimErrors pass through.
+    Raises InvalidModelError naming ``owner`` ("plant file") for a payload
+    that is not a JSON object, a key that is not a field or a field without
+    a default that is absent, and naming ``values`` ("plant matrices") for a
+    TypeError or ValueError of ``cls``; ``cls``'s own FundlimErrors pass
+    through.
     """
+    if not isinstance(payload, dict):
+        raise InvalidModelError(f"{owner} must hold a JSON object")
     fields = dataclasses.fields(cls)
     unknown = sorted(set(payload) - {f.name for f in fields})
     if unknown:
@@ -122,9 +185,10 @@ def read_utf8(path) -> str:
 
 def read_json(path, what: str):
     """Return the JSON value of a UTF-8 file, or raise InvalidModelError naming ``what``."""
+    text = read_utf8(path)
     try:
-        return json.loads(read_utf8(path))
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
         raise InvalidModelError(f"{what} is not valid JSON: {exc}") from exc
 
 

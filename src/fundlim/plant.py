@@ -17,6 +17,7 @@ from .errors import (
     DegenerateRealizationError,
     InvalidModelError,
     ZeroTransferFunctionError,
+    check_numbers,
     from_fields,
     read_json,
 )
@@ -58,6 +59,8 @@ class StateSpaceModel:
         Input vector; accepted flat of length n or as a column (n, 1).
     C : array_like
         Output vector; accepted flat of length n or as a row (1, n).
+
+    Every entry must be a finite number, not a bool or a string.
     """
 
     A: np.ndarray
@@ -65,22 +68,19 @@ class StateSpaceModel:
     C: np.ndarray
 
     def __post_init__(self) -> None:
-        A = np.asarray(self.A, dtype=float)
+        A = check_numbers("entries of A", "an entry of A", self.A)
         if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
             raise InvalidModelError("A must be a square matrix of order >= 1")
         n = A.shape[0]
         B = self._as_column(self.B, n, "B")
         C = self._as_column(self.C, n, "C").T
-        for name, mat in (("A", A), ("B", B), ("C", C)):
-            if not np.all(np.isfinite(mat)):
-                raise InvalidModelError(f"{name} contains NaN or Inf entries")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
 
     @staticmethod
     def _as_column(value, n: int, name: str) -> np.ndarray:
-        arr = np.asarray(value, dtype=float)
+        arr = check_numbers(f"entries of {name}", f"an entry of {name}", value)
         if arr.ndim == 1:
             arr = arr[:, None]
         elif arr.ndim == 2 and 1 in arr.shape:
@@ -98,8 +98,6 @@ class StateSpaceModel:
     @classmethod
     def from_dict(cls, payload: dict) -> "StateSpaceModel":
         """Build a plant from a JSON object whose keys are exactly its fields."""
-        if not isinstance(payload, dict):
-            raise InvalidModelError("plant file must hold a JSON object")
         return from_fields(cls, payload, "plant file", "plant matrices")
 
     def to_dict(self) -> dict:

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import os
 import pickle
 import sys
@@ -54,6 +53,7 @@ from .errors import (
     InvalidModelError,
     InvalidNormOrderError,
     UnstableLoopError,
+    check_number,
     check_order,
     check_whole,
     json_order,
@@ -144,11 +144,10 @@ class SimulationConfig:
             )
         if trajectories > np.iinfo(np.int64).max:
             raise InvalidModelError(f"trajectories {trajectories} is too large to count in int64")
-        if isinstance(self.x0_std, bool) or not isinstance(self.x0_std, numbers.Real):
-            raise InvalidModelError(f"x0_std must be a number, got {self.x0_std!r}")
-        x0_std = float(self.x0_std)
-        if not (math.isfinite(x0_std) and x0_std >= 0.0):
-            raise InvalidModelError("x0_std must be finite and >= 0")
+        try:
+            x0_std = check_number("x0_std", self.x0_std, 0.0)
+        except TypeError as exc:
+            raise InvalidModelError(str(exc)) from None
         object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "trajectories", trajectories)
         object.__setattr__(self, "seed", seed)

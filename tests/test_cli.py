@@ -867,6 +867,27 @@ class TestSzego:
         assert payload["negentropy_bits"] == 0.0
         assert payload["grid_points"] == 4096
 
+    @pytest.mark.parametrize("size", [2**62, 2**63, 10**20])
+    @pytest.mark.parametrize(
+        "command",
+        [["szego"], ["bound", "--theorem", "KS"], ["bound", "--theorem", "C4"]],
+        ids=["szego", "KS", "C4"],
+    )
+    def test_oversize_grid_is_an_input_error(
+        self, capsys, stable_plant, ar_dist, command, size
+    ):
+        # A grid whose float64 table no array can hold: exit 2, before numpy
+        # is asked for the table.
+        plant = [] if command == ["szego"] else ["--plant", stable_plant]
+        code, out, err = run_cli(
+            capsys, *command, *plant, "--dist", ar_dist, "--grid", str(size)
+        )
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == (
+            f"fundlim: grid size {size} is too large: its float64 table would "
+            f"exceed {sys.maxsize} bytes\n"
+        )
+
     def test_spectrum_csv_round_trip(self, capsys, tmp_path, ar_dist):
         out_dir = tmp_path / "sz"
         code, out, _ = run_cli(capsys, "szego", "--dist", ar_dist, "--out", str(out_dir))
@@ -1036,6 +1057,9 @@ class TestInputErrors:
             (["analyze", "--plant"], '{"A": "x", "B": [1.0], "C": [1.0]}',
              "plant matrices are malformed"),
             (["analyze", "--plant"], '{"A": [[0.5]],', "plant file is not valid JSON"),
+            # More digits than Python's int parser reads: not JSON this reader takes.
+            (["analyze", "--plant"], '{"A": [[' + "9" * 5000 + ']], "B": [1.0], "C": [1.0]}',
+             "plant file is not valid JSON"),
             (["analyze", "--plant"], '{"A": [[0.5]], "B": [1.0]}',
              "plant file is missing field 'C'"),
             (["analyze", "--plant"], '{"A": [[0.5]], "B": [1.0], "C": [1.0], "D": [[7]]}',
@@ -1043,6 +1067,9 @@ class TestInputErrors:
             (["bound", "--dist"], "[1, 2]", "must be an object with a 'type' field"),
             (["bound", "--dist"], '{"type": "iid_gaussian", "sigma": "x"}',
              "disturbance parameters are malformed"),
+            # An integer past the float range reads as infinity.
+            (["bound", "--dist"], '{"type": "iid_gaussian", "sigma": 1' + "0" * 400 + "}",
+             "sigma must be finite and > 0, got inf"),
             (["bound", "--dist"], '{"type": "iid_gaussian"}',
              "disturbance type 'iid_gaussian' is missing field 'sigma'"),
             (["bound", "--dist"], '{"type": "iid_gaussian", "sigma": 1.0, "shape": 4}',
@@ -1079,9 +1106,10 @@ class TestInputErrors:
              "uniform spectrum grid must map onto itself under omega -> -omega"),
         ],
         ids=[
-            "plant_list", "plant_matrix_not_numeric", "plant_not_json", "plant_missing_field",
-            "plant_stray_key",
-            "dist_not_an_object", "dist_sigma_not_a_number", "dist_missing_field",
+            "plant_list", "plant_matrix_not_numeric", "plant_not_json", "plant_int_too_long",
+            "plant_missing_field", "plant_stray_key",
+            "dist_not_an_object", "dist_sigma_not_a_number", "dist_sigma_past_float_range",
+            "dist_missing_field",
             "dist_stray_key", "dist_unknown_type", "dist_type_a_list", "ar_no_coeffs",
             "ar_nan_coeff",
             "p_empty",

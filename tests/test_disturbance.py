@@ -611,6 +611,11 @@ class TestSpectra:
         for n_grid in (100.7, True, "64"):
             with pytest.raises(fl.InvalidModelError, match="grid size must be a whole number"):
                 fl.GaussianIID(1.0).power_spectrum(n_grid)
+        # Grids whose float64 table no array can hold: refused before numpy
+        # is asked for one.
+        for n_grid in (2**62, 2**63, 10**20):
+            with pytest.raises(fl.InvalidModelError, match=f"grid size {n_grid} is too large"):
+                fl.GaussianAR((0.5,), 1.0).power_spectrum(n_grid)
         want = fl.GaussianIID(1.0).power_spectrum(64).grid
         for n_grid in (64.0, np.int32(64)):
             assert fl.GaussianIID(1.0).power_spectrum(n_grid).grid.tobytes() == want.tobytes()
@@ -787,7 +792,7 @@ class TestJsonInterface:
             ({"type": "gauss_ar", "coeffs": [0.5, True], "innovation_std": 1.0},
              "malformed: a lag coefficient must be a number"),
             ({"type": "gauss_ar", "coeffs": [[0.5]], "innovation_std": 1.0},
-             "malformed: a lag coefficient must be a number"),
+             r"coeffs must be a flat list, got shape \(1, 1\)"),
         ],
         ids=[
             "not_an_object", "sigma_not_a_number", "stray_key", "two_stray_keys", "type_a_list",
