@@ -52,15 +52,11 @@ EXIT_UNSATISFIED = 3
 EXIT_UNSTABLE = 4
 
 
-def _parse_p_list(value, source: str = "--p") -> tuple:
-    """Norm orders from a comma list such as ``2,inf`` or a JSON list."""
-    if isinstance(value, str):
-        value = value.split(",")
-    elif not isinstance(value, list):
-        raise FundlimError(f"{source} must be a comma list or a list of norm orders")
-    orders = parse_numbers(value, f"norm order in {source}")
+def _parse_p_list(text: str) -> tuple:
+    """Norm orders from the comma list of a ``--p`` flag, such as ``2,inf``."""
+    orders = parse_numbers(text.split(","), "norm order in --p")
     if not orders:
-        raise FundlimError(f"{source} must name at least one norm order")
+        raise FundlimError("--p must name at least one norm order")
     return tuple(orders)
 
 
@@ -170,11 +166,10 @@ def _resolve_sim_config(args) -> SimulationConfig:
     for field in dataclasses.fields(SimulationConfig):
         if getattr(args, field.name) is not None:
             settings[field.name] = getattr(args, field.name)
-    # Norm orders come as a comma list or a JSON list; a file's are read
-    # only when --p is absent.
-    if "p_list" in settings:
-        source = "--p" if args.p_list is not None else "p_list of --sim-config"
-        settings["p_list"] = _parse_p_list(settings["p_list"], source)
+    # The flag's text is read here; a file's p_list is SimulationConfig's to
+    # check, as it holds what SimulationConfig.to_dict() writes.
+    if args.p_list is not None:
+        settings["p_list"] = _parse_p_list(args.p_list)
     return from_fields(SimulationConfig, settings, "simulation config", "simulation settings")
 
 

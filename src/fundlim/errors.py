@@ -86,29 +86,29 @@ def check_numbers(name: str, entry: str, values, flat: bool = False) -> np.ndarr
 
 
 def parse_numbers(tokens, what: str) -> list:
-    """The floats of the items of ``tokens`` that are not blank, each read as ``float(str(item))``.
+    """The floats of the items of ``tokens`` that are not blank, each read by ``float``.
 
-    ``tokens`` is a comma list split at its commas, or a list from a JSON
-    file. An item that does not read raises InvalidModelError naming ``what``.
+    ``tokens`` is the text of a flag split at its commas. An item that does
+    not read raises InvalidModelError naming ``what``.
     """
     try:
-        return [float(text) for text in map(str, tokens) if text.strip()]
+        return [float(text) for text in tokens if text.strip()]
     except ValueError as exc:
         raise InvalidModelError(f"bad {what}: {exc}") from None
 
 
-def check_order(p: float) -> float:
-    """Return p as a float, or raise InvalidNormOrderError unless p >= 1.
+def check_order(p: float, name: str = "norm order") -> float:
+    """Return p as a float, or raise InvalidNormOrderError naming ``name`` unless p >= 1.
 
     An order is a number, not a bool, or the string ``"inf"`` that
     ``json_order`` writes.
     """
     try:
-        p = math.inf if p == "inf" else _real("norm order", p)
+        p = math.inf if isinstance(p, str) and p == "inf" else _real(name, p)
     except TypeError as exc:
         raise InvalidNormOrderError(str(exc)) from None
     if math.isnan(p) or p < 1.0:
-        raise InvalidNormOrderError(f"norm order must satisfy p >= 1, got {p}")
+        raise InvalidNormOrderError(f"{name} must satisfy p >= 1, got {p}")
     return p
 
 

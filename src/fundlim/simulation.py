@@ -105,8 +105,10 @@ class SimulationConfig:
     horizon // 5) is the start-up transient kept out of the stability
     baseline: the mean-square state on steps [max(burn_in, 1), horizon -
     tail_window) is the level the tail window must not outgrow. It must
-    leave the tail window inside the horizon. ``p_list`` is normalized to a
-    sorted tuple with math.inf last.
+    leave the tail window inside the horizon. ``p_list`` is a list, tuple or
+    array of orders, each a number or the ``"inf"`` that ``to_dict`` writes,
+    not text such as ``"1,inf"``; it is normalized to a sorted tuple with
+    math.inf last.
     """
 
     horizon: int
@@ -121,7 +123,9 @@ class SimulationConfig:
         horizon = check_whole("horizon", self.horizon, least=1)
         trajectories = check_whole("trajectories", self.trajectories, least=1)
         seed = check_whole("seed", self.seed, least=0)
-        p_list = tuple(sorted({check_order(p) for p in self.p_list}))
+        if isinstance(self.p_list, (str, bytes)) or not np.iterable(self.p_list):
+            raise InvalidNormOrderError(f"p_list must list norm orders, got {self.p_list!r}")
+        p_list = tuple(sorted({check_order(p, "norm order in p_list") for p in self.p_list}))
         if not p_list:
             raise InvalidNormOrderError("p_list must name at least one norm order")
         burn_in = horizon // 5 if self.burn_in is None else check_whole("burn_in", self.burn_in)

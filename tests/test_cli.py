@@ -499,6 +499,29 @@ class TestVerify:
         assert sim["trajectories"] == 77  # file fills the rest
         assert sim["p_list"] == [2.0, "inf"]
 
+    def test_report_settings_round_trip_through_sim_config(
+        self, capsys, monkeypatch, tmp_path, stable_plant, gauss_dist
+    ):
+        # A report's manifest.parameters.sim, fed back as --sim-config with
+        # no settings flag, gives the report again. Two chunks on two CPUs:
+        # the chunks run in worker processes.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        common = ["verify", "--plant", stable_plant, "--dist", gauss_dist, "--controller", "gain:0.2"]
+        flags = ["--horizon", "40", "--traj", "5000", "--seed", "3", "--p", "inf,1.5,2",
+                 "--burn-in", "5", "--tail-window", "10", "--x0-std", "0.5"]
+        runs = []
+        for tag, settings in (("flags", flags), ("file", ["--sim-config", str(tmp_path / "sim.json")])):
+            code, out, _ = run_cli(capsys, *common, *settings, "--out", str(tmp_path / tag))
+            assert code == EXIT_OK
+            sim = json.loads(out)["manifest"]["parameters"]["sim"]
+            (tmp_path / "sim.json").write_text(json.dumps(sim))
+            runs.append((
+                re.sub(r'"timestamp": "[^"]*"', "", out),
+                (tmp_path / tag / "verify_norms.csv").read_bytes(),
+            ))
+        assert sim["p_list"] == [1.5, 2.0, "inf"]
+        assert runs[0] == runs[1]
+
     def test_each_sim_setting_is_a_flag_dest(self):
         names = [f.name for f in dataclasses.fields(fl.SimulationConfig)]
         bare = vars(build_parser().parse_args(["verify", "--plant", "p", "--dist", "d"]))
@@ -512,7 +535,7 @@ class TestVerify:
         "file_settings, flags, expected",
         [
             ({}, [], {"horizon": 200, "trajectories": 10000}),
-            ({"horizon": 30, "seed": 4, "p_list": "1,inf"}, [],
+            ({"horizon": 30, "seed": 4, "p_list": [1, "inf"]}, [],
              {"horizon": 30, "trajectories": 10000, "seed": 4, "p_list": (1.0, math.inf)}),
             ({"horizon": 30, "trajectories": 77, "seed": 4, "p_list": [2, "inf"], "burn_in": 3,
               "tail_window": 5, "x0_std": 0.25},
@@ -565,6 +588,12 @@ class TestVerify:
             {"p_list": ["abc"]},
             {"horizon": "abc", "trajectories": 50},
             {"horizon": None, "trajectories": 50},
+            # A file's p_list holds numbers or "inf", as to_dict() writes it;
+            # only the --p flag's text is read by float().
+            {"p_list": ["2", "inf"]},
+            {"p_list": [2, " "]},
+            {"p_list": "1,inf"},
+            {"p_list": [2, "Infinity"]},
         ],
     )
     def test_malformed_sim_config_value(self, capsys, tmp_path, stable_plant, gauss_dist, settings):
@@ -577,7 +606,7 @@ class TestVerify:
         assert code == EXIT_INPUT
         assert out == ""
         assert err.startswith("fundlim: ")
-        assert "p_list" in err or "horizon" in err
+        assert ("p_list" if "p_list" in settings else "horizon") in err
 
     @pytest.mark.parametrize(
         "settings, key",
@@ -616,18 +645,12 @@ class TestVerify:
         assert err.startswith("fundlim: ") and "seed" in err
 
     @pytest.mark.parametrize(
-        "orders",
-        [["--p", "2,INF"], ["--p", "2,Infinity"], {"p_list": [2, "Infinity"]}],
-        ids=["INF", "Infinity", "sim_config"],
+        "orders", [["--p", "2,INF"], ["--p", "2,Infinity"]], ids=["INF", "Infinity"]
     )
     def test_infinity_spellings_give_the_same_reports(
         self, capsys, tmp_path, stable_plant, gauss_dist, orders
     ):
-        # float() reads every spelling of infinity, in a flag or a config file.
-        if isinstance(orders, dict):
-            cfg = tmp_path / "sim.json"
-            cfg.write_text(json.dumps(orders))
-            orders = ["--sim-config", str(cfg)]
+        # float() reads every spelling of infinity in the --p flag.
         reports = []
         for tag, flags in (("inf", ["--p", "2,inf"]), ("other", orders)):
             out_dir = tmp_path / tag

@@ -23,7 +23,7 @@ import fundlim as fl
 from conftest import lfilter_ar_sample
 from fundlim import simulation
 from fundlim.bounds import BoundReport
-from fundlim.controllers import CausalController, StaticGain, ZeroController
+from fundlim.controllers import CausalController, LinearFilter, StaticGain, ZeroController
 from fundlim.simulation import _DISTURBANCE, _INITIAL_STATE, _chunk_stream
 
 # Scalar test plants have C B != 0; that analysis warning is covered in
@@ -234,6 +234,8 @@ class TestSimulationConfig:
         )
         assert cfg.p_list == (1.0, 2.0, math.inf)
         assert cfg.to_dict()["p_list"] == [1.0, 2.0, "inf"]
+        for orders in ([2, "inf", 1], np.array([math.inf, 1.0, 2.0])):
+            assert fl.SimulationConfig(horizon=10, trajectories=1, p_list=orders) == cfg
 
     def test_to_dict_keys_are_the_fields(self):
         cfg = fl.SimulationConfig(horizon=10, trajectories=1, p_list=(math.inf,))
@@ -259,9 +261,14 @@ class TestSimulationConfig:
             fl.SimulationConfig(horizon=10, trajectories=1, p_list=(0.5,))
         with pytest.raises(fl.InvalidNormOrderError):
             fl.SimulationConfig(horizon=10, trajectories=1, p_list=())
-        for bad in (True, np.True_, "2"):
-            with pytest.raises(fl.InvalidNormOrderError, match="norm order must be a number"):
+        # A row of a 2-D array is no order either; its == "inf" is an array.
+        for bad in (True, np.True_, "2", np.array([2.0, 3.0])):
+            with pytest.raises(fl.InvalidNormOrderError, match="norm order in p_list must be a number"):
                 fl.SimulationConfig(horizon=10, trajectories=1, p_list=(2.0, bad))
+        # Text is the CLI's to split, and a number is not a list of orders.
+        for bad in (2, "1,inf"):
+            with pytest.raises(fl.InvalidNormOrderError, match="^p_list must list norm orders"):
+                fl.SimulationConfig(horizon=10, trajectories=1, p_list=bad)
         with pytest.raises(fl.InvalidModelError):
             fl.SimulationConfig(horizon=10, trajectories=1, x0_std=-1.0)
         with pytest.raises(fl.InvalidModelError, match="^seed must be >= 0, got -1$"):
@@ -2026,6 +2033,21 @@ def open_loop_certifications(dist, p, seeds, trajectories):
     return certs
 
 
+def ar1_loop_certifications(controller, seeds):
+    """Certify T1's p = 2 floor of x+ = 2x + e under ``GaussianAR((0.9,), 1)``, once per seed.
+
+    Two chunks of 4096 trajectories over 300 steps.
+    """
+    plant, dist = scalar_plant(2.0), fl.GaussianAR((0.9,), 1.0)
+    report = fl.error_bound_lti(2.0, fl.analyze_plant(plant), fl.entropy_summary(dist))
+    assert report.bound_value == pytest.approx(2.0, rel=1e-12)
+    certs = []
+    for seed in seeds:
+        cfg = fl.SimulationConfig(horizon=300, trajectories=8192, seed=seed)
+        certs.append(fl.verify_bound(fl.run_closed_loop(plant, controller, dist, cfg), report))
+    return certs
+
+
 class TestTailStatisticCalibration:
     @pytest.mark.parametrize(
         "dist, p",
@@ -2043,6 +2065,22 @@ class TestTailStatisticCalibration:
         certs = open_loop_certifications(dist, p, range(40), 2048)
         covered = sum(abs(c.ratio - 1.0) <= 3.0 * c.margin_stderr for c in certs)
         assert covered >= 36, covered
+
+    def test_optimal_controller_meets_the_floor_under_colored_noise(self):
+        # Plant x+ = 2x + e, d = w / (1 - 0.9 z^-1): T1's p = 2 floor is 2.
+        # This law makes e/d = (1 - 0.9 z^-1)(1 - 2 z^-1) / (1 - 0.5 z^-1),
+        # so e is w through an all-pass of gain 2, white with std 2, and the
+        # exact ratio is 1. Seeds 0-7 read z from -1.01 to 2.35.
+        law = LinearFilter([2.4, -1.8], [-0.9])
+        certs = ar1_loop_certifications(law, range(8))
+        covered = sum(abs(c.ratio - 1.0) <= 3.0 * c.margin_stderr for c in certs)
+        assert covered >= 7, [(c.ratio - 1.0) / c.margin_stderr for c in certs]
+
+    def test_white_noise_gain_misses_the_floor_under_colored_noise(self):
+        # StaticGain(1.5) meets the white-noise floor of this plant
+        # (acceptance 03) but leaves the AR(1) colour in e: ratio ~2.29.
+        (cert,) = ar1_loop_certifications(StaticGain(1.5), [0])
+        assert cert.ratio >= 2.2
 
     @pytest.mark.parametrize("p", [3.0, 7.0, 300.0])
     def test_tight_at_large_orders(self, p):
